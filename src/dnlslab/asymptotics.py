@@ -3,11 +3,12 @@
 The modulus of a rescaled-frame solution obeys an exact pointwise balance:
 its alpha-th power equals |v0|^alpha divided by
 
-    1 + f(t,x) + c |v0(x)|^alpha [(1 - b t)^{-(2 - N alpha)/2} - 1],
+    1 + f(t,x) + c |v0(x)|^alpha [(1 - b t)^{-q} - 1],
 
-with c = 2 alpha |Im lam| / (b (2 - N alpha)).  The correction f collects
-the dispersive coupling accumulated along the flow; it stays bounded while
-the explicit bracket blows up, which is the whole asymptotic mechanism.
+with q and c the ``gauge_exponent`` and ``balance_coefficient`` of
+``PhysParams``.  The correction f collects the dispersive coupling
+accumulated along the flow; it stays bounded while the explicit bracket
+blows up, which is the whole asymptotic mechanism.
 This module extracts f from a trajectory two independent ways (inverting
 the balance pointwise, and integrating the coupling term in time), freezes
 its terminal value f0 together with a limiting amplitude profile, and
@@ -24,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import physical_time, rescaled_time, to_u_frame
-from .field import Field, l2_norm, laplacian, load_field, save_field
+from .conformal import rescaled_time, to_u_frame
+from .field import Field, l2_norm, load_field, save_field
 from .params import PhysParams
 from .solver import Trajectory
 
@@ -38,30 +39,32 @@ class ExtractionError(RuntimeError):
     """Trajectory does not support profile extraction (vanishing modulus, ...)."""
 
 
-def horizon_gauge(t, b: float, alpha: float, N: int):
-    """g/(1-g) with g = (1-bt)^{(2-N alpha)/2}: +inf at t=0, 0 at the horizon.
+def horizon_gauge(t, params: PhysParams):
+    """g/(1-g) with g = (1-bt)^q: +inf at t=0, 0 at the horizon.
 
     The product b * horizon_gauge(t) calibrates when the explicit bracket in
     the modulus balance starts to dominate; callers only ever use it inside
     min{., .} comparisons, so the t = 0 value is returned as np.inf.
     """
+    b = params.b
     t = np.asarray(t, dtype=float)
     if np.any(t < 0) or np.any(b * t >= 1):
         raise ValueError("t must lie in [0, 1/b)")
-    g = (1.0 - b * t) ** ((2.0 - N * alpha) / 2.0)
+    g = (1.0 - b * t) ** params.gauge_exponent
     with np.errstate(divide="ignore"):
         out = np.where(g == 1.0, np.inf, g / (1.0 - g))
     return float(out) if out.ndim == 0 else out
 
 
-def crossover_time(b: float, alpha: float, N: int, tol: float = 1e-12) -> float:
+def crossover_time(params: PhysParams, tol: float = 1e-12) -> float:
     """Root of b * horizon_gauge(t) = 1, located by bisection."""
+    b = params.b
     if b <= 0:
         raise ValueError("b must be positive")
     lo, hi = 1e-300, (1.0 - 1e-15) / b
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        if b * horizon_gauge(mid, b, alpha, N) > 1.0:
+        if b * horizon_gauge(mid, params) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -83,8 +86,7 @@ def correction_algebraic(traj: Trajectory, v0: Field | None = None) -> list[Fiel
     """Correction fields at every snapshot, by inverting the modulus balance."""
     p = _check_v_traj(traj)
     v0 = traj.snapshots[0] if v0 is None else v0
-    q = (2.0 - p.N * p.alpha) / 2.0
-    c = 2.0 * p.alpha * abs(p.lam.imag) / (p.b * (2.0 - p.N * p.alpha))
+    q, c = p.gauge_exponent, p.balance_coefficient
     mod0a = np.abs(v0.values) ** p.alpha
     out = []
     for snap in traj.snapshots:
@@ -102,34 +104,19 @@ def correction_integral(
 ) -> tuple[list[Field], float]:
     """Correction by time-integrating the dispersive coupling; plus a residual.
 
-    Uses the per-step running integral recorded by the solver when present,
-    otherwise a trapezoid over the snapshots.  The returned residual is the
-    largest sup-distance to the algebraic route over all snapshots — an
-    accuracy certificate for the run, since the two agree exactly for the
-    continuum flow.
+    Reads the per-step running integral the solver records for every v-frame
+    run with lam != 0.  The returned residual is the largest sup-distance to
+    the algebraic route over all snapshots — an accuracy certificate for the
+    run, since the two agree exactly for the continuum flow.
     """
     p = _check_v_traj(traj)
+    if traj.coupling is None:
+        raise ValueError("trajectory carries no coupling record")
     v0 = traj.snapshots[0] if v0 is None else v0
     mod0a = np.abs(v0.values) ** p.alpha
-    if traj.coupling is not None:
-        accums = [c.values.real for c in traj.coupling]
-    else:
-        accums = []
-        total = np.zeros(traj.snapshots[0].grid.shape)
-        prev_g, prev_t = None, None
-        for snap in traj.snapshots:
-            mod = np.abs(snap.values)
-            if np.min(mod) <= 0.0:
-                raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:.6g}")
-            g = np.imag(np.conj(snap.values) * laplacian(snap, check=False).values)
-            g = g / mod ** (p.alpha + 2.0)
-            if prev_g is not None:
-                total = total + 0.5 * (snap.t - prev_t) * (prev_g + g)
-            accums.append(total.copy())
-            prev_g, prev_t = g, snap.t
     fields = [
-        Field(snap.grid, p.alpha * mod0a * acc, "v", snap.t)
-        for snap, acc in zip(traj.snapshots, accums)
+        Field(snap.grid, p.alpha * mod0a * acc.values.real, "v", snap.t)
+        for snap, acc in zip(traj.snapshots, traj.coupling)
     ]
     alg = correction_algebraic(traj, v0)
     residual = max(
@@ -161,8 +148,7 @@ class ProfileData:
 def _psi_pow_alpha(t: float, correction: np.ndarray, mod0a: np.ndarray, p: PhysParams):
     if t < 0 or p.b * t >= 1:
         raise ValueError("t must lie in [0, 1/b)")
-    q = (2.0 - p.N * p.alpha) / 2.0
-    c = 2.0 * p.alpha * abs(p.lam.imag) / (p.b * (2.0 - p.N * p.alpha))
+    q, c = p.gauge_exponent, p.balance_coefficient
     bracket = (1.0 - p.b * t) ** -q - 1.0
     return (1.0 + correction) / (1.0 + correction + c * mod0a * bracket)
 
@@ -272,10 +258,9 @@ def save_profile(profile: ProfileData, dirpath) -> Path:
     save_field(Field(g, profile.correction.astype(complex), "v", t_last), root / "correction")
     save_field(Field(g, profile.amplitude.astype(complex), "v", t_last), root / "amplitude")
     save_field(profile.reference, root / "reference")
-    p = profile.params
     head = {
         "schema_version": PROFILE_SCHEMA,
-        "params": {"N": p.N, "alpha": p.alpha, "lam": [p.lam.real, p.lam.imag], "b": p.b},
+        "params": profile.params.to_dict(),
         "meta": profile.meta,
     }
     (root / "profile.json").write_text(json.dumps(head, sort_keys=True, indent=2) + "\n")
@@ -287,9 +272,7 @@ def load_profile(dirpath) -> ProfileData:
     head = json.loads((root / "profile.json").read_text())
     if head.get("schema_version") != PROFILE_SCHEMA:
         raise ValueError(f"unsupported profile schema {head.get('schema_version')}")
-    pp = head["params"]
-    params = PhysParams(int(pp["N"]), float(pp["alpha"]),
-                        complex(pp["lam"][0], pp["lam"][1]), float(pp["b"]))
+    params = PhysParams.from_dict(head["params"])
     correction = np.real(load_field(root / "correction").values)
     amplitude = load_field(root / "amplitude").values
     reference = load_field(root / "reference")

@@ -2,16 +2,18 @@
 
 Config files are JSON with explicit fields (no positional physics), see
 ``build_run`` for the schema.  Exit codes: 0 success, 2 configuration,
-3 numerical failure, 4 I/O.  The default output root comes from the
-DNLSLAB_OUT environment variable when --out is not given.
+3 numerical failure, 4 I/O.  The output root is --out, else the config's
+"out", else the DNLSLAB_OUT environment variable, else ./runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +42,15 @@ from .diagnostics import (
     mass_dissipation_ok,
     monitor_phi,
 )
-from .field import Field, Grid, build_initial_data, l2_norm, load_field, save_field, sup_norm
+from .field import (
+    DEFAULT_BOUNDARY_TOL,
+    DEFAULT_MAX_ORDER,
+    Field,
+    Grid,
+    build_initial_data,
+    load_field,
+    save_field,
+)
 from .params import ExponentSet, PhysParams, synthesize_exponents
 from .solver import NumericalError, SolverConfig, run
 
@@ -77,6 +87,11 @@ class RunConfig:
     out: Path
     seed: int
     data_n: int | None
+
+
+def _out_root(out_override, doc: dict) -> Path:
+    """--out, else the config's "out", else $DNLSLAB_OUT, else ./runs."""
+    return Path(out_override or doc.get("out") or os.environ.get(ENV_OUT) or "runs")
 
 
 def load_config(path) -> tuple[dict, str]:
@@ -174,14 +189,15 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
         err("t_end", f"t_end = {t_end} reaches the horizon 1/b = {1.0 / b:.6g}")
     if frame == "u" and t_end is None:
         err("solver", "physical-frame runs need an explicit t_end")
-    solver = SolverConfig(
-        frame=frame,
-        dt0=float(sv.get("dt0", 5e-4)),
-        c_adapt=float(sv.get("c_adapt", 0.05)),
-        horizon_floor=float(sv.get("horizon_floor", 1e-4)),
-        t_end=None if t_end is None else float(t_end),
-        snapshot_count=int(sv.get("snapshot_count", DEFAULT_SNAPSHOTS)),
-    )
+    try:
+        solver = SolverConfig(
+            frame=frame,
+            t_end=None if t_end is None else float(t_end),
+            snapshot_count=int(sv.get("snapshot_count", DEFAULT_SNAPSHOTS)),
+            **{k: float(sv[k]) for k in ("dt0", "c_adapt", "horizon_floor") if k in sv},
+        )
+    except (TypeError, ValueError) as e:
+        err("solver", str(e))
 
     da = doc["data"]
     data_n = int(da["n"]) if "n" in da else None
@@ -204,7 +220,7 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
             err("grid", f"grid dimension {dim} does not match N = {N}")
         try:
             grid = Grid.box(gr["L"], gr["M"], dim,
-                            boundary_tol=float(gr.get("boundary_tol", 1e-8)))
+                            boundary_tol=float(gr.get("boundary_tol", DEFAULT_BOUNDARY_TOL)))
         except ValueError as e:
             err("grid", str(e))
 
@@ -225,14 +241,13 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
         if data_n is not None and exps.n != data_n:
             err("exponents", f"exponent weight n = {exps.n} does not match data n = {data_n}")
 
-    out = out_override or doc.get("out") or os.environ.get(ENV_OUT) or "runs"
     return RunConfig(
         params=params,
         exps=exps,
         grid=grid,
         data=da,
         solver=solver,
-        out=Path(out),
+        out=_out_root(out_override, doc),
         seed=int(doc.get("seed", 0)),
         data_n=data_n,
     )
@@ -284,17 +299,23 @@ def _echo_config(out: Path, doc: dict) -> None:
     (out / "run_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_simulate(cfg_path, out_override=None, max_order: int = 4) -> int:
-    doc, text = load_config(cfg_path)
-    rc = build_run(doc, cfg_path, text, out_override)
+def _simulate_and_dump(rc: RunConfig, doc: dict):
+    """Run the configured simulation and write config echo, norms and snapshots."""
     v0 = _initial_field(rc)
     traj = run(v0, rc.solver, rc.params, exps=rc.exps)
     rc.out.mkdir(parents=True, exist_ok=True)
     _echo_config(rc.out, doc)
     _write_norms(rc.out, traj)
     _write_snapshots(rc.out, traj)
+    return v0, traj
+
+
+def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
+    doc, text = load_config(cfg_path)
+    rc = build_run(doc, cfg_path, text, out_override)
+    v0, traj = _simulate_and_dump(rc, doc)
     monitor = None
-    if rc.solver.frame == "v" and rc.params.lam.imag < 0 and rc.exps is not None:
+    if rc.solver.frame == "v" and rc.exps is not None:  # exps exist only for Im(lam) < 0
         monitor = monitor_phi(traj, v0, rc.exps, max_order)
     emit_report(rc.out, traj, monitor=monitor)
     print(f"simulate: {len(traj.times) - 1} steps, artifacts in {rc.out}")
@@ -316,19 +337,18 @@ def _profile_error_series(traj, profile):
     return np.array(ts), np.array(e2s), np.array(einfs)
 
 
-def run_pipeline(doc: dict, text: str, cfg_path, out_override=None, max_order: int = 4) -> dict:
+def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -> dict:
     """simulate -> profile -> bridge -> checks -> verdict; writes all artifacts."""
     rc = build_run(doc, cfg_path, text, out_override)
     if rc.solver.frame != "v" or rc.params.lam.imag >= 0:
         raise ConfigError(cfg_path, _find_line(text, "frame"),
                           "theorem verification needs a rescaled-frame dissipative run")
-    v0 = _initial_field(rc)
-    traj = run(v0, rc.solver, rc.params, exps=rc.exps)
+    if rc.exps is None:
+        raise ConfigError(cfg_path, _find_line(text, "data"),
+                          'theorem verification needs a weight order: data "n" '
+                          'or an "exponents" section')
+    v0, traj = _simulate_and_dump(rc, doc)
     out = rc.out
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(out, doc)
-    _write_norms(out, traj)
-    _write_snapshots(out, traj)
 
     profile = None
     extraction_error = None
@@ -349,8 +369,7 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override=None, max_order: i
                         float(series.l2[i]), float(series.linf[i])])
 
     sup_check = check_sup_limit(series, rc.params)
-    n_weight = rc.data_n if rc.data_n is not None else rc.exps.n
-    l2_check = check_l2_envelope(series, rc.params, n_weight)
+    l2_check = check_l2_envelope(series, rc.params, rc.exps.n)
 
     slope_l2 = slope_sup = None
     if profile is not None:
@@ -401,7 +420,7 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override=None, max_order: i
         "schema_version": VERDICT_SCHEMA,
         "verdict": verdict,
         "compliant_regime": compliant,
-        "crossover_time": crossover_time(rc.params.b, rc.params.alpha, rc.params.N),
+        "crossover_time": crossover_time(rc.params),
         "checks": checks,
         "monitors": {
             "f_max": float(np.max(monitor.f_sup)),
@@ -428,7 +447,7 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override=None, max_order: i
     return doc_out
 
 
-def cmd_verify_theorem(cfg_path, out_override=None, max_order: int = 4) -> int:
+def cmd_verify_theorem(cfg_path, out_override, max_order: int) -> int:
     doc, text = load_config(cfg_path)
     result = run_pipeline(doc, text, cfg_path, out_override, max_order)
     print(f"verdict: {result['verdict']}")
@@ -436,6 +455,20 @@ def cmd_verify_theorem(cfg_path, out_override=None, max_order: int = 4) -> int:
 
 
 SWEEP_AXES = ("alpha", "lam", "b", "n")
+# sweep.csv result columns, each with its dotted key path into the verdict
+SWEEP_RESULTS = (
+    ("verdict", "verdict"),
+    ("sup_target", "checks.sup_limit.target_u"),
+    ("sup_deviation", "checks.sup_limit.deviation_u"),
+    ("l2_target", "checks.l2_envelope.target_exponent"),
+    ("l2_fitted", "checks.l2_envelope.fitted.exponent"),
+    ("band_ratio", "checks.l2_envelope.band_ratio"),
+    ("slope_l2", "checks.profile_error.slope_l2"),
+    ("slope_sup", "checks.profile_error.slope_sup"),
+    ("f_max", "monitors.f_max"),
+    ("f_within_quarter", "monitors.f_within_quarter"),
+    ("decay_pointwise", "monitors.decay_pointwise"),
+)
 
 
 def _render_sweep(base: dict, combo: dict) -> dict:
@@ -467,31 +500,14 @@ def _sweep_worker(task):
         text = json.dumps(doc, indent=2)
         result = run_pipeline(doc, text, f"<sweep:{index}>",
                               Path(out_dir) / row["run"], max_order)
-        row.update(
-            verdict=result["verdict"],
-            sup_target=result["checks"]["sup_limit"]["target_u"],
-            sup_deviation=result["checks"]["sup_limit"]["deviation_u"],
-            l2_target=result["checks"]["l2_envelope"]["target_exponent"],
-            l2_fitted=result["checks"]["l2_envelope"]["fitted"]["exponent"],
-            band_ratio=result["checks"]["l2_envelope"]["band_ratio"],
-            slope_l2=result["checks"]["profile_error"]["slope_l2"],
-            slope_sup=result["checks"]["profile_error"]["slope_sup"],
-            f_max=result["monitors"]["f_max"],
-            f_within_quarter=result["monitors"]["f_within_quarter"],
-            decay_pointwise=result["monitors"]["decay_pointwise"],
-            status="ok",
-        )
+        row.update({col: functools.reduce(operator.getitem, path.split("."), result)
+                    for col, path in SWEEP_RESULTS}, status="ok")
     except Exception as e:  # per-run failures must not kill the sweep
-        row.update(
-            verdict="", sup_target="", sup_deviation="", l2_target="",
-            l2_fitted="", band_ratio="", slope_l2="", slope_sup="",
-            f_max="", f_within_quarter="", decay_pointwise="",
-            status=f"error: {e}",
-        )
+        row.update({col: "" for col, _ in SWEEP_RESULTS}, status=f"error: {e}")
     return index, row
 
 
-def cmd_sweep(cfg_path, out_override=None, jobs: int = 1, max_order: int = 4) -> int:
+def cmd_sweep(cfg_path, out_override, jobs: int, max_order: int) -> int:
     doc, text = load_config(cfg_path)
     if "base" not in doc or "grid" not in doc:
         raise ConfigError(cfg_path, 1, 'sweep config needs "base" and "grid" sections')
@@ -502,7 +518,7 @@ def cmd_sweep(cfg_path, out_override=None, jobs: int = 1, max_order: int = 4) ->
     combos = [dict(zip([k for k, _ in axes], values))
               for values in itertools.product(*[vals for _, vals in axes])]
 
-    out = Path(out_override or doc.get("out") or os.environ.get(ENV_OUT) or "runs") / "sweep"
+    out = _out_root(out_override, doc) / "sweep"
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(i, _render_sweep(base, combo), str(out), max_order)
              for i, combo in enumerate(combos)]
@@ -535,18 +551,16 @@ def cmd_plot_data(run_dir, out_override=None) -> int:
     plots/psi_slices.csv:  gauge, x, psi  (slices of the modulus envelope)
     """
     root = Path(run_dir)
-    cfg_path = root / "run_config.json"
+    verdict_path = root / "verdict.json"
     bridge_path = root / "bridge.csv"
     err_path = root / "error_metric.csv"
     prof_dir = root / "profile"
-    for needed in (cfg_path, bridge_path, err_path, prof_dir):
+    for needed in (verdict_path, bridge_path, err_path, prof_dir):
         if not needed.exists():
             raise FileNotFoundError(f"missing run artifact: {needed}")
-    doc = json.loads(cfg_path.read_text())
-    ph = doc["phys"]
-    params = PhysParams(int(ph["N"]), float(ph["alpha"]),
-                        complex(ph["lam"][0], ph["lam"][1]), float(ph["b"]))
-    n_weight = int(doc["data"]["n"])
+    profile = load_profile(prof_dir)
+    params = profile.params
+    n_weight = json.loads(verdict_path.read_text())["exponents"]["n"]
     e = l2_envelope_exponent(params, n_weight)
 
     out = Path(out_override) if out_override else root / "plots"
@@ -573,7 +587,6 @@ def cmd_plot_data(run_dir, out_override=None) -> int:
             w.writerow([float(r["t"]), "err_l2_compensated", float(r["err_l2_compensated"])])
             w.writerow([float(r["t"]), "err_sup_compensated", float(r["err_sup_compensated"])])
 
-    profile = load_profile(prof_dir)
     grid = profile.reference.grid
     axis = grid.axes()[0]
     with open(out / "psi_slices.csv", "w", newline="") as fh:
@@ -598,21 +611,16 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one simulation and dump artifacts")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--max-order", type=int, default=4)
+    run_args = argparse.ArgumentParser(add_help=False)
+    run_args.add_argument("--config", required=True)
+    run_args.add_argument("--out", default=None)
+    run_args.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
 
-    p_ver = sub.add_parser("verify-theorem", help="full pipeline with a verdict")
-    p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--max-order", type=int, default=4)
-
-    p_swp = sub.add_parser("sweep", help="grid of runs, aggregated CSV")
-    p_swp.add_argument("--config", required=True)
-    p_swp.add_argument("--out", default=None)
+    sub.add_parser("simulate", parents=[run_args],
+                   help="run one simulation and dump artifacts")
+    sub.add_parser("verify-theorem", parents=[run_args], help="full pipeline with a verdict")
+    p_swp = sub.add_parser("sweep", parents=[run_args], help="grid of runs, aggregated CSV")
     p_swp.add_argument("--jobs", type=int, default=1)
-    p_swp.add_argument("--max-order", type=int, default=4)
 
     p_plt = sub.add_parser("plot-data", help="plot-ready tables from run artifacts")
     p_plt.add_argument("run_dir")

@@ -18,8 +18,10 @@ import numpy as np
 from .asymptotics import correction_algebraic, horizon_gauge
 from .conformal import NormSeries
 from .field import (
+    DEFAULT_MAX_ORDER,
     Field,
     data_bound,
+    derivative_orders,
     l2_norm,
     spectral_derivative,
     sup_norm,
@@ -30,7 +32,7 @@ from .params import ExponentSet, PhysParams
 from .solver import Trajectory
 
 MIN_FIT_SAMPLES = 8
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,6 @@ def fit_power_law(times, values, window: tuple[float, float] | None = None) -> R
     )
 
 
-def sup_limit_target(params: PhysParams) -> float:
-    """Late-time limit of t * ||u(t)||_inf^alpha; depends only on Im lambda."""
-    return (2.0 - params.N * params.alpha) / (2.0 * params.alpha * abs(params.lam.imag))
-
-
 def check_sup_limit(series: NormSeries, params: PhysParams, tail: int = 5) -> dict:
     """Compare late-time sup-norm growth against its closed-form limit.
 
@@ -103,7 +100,7 @@ def check_sup_limit(series: NormSeries, params: PhysParams, tail: int = 5) -> di
     companion (1 + bt) * ||u||_inf^alpha at the ``tail`` latest times; both
     converge to targets fixed by (N, alpha, Im lambda, b) alone.
     """
-    target_u = sup_limit_target(params)
+    target_u = params.sup_limit
     target_v = params.b * target_u
     t = np.asarray(series.t, dtype=float)
     linf = np.asarray(series.linf, dtype=float)
@@ -169,16 +166,6 @@ def check_l2_envelope(
     }
 
 
-def _derivative_orders(dim: int, max_order: int) -> list[tuple[int, ...]]:
-    if dim == 1:
-        return [(j,) for j in range(max_order + 1)]
-    return [
-        (i, j)
-        for i in range(max_order + 1)
-        for j in range(max_order + 1 - i)
-    ]
-
-
 @dataclass
 class MonitorReport:
     """Truncated weighted running suprema and pointwise-decay classification."""
@@ -224,7 +211,7 @@ def monitor_phi(
     traj: Trajectory,
     v0: Field,
     exps: ExponentSet,
-    max_order: int = 4,
+    max_order: int = DEFAULT_MAX_ORDER,
 ) -> MonitorReport:
     """Evaluate the weighted running-sup monitors over a rescaled-frame run.
 
@@ -242,10 +229,10 @@ def monitor_phi(
         raise ValueError("no snapshots")
     p = traj.params
     n = exps.n
-    q = (2.0 - p.N * p.alpha) / 2.0
+    q = p.gauge_exponent
     K = data_bound(v0, n, max_order)
-    decay_const = 1.0 + (2.0 - p.N * p.alpha) / (2.0 * p.alpha * abs(p.lam.imag))
-    orders = _derivative_orders(v0.grid.dim, max_order)
+    decay_const = 1.0 + p.sup_limit
+    orders = derivative_orders(v0.grid.dim, max_order)
     bracket_pow = v0.grid.bracket() ** (-n * p.alpha)
     tail_bound = 2.0 * K**p.alpha * bracket_pow
 
@@ -273,9 +260,7 @@ def monitor_phi(
         phi4.append(r4)
         psi.append(max(r1, r3, r4))
         fsup.append(float(np.max(np.abs(f_fld.values))))
-        cap = decay_const * np.minimum(
-            tail_bound, p.b * horizon_gauge(snap.t, p.b, p.alpha, p.N)
-        )
+        cap = decay_const * np.minimum(tail_bound, p.b * horizon_gauge(snap.t, p))
         if np.any(mod**p.alpha > cap * (1.0 + 1e-12)):
             decay_ok = False
 
@@ -355,13 +340,7 @@ def emit_report(
     doc = {
         "schema_version": REPORT_SCHEMA,
         "frame": traj.frame,
-        "params": {
-            "N": p.N,
-            "alpha": p.alpha,
-            "lam_re": p.lam.real,
-            "lam_im": p.lam.imag,
-            "b": p.b,
-        },
+        "params": p.to_dict(),
         "snapshots": len(traj.snapshots),
         "monitor": monitor.as_dict() if monitor is not None else None,
         "fits": {k: v.as_dict() for k, v in (fits or {}).items()},
@@ -372,8 +351,3 @@ def emit_report(
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2)
     return json_path, csv_path
-
-
-def load_report(json_path) -> dict:
-    with open(json_path) as fh:
-        return json.load(fh)

@@ -232,14 +232,6 @@ def weighted_sup_norm(f: Field, p: float) -> float:
     return float(np.max(f.grid.bracket() ** p * np.abs(f.values)))
 
 
-def weighted_l2_norm(f: Field, p: float) -> float:
-    """Rectangle-rule approximation of (integral <x>^{2p} |f|^2)^(1/2)."""
-    if p < 0:
-        raise ValueError("weight power must be nonnegative")
-    w = f.grid.bracket() ** (2 * p)
-    return float(np.sqrt(f.grid.cell_volume * np.sum(w * np.abs(f.values) ** 2)))
-
-
 def weighted_inf(f: Field, p: float) -> tuple[float, tuple[float, ...]]:
     """inf over the grid of <x>^p |f(x)|, with the location where it is attained."""
     vals = f.grid.bracket() ** p * np.abs(f.values)
@@ -253,15 +245,15 @@ def weighted_inf(f: Field, p: float) -> tuple[float, tuple[float, ...]]:
     return float(vals[idx]), loc
 
 
-def parseval_gap(f: Field) -> float:
-    """Relative gap between physical-space and spectral-side L2 norms."""
-    phys = l2_norm(f)
-    spec = np.fft.fftn(f.values)
-    npts = np.prod(f.grid.shape)
-    spectral = float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(spec) ** 2) / npts))
-    if phys == 0.0:
-        return abs(spectral)
-    return abs(phys - spectral) / phys
+def derivative_orders(dim: int, max_order: int) -> list[tuple[int, ...]]:
+    """Every multi-index beta with |beta| <= max_order, in a fixed order."""
+    if dim == 1:
+        return [(j,) for j in range(max_order + 1)]
+    return [
+        (i, j)
+        for i in range(max_order + 1)
+        for j in range(max_order + 1 - i)
+    ]
 
 
 def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
@@ -273,15 +265,7 @@ def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
     order, so it does not contribute here.
     """
     worst = 0.0
-    if v0.grid.dim == 1:
-        orders = [(j,) for j in range(max_order + 1)]
-    else:
-        orders = [
-            (i, j)
-            for i in range(max_order + 1)
-            for j in range(max_order + 1 - i)
-        ]
-    for beta in orders:
+    for beta in derivative_orders(v0.grid.dim, max_order):
         worst = max(worst, weighted_sup_norm(spectral_derivative(v0, beta, max_order), n))
     low, _ = weighted_inf(v0, n)
     if low <= 0:

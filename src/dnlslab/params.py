@@ -1,11 +1,11 @@
 """Problem parameters and the integer bookkeeping behind the decay analysis.
 
-Two layers: ``PhysParams`` holds the physical tuple (N, alpha, lambda, b) and
-its admissibility conditions; ``ExponentSet`` holds the derived integers
-(k, n, m, J), the compensation rate sigma with its per-order ladder, and the
-nonincreasing L2 weight schedule.  Strict synthesis picks the minimal
-integers allowed by the theory; relaxed synthesis accepts a desk-scale n and
-reports which strict conditions it breaks.
+Two layers: ``PhysParams`` holds the physical tuple (N, alpha, lambda, b),
+its admissibility conditions and the closed-form constants every module
+reads off it; ``ExponentSet`` holds the derived integers (k, n, m, J) and
+the compensation rate sigma with its per-order ladder.  Strict synthesis
+picks the minimal integers allowed by the theory; relaxed synthesis accepts
+a desk-scale n and reports which strict conditions it breaks.
 """
 
 from __future__ import annotations
@@ -30,6 +30,31 @@ class PhysParams:
     @property
     def subcritical_window(self) -> tuple[float, float]:
         return 2.0 / (self.N + 2), 2.0 / self.N
+
+    @property
+    def gauge_exponent(self) -> float:
+        """q = (2 - N alpha)/2, the power of the gauge 1 - b t in the modulus balance."""
+        return (2.0 - self.N * self.alpha) / 2.0
+
+    @property
+    def balance_coefficient(self) -> float:
+        """c = 2 alpha |Im lam| / (b (2 - N alpha)), the weight of the explicit bracket."""
+        return 2.0 * self.alpha * abs(self.lam.imag) / (self.b * (2.0 - self.N * self.alpha))
+
+    @property
+    def sup_limit(self) -> float:
+        """Late-time limit of t * ||u(t)||_inf^alpha; independent of Re lam and b."""
+        return (2.0 - self.N * self.alpha) / (2.0 * self.alpha * abs(self.lam.imag))
+
+    def to_dict(self) -> dict:
+        """The config-file shape {N, alpha, lam: [re, im], b}."""
+        return {"N": self.N, "alpha": self.alpha,
+                "lam": [self.lam.real, self.lam.imag], "b": self.b}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PhysParams":
+        return cls(int(d["N"]), float(d["alpha"]),
+                   complex(d["lam"][0], d["lam"][1]), float(d["b"]))
 
 
 def validate_phys(params: PhysParams) -> list[str]:
@@ -99,7 +124,7 @@ def sigma_window(params: PhysParams, k: int, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ExponentSet:
-    """Derived integers (k, n, m, J), the rate sigma, and weight schedules.
+    """Derived integers (k, n, m, J) and the rate sigma with its ladder.
 
     ``strict`` records whether the full set of integer conditions holds or a
     relaxed desk-scale n was requested; ``violations`` lists any broken
@@ -127,12 +152,6 @@ class ExponentSet:
         if j == self.J - 1:
             return (j + 3) * self.sigma
         return (j + 4) * self.sigma
-
-    def l2_weight(self, p: int) -> int:
-        """Nonincreasing spatial weight power used by the high-order L2 ladder."""
-        if not 0 <= p <= self.J:
-            raise ValueError(f"order {p} outside [0, {self.J}]")
-        return self.n if p <= self.J - self.n else self.J - p
 
 
 def derived_inequalities(params: PhysParams, exps: ExponentSet) -> dict[str, bool]:

@@ -20,8 +20,7 @@ stops once 1 - b t reaches a configured floor.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +92,6 @@ class Trajectory:
     winf: np.ndarray | None
     snapshots: list[Field]
     coupling: list[Field] | None
-    monitors: dict = dc_field(default_factory=dict)
 
     @property
     def snapshot_times(self) -> np.ndarray:
@@ -131,30 +129,30 @@ def nonlinear_substep_u(f: Field, tau: float, lam: complex, alpha: float) -> Fie
     return f.with_values(_nonlinear_update(f.values, tau, lam, alpha))
 
 
-def coefficient_integral(t: float, tau: float, b: float, alpha: float, N: int) -> float:
+def coefficient_integral(t: float, tau: float, params: PhysParams) -> float:
     """Integral of (1 - b s)^{-(4 - N alpha)/2} over [t, t + tau], closed form."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
+    b = params.b
     if b == 0.0:
         return tau
     head = 1.0 - b * t
     tail = 1.0 - b * (t + tau)
     if head <= 0 or tail <= 0:
         raise ValueError("substep interval touches the horizon 1/b")
-    q = (2.0 - N * alpha) / 2.0
-    return (2.0 / (b * (2.0 - N * alpha))) * (tail**-q - head**-q)
+    q = params.gauge_exponent
+    # the prefactor is not written as 1/(b q), which rounds differently
+    return (2.0 / (b * (2.0 - params.N * params.alpha))) * (tail**-q - head**-q)
 
 
-def nonlinear_substep_v(
-    f: Field, t: float, tau: float, lam: complex, alpha: float, b: float, N: int
-) -> Field:
+def nonlinear_substep_v(f: Field, t: float, tau: float, params: PhysParams) -> Field:
     """Exact nonlinear flow in the rescaled frame across [t, t + tau].
 
     The time-dependent coefficient is integrated in closed form, so this
     substep is exact however close the interval sits to the horizon.
     """
-    tau_eff = coefficient_integral(t, tau, b, alpha, N)
-    return f.with_values(_nonlinear_update(f.values, tau_eff, lam, alpha))
+    tau_eff = coefficient_integral(t, tau, params)
+    return f.with_values(_nonlinear_update(f.values, tau_eff, params.lam, params.alpha))
 
 
 def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysParams) -> Field:
@@ -164,7 +162,7 @@ def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysPa
         if cfg.frame == "u":
             g = nonlinear_substep_u(g, dt, params.lam, params.alpha)
         else:
-            g = nonlinear_substep_v(g, t, dt, params.lam, params.alpha, params.b, params.N)
+            g = nonlinear_substep_v(g, t, dt, params)
     g = linear_substep(g, 0.5 * dt)
     return g.with_values(g.values, t=t + dt)
 
@@ -220,11 +218,7 @@ def _coupling_integrand(f: Field, alpha: float) -> np.ndarray:
 
 
 def run(
-    f0: Field,
-    cfg: SolverConfig,
-    params: PhysParams,
-    exps: ExponentSet | None = None,
-    progress: Callable[[int, float], None] | None = None,
+    f0: Field, cfg: SolverConfig, params: PhysParams, exps: ExponentSet | None = None
 ) -> Trajectory:
     """Integrate from f0 to the configured end time.
 
@@ -242,8 +236,6 @@ def run(
     exps : ExponentSet, optional
         When given, per-step weighted sup/inf records with weight <x>^n are
         kept alongside the plain norms.
-    progress : callable, optional
-        Called as progress(step_index, t) every 200 accepted steps.
 
     Returns
     -------
@@ -334,8 +326,6 @@ def run(
                 g_new = _coupling_integrand(f, params.alpha)
                 accum += 0.5 * dt * (g_prev + g_new)
                 g_prev = g_new
-            if progress is not None and nsteps % 200 == 0:
-                progress(nsteps, t)
         if due_idx < len(snaps_due) and abs(t - snaps_due[due_idx]) <= _LANDING_EPS:
             take_snapshot(f.with_values(f.values, t=snaps_due[due_idx]))
 

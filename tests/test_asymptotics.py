@@ -55,23 +55,24 @@ def clean_run():
 
 def test_gauge_reference_value():
     # 1 - bt = 1/4, exponent 1/2: (1/2)/(1 - 1/2) = 1
-    assert horizon_gauge(3.0 / 16.0, 4.0, 1.0, 1) == pytest.approx(1.0, rel=1e-14)
+    assert horizon_gauge(3.0 / 16.0, REF) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gauge_endpoints_and_monotonicity():
-    assert horizon_gauge(0.0, 4.0, 1.0, 1) == np.inf
+    assert horizon_gauge(0.0, REF) == np.inf
     ts = np.linspace(1e-6, 0.2499999, 400)
-    gs = horizon_gauge(ts, 4.0, 1.0, 1)
+    gs = horizon_gauge(ts, REF)
     assert np.all(np.diff(gs) < 0)
     assert gs[-1] < 1e-3
 
 
 @pytest.mark.parametrize("b,alpha,N", [(4.0, 1.0, 1), (2.0, 0.8, 2), (0.5, 1.0, 1)])
 def test_crossover_against_closed_form(b, alpha, N):
-    T = crossover_time(b, alpha, N)
+    p = PhysParams(N, alpha, -1j, b)
+    T = crossover_time(p)
     closed = (1.0 - (1.0 + b) ** (-2.0 / (2.0 - N * alpha))) / b
     assert abs(T - closed) < 1e-11
-    assert b * horizon_gauge(T, b, alpha, N) == pytest.approx(1.0, abs=1e-8)
+    assert b * horizon_gauge(T, p) == pytest.approx(1.0, abs=1e-8)
 
 
 # --- correction extraction ---
@@ -87,7 +88,7 @@ def pure_nonlinear_trajectory():
     v0, _ = build_initial_data(g, 1.0, 5)
     snaps, f, t = [v0], v0, 0.0
     for t_next in (0.05, 0.1, 0.2, 0.24):
-        f = nonlinear_substep_v(f, t, t_next - t, REF.lam, REF.alpha, REF.b, REF.N)
+        f = nonlinear_substep_v(f, t, t_next - t, REF)
         f = f.with_values(f.values, t=t_next)
         snaps.append(f)
         t = t_next
@@ -141,19 +142,6 @@ def test_correction_routes_agree_at_second_order():
         residuals.append(r)
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.3)
-
-
-def test_correction_snapshot_fallback(clean_run):
-    # strip the per-step integral; the snapshot-trapezoid route is much
-    # coarser (25 nodes) but must stay in the same ballpark
-    bare = Trajectory(clean_run.frame, clean_run.params, clean_run.times,
-                      clean_run.dts, clean_run.l2, clean_run.linf, None, None,
-                      clean_run.snapshots, None)
-    series, residual = correction_integral(bare)
-    assert len(series) == len(clean_run.snapshots)
-    _, stepwise = correction_integral(clean_run)
-    assert residual < 0.1
-    assert residual > stepwise
 
 
 # --- frozen profile ---

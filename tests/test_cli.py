@@ -23,6 +23,13 @@ def write_config(path, doc):
     return path
 
 
+def anchor(cfg, key):
+    """The path:line prefix a ConfigError about ``key`` carries."""
+    needle = '"' + key + '"'
+    line = next(i for i, s in enumerate(cfg.read_text().splitlines(), 1) if needle in s)
+    return f"{cfg}:{line}:"
+
+
 @pytest.fixture(scope="module")
 def pass_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("verify_pass")
@@ -64,6 +71,31 @@ def test_amplifying_lambda_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", doc)
     assert main(["verify-theorem", "--config", str(cfg)]) == 2
     assert "Im(lam)" in capsys.readouterr().err
+
+
+def test_snapshot_data_without_weight_rejected(tmp_path, capsys):
+    g = Grid.line(30.0, 64)
+    save_field(Field(g, g.bracket() ** -5.0 + 0j, "v", 0.0), tmp_path / "v0")
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    del doc["grid"]
+    doc["data"] = {"snapshot": str(tmp_path / "v0")}
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, "data") in err and "weight order" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("dt0", -1.0), ("c_adapt", 0.0), ("horizon_floor", 1.5)])
+def test_invalid_solver_value_exit_2(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    doc["solver"][key] = value
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert anchor(cfg, "solver") in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- simulate ---
@@ -193,6 +225,22 @@ def test_plot_data_deterministic(pass_run, tmp_path):
     assert main(["plot-data", str(pass_run), "--out", str(out_b)]) == 0
     for name in ("compensated.csv", "errors.csv", "psi_slices.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_plot_data_on_snapshot_run(pass_run, tmp_path):
+    # verify from the stored initial snapshot, weight from "exponents": the
+    # run repeats pass_run, so its plot tables must match byte for byte
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    del doc["grid"]
+    doc["data"] = {"snapshot": str(pass_run / "snapshots" / "snap_0000")}
+    doc["exponents"] = {"strict": False, "n": 5, "fallback_sigma": True}
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["plot-data", str(out)]) == 0
+    assert main(["plot-data", str(pass_run), "--out", str(tmp_path / "ref")]) == 0
+    for name in ("compensated.csv", "errors.csv", "psi_slices.csv"):
+        assert (out / "plots" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_plot_data_missing_artifacts(tmp_path, capsys):

@@ -17,10 +17,8 @@ from dnlslab.diagnostics import (
     emit_report,
     fit_power_law,
     l2_envelope_exponent,
-    load_report,
     mass_dissipation_ok,
     monitor_phi,
-    sup_limit_target,
 )
 from dnlslab.field import Grid, build_initial_data
 from dnlslab.params import PhysParams, synthesize_exponents
@@ -117,7 +115,7 @@ def test_fit_recovers_synthetic_rates(e, amp):
     ],
 )
 def test_sup_limit_targets(params, target):
-    assert sup_limit_target(params) == pytest.approx(target, rel=1e-15)
+    assert params.sup_limit == pytest.approx(target, rel=1e-15)
 
 
 def test_sup_limit_on_exact_series():
@@ -232,8 +230,9 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
     assert len(rows) - 1 == len(traj.snapshots)
     assert rows[0][:4] == ["t", "gauge", "l2", "linf"]
 
-    doc = load_report(jp)
-    assert doc["schema_version"] == 1
+    doc = json.loads(jp.read_text())
+    assert doc["schema_version"] == 2
+    assert doc["params"] == traj.params.to_dict()
     assert doc["monitor"]["psi"] == rep.psi.tolist()
     assert doc["monitor"]["max_order"] == 4
     assert doc["fits"]["mass"]["exponent"] == fits["mass"].exponent
@@ -242,7 +241,8 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
     # serialization is stable: a second pass reproduces the document
     jp2, _ = emit_report(tmp_path, traj, monitor=rep, fits=fits, checks=checks,
                          profile_meta={"final_gauge": 1e-4}, stem="again")
-    assert json.dumps(load_report(jp2), sort_keys=True) == json.dumps(doc, sort_keys=True)
+    again = json.loads(jp2.read_text())
+    assert json.dumps(again, sort_keys=True) == json.dumps(doc, sort_keys=True)
 
 
 def test_emit_report_requires_snapshots(tmp_path, clean_setup):

@@ -14,12 +14,10 @@ from dnlslab.field import (
     l2_norm,
     laplacian,
     load_field,
-    parseval_gap,
     save_field,
     spectral_derivative,
     sup_norm,
     weighted_inf,
-    weighted_l2_norm,
     weighted_sup_norm,
 )
 
@@ -128,13 +126,6 @@ def test_gaussian_l2_norm():
     assert sup_norm(f) == pytest.approx(1.0)
 
 
-def test_parseval():
-    rng = np.random.default_rng(7)
-    g = Grid.line(5.0, 128)
-    f = Field(g, rng.standard_normal(128) + 1j * rng.standard_normal(128), "u", 0.0)
-    assert parseval_gap(f) < 1e-12
-
-
 def test_weight_cancellation():
     g = Grid.line(30.0, 512)
     f = Field(g, g.bracket() ** -5.0 + 0j, "v", 0.0)
@@ -155,7 +146,6 @@ def test_weighted_inf_location_at_far_edge():
 def test_weighted_norms_monotone_in_weight(p, q):
     _, _, f = gaussian_field()
     assert weighted_sup_norm(f, p) <= weighted_sup_norm(f, q)
-    assert weighted_l2_norm(f, p) <= weighted_l2_norm(f, q)
 
 
 def test_build_initial_data_plain():

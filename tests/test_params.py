@@ -83,15 +83,6 @@ def test_sigma_ladder_read_off():
     assert exps.sigma_j(J) == pytest.approx((J + 4) * s)
 
 
-def test_l2_weight_endpoints():
-    exps = synthesize_exponents(PhysParams(1, 1.0, -1j, 4.0))
-    assert exps.l2_weight(0) == exps.n
-    assert exps.l2_weight(exps.J) == 0
-    assert exps.l2_weight(exps.J - exps.n) == exps.n
-    # full weight exactly up to J - n = 2m + 2 + k
-    assert exps.J - exps.n == 2 * exps.m + 2 + exps.k
-
-
 def test_relaxed_synthesis_reports_violations():
     p = PhysParams(1, 1.0, -1j, 4.0)
     exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
@@ -148,16 +139,6 @@ def test_sigma_ladder_strictly_increasing(p):
     probe = [0, 1, 2 * exps.m, 2 * exps.m + 1, 2 * exps.m + 2, exps.J - 2, exps.J - 1, exps.J]
     vals = [exps.sigma_j(j) for j in sorted(set(probe))]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-@given(valid_params)
-@settings(max_examples=60, deadline=None)
-def test_l2_weight_nonincreasing(p):
-    exps = synthesize_exponents(p)
-    step = max(1, exps.J // 37)
-    ws = [exps.l2_weight(q) for q in range(0, exps.J + 1, step)]
-    assert all(a >= b for a, b in zip(ws, ws[1:]))
-    assert all(0 <= w <= exps.n for w in ws)
 
 
 @given(valid_params)

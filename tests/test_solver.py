@@ -118,7 +118,7 @@ def test_nonlinear_v_against_ode_integrator():
     lam, alpha, b, N, t, tau = 1.0 - 0.5j, 1.0, 2.0, 1, 0.1, 0.05
     w0 = 1.1 - 0.3j
     f = Field(Grid.line(1.0, 2), np.full(2, w0, dtype=complex), "v", t)
-    out = nonlinear_substep_v(f, t, tau, lam, alpha, b, N)
+    out = nonlinear_substep_v(f, t, tau, PhysParams(N, alpha, lam, b))
     exact = _ode_oracle(w0, lam, alpha, tau,
                         coeff=lambda s: (1 - b * (t + s)) ** (-(4 - N * alpha) / 2))
     assert abs(out.values[0] - exact) < 1e-10
@@ -126,17 +126,18 @@ def test_nonlinear_v_against_ode_integrator():
 
 def test_coefficient_integral_closed_form():
     # N=1, alpha=1, b=4 over [0, 3/16]: (2/4) * ((1/4)^{-1/2} - 1) = 1/2
-    assert coefficient_integral(0.0, 3.0 / 16.0, 4.0, 1.0, 1) == pytest.approx(0.5, rel=1e-14)
+    p = PhysParams(1, 1.0, -1j, 4.0)
+    assert coefficient_integral(0.0, 3.0 / 16.0, p) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_coefficient_integral_b_zero_reduces_to_tau():
-    assert coefficient_integral(0.2, 0.37, 0.0, 0.9, 2) == 0.37
+    assert coefficient_integral(0.2, 0.37, PhysParams(2, 0.9, -1j, 0.0)) == 0.37
 
 
 def test_nonlinear_v_b_zero_matches_u():
     w0 = 0.8 + 0.6j
     f = Field(Grid.line(1.0, 2), np.full(2, w0, dtype=complex), "v", 0.0)
-    a = nonlinear_substep_v(f, 0.0, 0.3, -1j, 1.0, 0.0, 1)
+    a = nonlinear_substep_v(f, 0.0, 0.3, PhysParams(1, 1.0, -1j, 0.0))
     b = nonlinear_substep_u(f, 0.3, -1j, 1.0)
     assert np.allclose(a.values, b.values, rtol=1e-15)
 
@@ -144,7 +145,7 @@ def test_nonlinear_v_b_zero_matches_u():
 def test_nonlinear_v_refuses_horizon_touch():
     f = Field(Grid.line(1.0, 2), np.ones(2, dtype=complex), "v", 0.0)
     with pytest.raises(ValueError, match="horizon"):
-        nonlinear_substep_v(f, 0.2, 0.05, -1j, 1.0, 4.0, 1)
+        nonlinear_substep_v(f, 0.2, 0.05, PhysParams(1, 1.0, -1j, 4.0))
 
 
 # --- strang step and run ---

@@ -104,17 +104,20 @@ def correction_integral(
 ) -> tuple[list[Field], float]:
     """Correction by time-integrating the dispersive coupling; plus a residual.
 
-    Reads the per-step running integral the solver records for every v-frame
-    run with lam != 0.  The returned residual is the largest sup-distance to
-    the algebraic route over all snapshots.  The two agree exactly for the
-    continuum flow, so the residual certifies the coupling quadrature, not
-    the run: the integrand scales like |v|^-(alpha+1), and the quadrature is
-    conditioned only while |v| stays away from zero.  A resolved run whose
-    modulus passes near zero (a b below the regime) reads a large residual.
+    Reads the per-step running integral the solver records for a v-frame run
+    with lam != 0 made with ``run(..., track_coupling=True)``.  The returned
+    residual is the largest sup-distance to the algebraic route over all
+    snapshots.  The two agree exactly for the continuum flow, so the residual
+    certifies the coupling quadrature, not the run: the integrand scales like
+    |v|^-(alpha+1), and the quadrature is conditioned only while |v| stays
+    away from zero.  A resolved run whose modulus passes near zero (a b below
+    the regime) reads a large residual.
     """
     p = _check_v_traj(traj)
     if traj.coupling is None:
-        raise ValueError("trajectory carries no coupling record")
+        raise ValueError(
+            "trajectory carries no coupling record; run it with run(..., track_coupling=True)"
+        )
     v0 = traj.snapshots[0] if v0 is None else v0
     mod0a = np.abs(v0.values) ** p.alpha
     fields = [

@@ -350,10 +350,12 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
     v0, traj = _simulate_and_dump(rc, doc)
     out = rc.out
 
+    # a vanishing modulus raises ExtractionError here and exits 3
+    corrections = correction_algebraic(traj)
     profile = None
     extraction_error = None
     try:
-        profile = finalize_profile(traj, correction_algebraic(traj))
+        profile = finalize_profile(traj, corrections)
         save_profile(profile, out / "profile")
     except ExtractionError as e:
         # far below the regime the horizon limit does not exist; classify,
@@ -387,7 +389,7 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
             except ValueError:
                 pass  # degenerate errors (exact profile); leave unset
 
-    monitor = monitor_phi(traj, v0, rc.exps, max_order)
+    monitor = monitor_phi(traj, v0, rc.exps, max_order, corrections)
     mass_ok, mass_worst = mass_dissipation_ok(traj)
 
     ok_sup = sup_check["deviation_u"] <= 0.05

@@ -21,12 +21,11 @@ from .field import (
     DEFAULT_MAX_ORDER,
     Field,
     data_bound,
+    derivative_moduli,
     derivative_orders,
     l2_norm,
-    spectral_derivative,
     sup_norm,
     weighted_inf,
-    weighted_sup_norm,
 )
 from .params import ExponentSet, PhysParams
 from .solver import Trajectory
@@ -212,6 +211,7 @@ def monitor_phi(
     v0: Field,
     exps: ExponentSet,
     max_order: int = DEFAULT_MAX_ORDER,
+    corrections: list[Field] | None = None,
 ) -> MonitorReport:
     """Evaluate the weighted running-sup monitors over a rescaled-frame run.
 
@@ -221,7 +221,8 @@ def monitor_phi(
     running maxima, and the pointwise two-sided decay check against the
     constructed-data constant.  Flags classify; nothing raises on a broken
     bound since a coefficient below the regime threshold breaks them
-    legitimately.
+    legitimately.  ``corrections`` are the ``correction_algebraic`` fields
+    of ``traj`` when the caller has them already; they are built otherwise.
     """
     if traj.frame != "v":
         raise ValueError("monitors are defined on rescaled-frame trajectories")
@@ -233,23 +234,22 @@ def monitor_phi(
     K = data_bound(v0, n, max_order)
     decay_const = 1.0 + p.sup_limit
     orders = derivative_orders(v0.grid.dim, max_order)
-    bracket_pow = v0.grid.bracket() ** (-n * p.alpha)
-    tail_bound = 2.0 * K**p.alpha * bracket_pow
+    tail_bound = 2.0 * K**p.alpha * v0.grid.bracket_pow(-n * p.alpha)
 
-    f_fields = correction_algebraic(traj)
+    f_fields = correction_algebraic(traj) if corrections is None else corrections
     times, phi1, phi3, phi4, psi, fsup = [], [], [], [], [], []
     r1 = r3 = r4 = 0.0
     decay_ok = True
     for snap, f_fld in zip(traj.snapshots, f_fields):
         g = 1.0 - p.b * snap.t
         mod = np.abs(snap.values)
+        weight = snap.grid.bracket_pow(n)
         now1 = now4 = 0.0
-        for beta in orders:
-            d = spectral_derivative(snap, beta, max_order, check=False)
+        for beta, mod_d in zip(orders, derivative_moduli(snap, orders)):
             sig = exps.sigma_j(sum(beta))
-            now1 = max(now1, g**sig * weighted_sup_norm(d, n))
+            now1 = max(now1, g**sig * float(np.max(weight * mod_d)))
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(mod > 0, np.abs(d.values) / mod, np.inf)
+                ratio = np.where(mod > 0, mod_d / mod, np.inf)
             now4 = max(now4, g**sig * float(np.max(ratio)))
         floor, _ = weighted_inf(snap, n)
         now3 = np.inf if floor == 0.0 else g ** (q / p.alpha) / floor

@@ -10,6 +10,7 @@ Supports N = 1 and N = 2.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,6 +29,27 @@ class DerivativeOrderError(ValueError):
 
 class BoundaryDecayError(ValueError):
     """Field is not negligible at the box boundary; the domain is too small."""
+
+
+def _per_grid(build):
+    """Cache a geometry method's arrays on the grid, per argument, read-only.
+
+    The cache sits outside the dataclass fields, so equality, hashing and
+    ``replace`` ignore it; a scaled grid builds its own.
+    """
+
+    @functools.wraps(build)
+    def cached(self, *args):
+        cache = self.__dict__.setdefault("_geometry", {})
+        key = (build.__name__, *args)
+        if key not in cache:
+            value = build(self, *args)
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            cache[key] = value
+        return cache[key]
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -90,27 +112,37 @@ class Grid:
             for L, M in zip(self.extents, self.points)
         ]
 
-    def meshes(self) -> list[np.ndarray]:
+    @_per_grid
+    def meshes(self) -> tuple[np.ndarray, ...]:
         if self.dim == 1:
-            return self.axes()
-        return list(np.meshgrid(*self.axes(), indexing="ij"))
+            return tuple(self.axes())
+        return tuple(np.meshgrid(*self.axes(), indexing="ij"))
 
+    @_per_grid
     def radius_sq(self) -> np.ndarray:
         r2 = 0.0
         for x in self.meshes():
             r2 = r2 + x**2
         return r2
 
+    @_per_grid
     def bracket(self) -> np.ndarray:
         """The weight <x> = (1 + |x|^2)^(1/2); equals 1 at the origin."""
         return np.sqrt(1.0 + self.radius_sq())
 
-    def wavenumbers(self) -> list[np.ndarray]:
-        return [
+    @_per_grid
+    def bracket_pow(self, p: float) -> np.ndarray:
+        """The weight <x>^p."""
+        return self.bracket() ** p
+
+    @_per_grid
+    def wavenumbers(self) -> tuple[np.ndarray, ...]:
+        return tuple(
             2 * np.pi * np.fft.fftfreq(M, d=2 * L / M)
             for L, M in zip(self.extents, self.points)
-        ]
+        )
 
+    @_per_grid
     def wavenumber_sq(self) -> np.ndarray:
         ks = self.wavenumbers()
         if self.dim == 1:
@@ -200,14 +232,33 @@ def spectral_derivative(
         return f.with_values(f.values.copy())
     if check:
         check_boundary_decay(f)
-    spec = np.fft.fftn(f.values)
-    for ax, (b, k) in enumerate(zip(beta, f.grid.wavenumbers())):
+    return f.with_values(np.fft.ifftn(_apply_symbol(np.fft.fftn(f.values), beta, f.grid)))
+
+
+def _apply_symbol(spec: np.ndarray, beta: tuple[int, ...], grid: Grid) -> np.ndarray:
+    # multiply by (ik)^beta one axis at a time
+    for ax, (b, k) in enumerate(zip(beta, grid.wavenumbers())):
         if b == 0:
             continue
-        shape = [1] * f.grid.dim
+        shape = [1] * grid.dim
         shape[ax] = k.size
         spec = spec * (1j * k.reshape(shape)) ** b
-    return f.with_values(np.fft.ifftn(spec))
+    return spec
+
+
+def derivative_moduli(f: Field, orders):
+    """Yield |D^beta f| for each multi-index in ``orders``, in that order.
+
+    The derivatives of :func:`spectral_derivative` from one forward
+    transform and one inverse per nonzero beta, without its order and
+    boundary checks.
+    """
+    spec = np.fft.fftn(f.values)
+    for beta in orders:
+        if sum(beta) == 0:
+            yield np.abs(f.values)
+        else:
+            yield np.abs(np.fft.ifftn(_apply_symbol(spec, beta, f.grid)))
 
 
 def laplacian(f: Field, check: bool = True) -> Field:
@@ -229,12 +280,12 @@ def weighted_sup_norm(f: Field, p: float) -> float:
     """sup over the grid of <x>^p |f(x)|."""
     if p < 0:
         raise ValueError("weight power must be nonnegative")
-    return float(np.max(f.grid.bracket() ** p * np.abs(f.values)))
+    return float(np.max(f.grid.bracket_pow(p) * np.abs(f.values)))
 
 
 def weighted_inf(f: Field, p: float) -> tuple[float, tuple[float, ...]]:
     """inf over the grid of <x>^p |f(x)|, with the location where it is attained."""
-    vals = f.grid.bracket() ** p * np.abs(f.values)
+    vals = f.grid.bracket_pow(p) * np.abs(f.values)
     flat = int(np.argmin(vals))
     idx = np.unravel_index(flat, vals.shape)
     meshes = f.grid.meshes()
@@ -289,7 +340,7 @@ def build_initial_data(
     """
     if c == 0:
         raise ValueError("leading coefficient c must be nonzero")
-    base = complex(c) * grid.bracket() ** float(-n)
+    base = complex(c) * grid.bracket_pow(float(-n))
     if bump is not None:
         base = base + np.asarray(bump(*grid.meshes()), dtype=complex)
     v0 = Field(grid, np.asarray(base, dtype=complex), "v", 0.0)

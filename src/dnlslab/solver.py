@@ -19,12 +19,21 @@ stops once 1 - b t reaches a configured floor.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field, boundary_magnitude, l2_norm, sup_norm, weighted_inf, weighted_sup_norm
+from .field import (
+    Field,
+    Grid,
+    boundary_magnitude,
+    l2_norm,
+    sup_norm,
+    weighted_inf,
+    weighted_sup_norm,
+)
 from .params import ExponentSet, PhysParams, validate_phys
 
 log = logging.getLogger(__name__)
@@ -76,10 +85,12 @@ class SolverConfig:
 class Trajectory:
     """Run output: per-step scalar records plus full fields on the schedule.
 
-    ``coupling`` holds, for v-frame runs, the running time integral of
+    ``coupling`` holds the running time integral of
     Im(conj(v) Lap v) / |v|^{alpha+2} at each snapshot time; it is the raw
     material for reconstructing the dissipative phase/modulus correction
-    without re-walking the trajectory.
+    without re-walking the trajectory.  It is filled only by
+    ``run(..., track_coupling=True)`` on a v-frame run with lam != 0, which
+    costs one more FFT pair per step; it is None otherwise.
     """
 
     frame: str
@@ -98,13 +109,22 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
 
+@functools.lru_cache(maxsize=2)
+def _free_multiplier(grid: Grid, tau: float) -> np.ndarray:
+    # two entries cover a run: the dt0 half-step and the one landing or
+    # adaptive half-step before dt0 returns; a cache per distinct dt would
+    # hold one grid-sized array per landing step
+    phase = np.exp(-1j * tau * grid.wavenumber_sq())
+    phase.flags.writeable = False
+    return phase
+
+
 def linear_substep(f: Field, tau: float) -> Field:
     """Free-group multiplier exp(-i tau |k|^2); an exact L2 isometry."""
     if tau == 0.0:
         return f
     spec = np.fft.fftn(f.values)
-    phase = np.exp(-1j * tau * f.grid.wavenumber_sq())
-    return f.with_values(np.fft.ifftn(phase * spec))
+    return f.with_values(np.fft.ifftn(_free_multiplier(f.grid, tau) * spec))
 
 
 def _nonlinear_update(w: np.ndarray, tau_eff: float, lam: complex, alpha: float) -> np.ndarray:
@@ -118,6 +138,8 @@ def _nonlinear_update(w: np.ndarray, tau_eff: float, lam: complex, alpha: float)
         return w * np.exp(-1j * lam.real * tau_eff * mod_a)
     kappa = alpha * damp * tau_eff * mod_a
     scale = (1.0 + kappa) ** (-1.0 / alpha)
+    if lam.real == 0.0:
+        return w * scale
     phase = -(lam.real / (alpha * damp)) * np.log1p(kappa)
     return w * scale * np.exp(1j * phase)
 
@@ -219,7 +241,11 @@ def _coupling_integrand(f: Field, alpha: float) -> np.ndarray:
 
 
 def run(
-    f0: Field, cfg: SolverConfig, params: PhysParams, exps: ExponentSet | None = None
+    f0: Field,
+    cfg: SolverConfig,
+    params: PhysParams,
+    exps: ExponentSet | None = None,
+    track_coupling: bool = False,
 ) -> Trajectory:
     """Integrate from f0 to the configured end time.
 
@@ -237,6 +263,10 @@ def run(
     exps : ExponentSet, optional
         When given, per-step weighted sup/inf records with weight <x>^n are
         kept alongside the plain norms.
+    track_coupling : bool
+        Accumulate ``Trajectory.coupling`` (v-frame runs with lam != 0
+        only), which ``correction_integral`` reads.  Costs one more FFT
+        pair per step.
 
     Returns
     -------
@@ -262,7 +292,7 @@ def run(
     t_end = _resolve_t_end(cfg, params, t0)
     snaps_due = snapshot_schedule(cfg, params, t0, t_end)
 
-    track_coupling = cfg.frame == "v" and params.lam != 0
+    tracking = track_coupling and cfg.frame == "v" and params.lam != 0
     weight_n = None if exps is None else exps.n
 
     f = f0
@@ -274,16 +304,16 @@ def run(
         winfs.append(weighted_inf(f, weight_n)[0])
 
     snapshots: list[Field] = []
-    coupling: list[Field] | None = [] if track_coupling else None
-    accum = np.zeros(f.grid.shape) if track_coupling else None
-    g_prev = _coupling_integrand(f, params.alpha) if track_coupling else None
+    coupling: list[Field] | None = [] if tracking else None
+    accum = np.zeros(f.grid.shape) if tracking else None
+    g_prev = _coupling_integrand(f, params.alpha) if tracking else None
 
     due_idx = 0
 
     def take_snapshot(state: Field):
         nonlocal due_idx
         snapshots.append(state)
-        if track_coupling:
+        if tracking:
             coupling.append(Field(state.grid, accum.astype(complex), cfg.frame, state.t))
         due_idx += 1
 
@@ -323,7 +353,7 @@ def run(
             if weight_n is not None:
                 wsups.append(weighted_sup_norm(f, weight_n))
                 winfs.append(weighted_inf(f, weight_n)[0])
-            if track_coupling:
+            if tracking:
                 g_new = _coupling_integrand(f, params.alpha)
                 accum += 0.5 * dt * (g_prev + g_new)
                 g_prev = g_new

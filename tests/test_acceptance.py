@@ -65,7 +65,7 @@ def reference_grid():
 def reference():
     grid = reference_grid()
     v0, data_constant = build_initial_data(grid, 1.0, 5)
-    traj = run(v0, REF_CFG, REF_PARAMS)
+    traj = run(v0, REF_CFG, REF_PARAMS, track_coupling=True)
     return traj, v0, data_constant
 
 
@@ -76,7 +76,7 @@ def regime_companion():
     # range, and the integral-route residual there depends on dx
     params = PhysParams(1, 1.0, -1j, 20.0)
     v0, _ = build_initial_data(Grid.line(30.0, 512, boundary_tol=1e-4), 1.0, 5)
-    return run(v0, REF_CFG, params), v0, params
+    return run(v0, REF_CFG, params, track_coupling=True), v0, params
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +152,7 @@ def test_criterion_04_correction_routes_agree(reference, regime_companion):
         cfg = SolverConfig(
             frame="v", dt0=dt0, c_adapt=c_adapt, horizon_floor=1e-4, snapshot_count=25
         )
-        _, resid = correction_integral(run(v0, cfg, params))
+        _, resid = correction_integral(run(v0, cfg, params, track_coupling=True))
         resids.append(resid)
     orders = np.log2(np.array(resids[:-1]) / np.array(resids[1:]))
     _, resid_ref = correction_integral(traj)

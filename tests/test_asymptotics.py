@@ -31,7 +31,7 @@ def ref_run():
     v0, _ = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=1e-3, c_adapt=0.05, horizon_floor=1e-4,
                        snapshot_count=25)
-    return run(v0, cfg, REF)
+    return run(v0, cfg, REF, track_coupling=True)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ def clean_run():
     v0, _ = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-4, c_adapt=0.02, horizon_floor=1e-4,
                        snapshot_count=25)
-    return run(v0, cfg, PhysParams(1, 1.0, -1j, 20.0))
+    return run(v0, cfg, PhysParams(1, 1.0, -1j, 20.0), track_coupling=True)
 
 
 # --- gauge function ---
@@ -121,6 +121,14 @@ def test_correction_integral_starts_at_zero_and_certifies(clean_run):
     assert residual < 5e-4  # measured 2.9e-5 at this resolution
 
 
+def test_correction_integral_names_the_coupling_flag():
+    g = Grid.line(30.0, 128, boundary_tol=1e-3)
+    v0, _ = build_initial_data(g, 1.0, 5)
+    cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
+    with pytest.raises(ValueError, match=r"run\(\.\.\., track_coupling=True\)"):
+        correction_integral(run(v0, cfg, REF))
+
+
 def test_correction_routes_disagree_near_modulus_dips(ref_run):
     # at b = 4 dispersion drives |v| to ~1e-3 at isolated points around
     # gauge 0.3; the integrand ~1/|v|^3 there wrecks the quadrature while
@@ -138,7 +146,7 @@ def test_correction_routes_agree_at_second_order():
     for dt0 in (1.5e-3, 7.5e-4, 3.75e-4):
         cfg = SolverConfig(frame="v", dt0=dt0, c_adapt=0.05, horizon_floor=0.25,
                            snapshot_count=8)
-        _, r = correction_integral(run(v0, cfg, p))
+        _, r = correction_integral(run(v0, cfg, p, track_coupling=True))
         residuals.append(r)
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.3)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnlslab.asymptotics import correction_algebraic, horizon_gauge
 from dnlslab.conformal import NormSeries, norm_bridge
 from dnlslab.diagnostics import (
     MonitorReport,
@@ -20,7 +21,15 @@ from dnlslab.diagnostics import (
     mass_dissipation_ok,
     monitor_phi,
 )
-from dnlslab.field import Grid, build_initial_data
+from dnlslab.field import (
+    Grid,
+    build_initial_data,
+    data_bound,
+    derivative_orders,
+    spectral_derivative,
+    weighted_inf,
+    weighted_sup_norm,
+)
 from dnlslab.params import PhysParams, synthesize_exponents
 from dnlslab.solver import SolverConfig, run
 
@@ -183,6 +192,60 @@ def test_monitor_phi3_tail_pinned(clean_setup):
     rep = monitor_phi(traj, v0, exps)
     assert rep.phi3[0] == pytest.approx(1.0, rel=1e-12)
     assert np.all(rep.phi3 <= 1.0 + 1e-9)
+
+
+def _monitor_per_beta(traj, v0, exps, max_order=4):
+    """Reference monitor: one spectral_derivative transform pair per beta."""
+    p, n = traj.params, exps.n
+    K = data_bound(v0, n, max_order)
+    tail_bound = 2.0 * K**p.alpha * v0.grid.bracket() ** (-n * p.alpha)
+    r1 = r3 = r4 = 0.0
+    out = {"phi1": [], "phi3": [], "phi4": [], "psi": [], "f_sup": []}
+    decay_ok = True
+    for snap, f_fld in zip(traj.snapshots, correction_algebraic(traj)):
+        g = 1.0 - p.b * snap.t
+        mod = np.abs(snap.values)
+        now1 = now4 = 0.0
+        for beta in derivative_orders(v0.grid.dim, max_order):
+            d = spectral_derivative(snap, beta, max_order, check=False)
+            sig = exps.sigma_j(sum(beta))
+            now1 = max(now1, g**sig * weighted_sup_norm(d, n))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(mod > 0, np.abs(d.values) / mod, np.inf)
+            now4 = max(now4, g**sig * float(np.max(ratio)))
+        floor, _ = weighted_inf(snap, n)
+        now3 = np.inf if floor == 0.0 else g ** (p.gauge_exponent / p.alpha) / floor
+        r1, r3, r4 = max(r1, now1), max(r3, now3), max(r4, now4)
+        for key, val in (("phi1", r1), ("phi3", r3), ("phi4", r4),
+                         ("psi", max(r1, r3, r4)),
+                         ("f_sup", float(np.max(np.abs(f_fld.values))))):
+            out[key].append(val)
+        cap = (1.0 + p.sup_limit) * np.minimum(tail_bound, p.b * horizon_gauge(snap.t, p))
+        if np.any(mod**p.alpha > cap * (1.0 + 1e-12)):
+            decay_ok = False
+    out = {key: np.array(vals) for key, vals in out.items()}
+    out["flags"] = (bool(np.isfinite(out["psi"][-1])), bool(np.max(out["f_sup"]) <= 0.25),
+                    decay_ok)
+    return out
+
+
+@pytest.mark.parametrize("N,alpha,b,M", [(1, 1.0, 20.0, 512), (1, 1.0, 4.0, 256),
+                                         (2, 0.8, 20.0, 32)])
+def test_monitor_matches_per_beta_route(N, alpha, b, M):
+    g = Grid.box(30.0, M, N, boundary_tol=1e-3)
+    v0, _ = build_initial_data(g, 1.0, 5)
+    p = PhysParams(N, alpha, -1j, b)
+    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.05 * 4.0 / b, horizon_floor=1e-3,
+                       snapshot_count=13)
+    traj = run(v0, cfg, p)
+    ref = _monitor_per_beta(traj, v0, exps)
+    for rep in (monitor_phi(traj, v0, exps),
+                monitor_phi(traj, v0, exps, corrections=correction_algebraic(traj))):
+        for key in ("phi1", "phi3", "phi4", "psi", "f_sup"):
+            np.testing.assert_allclose(getattr(rep, key), ref[key], rtol=1e-12, atol=0.0)
+        assert (rep.psi_bounded, rep.f_within_quarter, rep.decay_pointwise) == ref["flags"]
+    print(f"N={N} b={b:g}: flags {ref['flags']}")
 
 
 def test_monitor_rejects_wrong_frame(clean_setup):

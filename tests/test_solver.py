@@ -211,7 +211,7 @@ def test_run_snapshot_times_and_coupling_alignment():
     g = Grid.line(30.0, 128, boundary_tol=1e-3)
     v0, _ = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
-    traj = run(v0, cfg, REF)
+    traj = run(v0, cfg, REF, track_coupling=True)
     ts = traj.snapshot_times
     assert ts[0] == 0.0
     assert ts[-1] == pytest.approx((1 - 0.05) / 4.0)
@@ -261,3 +261,75 @@ def test_schedule_geometric_in_gauge():
     assert ts[0] == 0.0
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
     assert gauge[-1] == pytest.approx(1e-4)
+
+
+# --- stepper against a test-local Strang composition ---
+
+
+def _local_free_flow(vals, grid, tau):
+    # exp(-i tau |k|^2) built here from the wavenumbers, not from any cache
+    ks = grid.wavenumbers()
+    ksq = ks[0] ** 2 if grid.dim == 1 else ks[0][:, None] ** 2 + ks[1][None, :] ** 2
+    return np.fft.ifftn(np.exp(-1j * tau * ksq) * np.fft.fftn(vals))
+
+
+def _replay_strang(v0, traj, params):
+    """States after each recorded step of ``traj``, by a local composition."""
+    states = [v0.values]
+    vals = v0.values
+    for t_new, dt in zip(traj.times[1:], traj.dts[1:]):
+        t = t_new - dt
+        vals = _local_free_flow(vals, v0.grid, 0.5 * dt)
+        vals = nonlinear_substep_v(v0.with_values(vals, t), t, dt, params).values
+        vals = _local_free_flow(vals, v0.grid, 0.5 * dt)
+        states.append(vals)
+    return states
+
+
+@pytest.mark.parametrize("lam", [-1j, 2.0 - 1j])
+@pytest.mark.parametrize("N,alpha,M", [(1, 1.0, 512), (2, 0.8, 64)])
+def test_run_matches_local_strang_composition(N, alpha, M, lam):
+    g = Grid.box(30.0, M, N, boundary_tol=1e-3)
+    v0, _ = build_initial_data(g, 1.0, 5)
+    p = PhysParams(N, alpha, lam, 20.0)
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.02, horizon_floor=1e-2,
+                       snapshot_count=9)
+    traj = run(v0, cfg, p)
+    # landing and adaptive steps change dt many times, so the multiplier
+    # cache is refilled and revisited along the run
+    assert np.unique(traj.dts[1:]).size > 5
+    states = _replay_strang(v0, traj, p)
+    for snap in traj.snapshots:
+        i = int(np.argmin(np.abs(traj.times - snap.t)))
+        assert abs(traj.times[i] - snap.t) <= 1e-12
+        ref = states[i]
+        assert np.max(np.abs(snap.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_free_multiplier_cache_is_never_stale():
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    wide, narrow = Grid.line(30.0, 64), Grid.line(20.0, 64)
+
+    def check(grid, tau):
+        out = linear_substep(Field(grid, vals, "u", 0.0), tau).values
+        ref = _local_free_flow(vals, grid, tau)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    for tau in (0.1, 0.3, 0.1, 0.7, 0.3, 0.1):  # alternating taus on one grid
+        check(wide, tau)
+    for tau in (0.2, 0.5):  # two grids, same tau
+        check(wide, tau)
+        check(narrow, tau)
+        check(wide, tau)
+
+
+def test_run_keeps_no_coupling_by_default():
+    g = Grid.line(30.0, 128, boundary_tol=1e-3)
+    v0, _ = build_initial_data(g, 1.0, 5)
+    cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
+    traj = run(v0, cfg, REF)
+    assert traj.coupling is None
+    tracked = run(v0, cfg, REF, track_coupling=True)
+    for a, b in zip(traj.snapshots, tracked.snapshots):
+        assert np.array_equal(a.values, b.values)

@@ -82,21 +82,26 @@ def _check_v_traj(traj: Trajectory) -> PhysParams:
     return p
 
 
+def correction_field(snap: Field, mod0a: np.ndarray, params: PhysParams) -> Field:
+    """Correction at one snapshot by inverting the modulus balance.
+
+    ``mod0a`` is |v0|^alpha of the initial state.  Pure, so snapshots can
+    be processed one at a time or concurrently.
+    """
+    mod = np.abs(snap.values)
+    if np.min(mod) <= 0.0:
+        raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:.6g}")
+    bracket = (1.0 - params.b * snap.t) ** -params.gauge_exponent - 1.0
+    f = mod0a / mod**params.alpha - 1.0 - params.balance_coefficient * mod0a * bracket
+    return Field(snap.grid, f, "v", snap.t)
+
+
 def correction_algebraic(traj: Trajectory, v0: Field | None = None) -> list[Field]:
     """Correction fields at every snapshot, by inverting the modulus balance."""
     p = _check_v_traj(traj)
     v0 = traj.snapshots[0] if v0 is None else v0
-    q, c = p.gauge_exponent, p.balance_coefficient
     mod0a = np.abs(v0.values) ** p.alpha
-    out = []
-    for snap in traj.snapshots:
-        mod = np.abs(snap.values)
-        if np.min(mod) <= 0.0:
-            raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:.6g}")
-        bracket = (1.0 - p.b * snap.t) ** -q - 1.0
-        f = mod0a / mod**p.alpha - 1.0 - c * mod0a * bracket
-        out.append(Field(snap.grid, f, "v", snap.t))
-    return out
+    return [correction_field(snap, mod0a, p) for snap in traj.snapshots]
 
 
 def correction_integral(
@@ -159,8 +164,8 @@ def _psi_pow_alpha(t: float, correction: np.ndarray, mod0a: np.ndarray, p: PhysP
     return (1.0 + correction) / (1.0 + correction + c * mod0a * bracket)
 
 
-def finalize_profile(traj: Trajectory, series: list[Field]) -> ProfileData:
-    """Freeze the last correction field and recover the limiting amplitude.
+def finalize_profile(traj: Trajectory) -> ProfileData:
+    """Freeze the last snapshot's correction and recover the limiting amplitude.
 
     The amplitude modulus comes from the defining balance; its phase is read
     off the final snapshot after unwinding the predicted envelope and drift,
@@ -169,13 +174,15 @@ def finalize_profile(traj: Trajectory, series: list[Field]) -> ProfileData:
     Raises
     ------
     ExtractionError
-        If 1 + correction is not positive everywhere (b far too small, or
-        the run was unresolved).
+        If the last snapshot's modulus vanishes, or 1 + correction is not
+        positive everywhere (b far too small, or the run was unresolved).
     """
     p = _check_v_traj(traj)
     v0 = traj.snapshots[0]
     v_last = traj.snapshots[-1]
-    f0 = np.real(series[-1].values)
+    mod0 = np.abs(v0.values)
+    mod0a = mod0**p.alpha
+    f0 = np.real(correction_field(v_last, mod0a, p).values)
     if np.min(1.0 + f0) <= 0.0:
         raise ExtractionError(
             f"1 + correction reaches {np.min(1.0 + f0):.3e} <= 0; "
@@ -184,9 +191,7 @@ def finalize_profile(traj: Trajectory, series: list[Field]) -> ProfileData:
     f0_sup = float(np.max(np.abs(f0)))
     if f0_sup > 0.25:
         log.warning("terminal correction sup %.3f exceeds 1/4; b may be too small", f0_sup)
-    mod0 = np.abs(v0.values)
-    amp_mod = (mod0**p.alpha / (1.0 + f0)) ** (1.0 / p.alpha)
-    mod0a = mod0**p.alpha
+    amp_mod = (mod0a / (1.0 + f0)) ** (1.0 / p.alpha)
     psi_a = _psi_pow_alpha(v_last.t, f0, mod0a, p)
     theta = (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
     phase = np.angle(v_last.values * np.exp(1j * theta))
@@ -194,7 +199,7 @@ def finalize_profile(traj: Trajectory, series: list[Field]) -> ProfileData:
         "final_time": v_last.t,
         "final_gauge": 1.0 - p.b * v_last.t,
         "correction_sup": f0_sup,
-        "series_len": len(series),
+        "series_len": len(traj.snapshots),
     }
     return ProfileData(f0, amp_mod * np.exp(1j * phase), v0, p, meta)
 
@@ -221,9 +226,9 @@ def phase_drift(t: float, profile: ProfileData) -> np.ndarray:
 
 def predicted_field_v(s: float, profile: ProfileData) -> Field:
     """Rescaled-frame prediction amplitude * envelope * exp(-i drift) at time s."""
-    psi = modulus_envelope(s, profile)
-    theta = phase_drift(s, profile)
-    vals = profile.amplitude * psi * np.exp(-1j * theta)
+    vals = profile.amplitude * modulus_envelope(s, profile)
+    if profile.params.lam.real != 0.0:  # the drift is identically zero otherwise
+        vals = vals * np.exp(-1j * phase_drift(s, profile))
     return Field(profile.reference.grid, vals, "v", s)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .asymptotics import (
     ExtractionError,
-    correction_algebraic,
     crossover_time,
     error_metric,
     finalize_profile,
@@ -337,8 +336,12 @@ def _profile_error_series(traj, profile):
     return np.array(ts), np.array(e2s), np.array(einfs)
 
 
-def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -> dict:
-    """simulate -> profile -> bridge -> checks -> verdict; writes all artifacts."""
+def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int,
+                 threaded: bool = True) -> dict:
+    """simulate -> monitors -> profile -> bridge -> checks -> verdict; writes all artifacts.
+
+    ``threaded`` is passed to ``monitor_phi``.
+    """
     rc = build_run(doc, cfg_path, text, out_override)
     if rc.solver.frame != "v" or rc.params.lam.imag >= 0:
         raise ConfigError(cfg_path, _find_line(text, "frame"),
@@ -350,12 +353,13 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
     v0, traj = _simulate_and_dump(rc, doc)
     out = rc.out
 
-    # a vanishing modulus raises ExtractionError here and exits 3
-    corrections = correction_algebraic(traj)
+    # a vanishing modulus raises ExtractionError here, before any profile or
+    # bridge artifact is written, and exits 3
+    monitor = monitor_phi(traj, v0, rc.exps, max_order, threaded)
     profile = None
     extraction_error = None
     try:
-        profile = finalize_profile(traj, corrections)
+        profile = finalize_profile(traj)
         save_profile(profile, out / "profile")
     except ExtractionError as e:
         # far below the regime the horizon limit does not exist; classify,
@@ -389,7 +393,6 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
             except ValueError:
                 pass  # degenerate errors (exact profile); leave unset
 
-    monitor = monitor_phi(traj, v0, rc.exps, max_order, corrections)
     mass_ok, mass_worst = mass_dissipation_ok(traj)
 
     ok_sup = sup_check["deviation_u"] <= 0.05
@@ -489,7 +492,7 @@ def _render_sweep(base: dict, combo: dict) -> dict:
 
 
 def _sweep_worker(task):
-    index, doc, out_dir, max_order = task
+    index, doc, out_dir, max_order, threaded = task
     row = {
         "run": f"run_{index:03d}",
         "alpha": doc["phys"]["alpha"],
@@ -501,7 +504,7 @@ def _sweep_worker(task):
     try:
         text = json.dumps(doc, indent=2)
         result = run_pipeline(doc, text, f"<sweep:{index}>",
-                              Path(out_dir) / row["run"], max_order)
+                              Path(out_dir) / row["run"], max_order, threaded)
         row.update({col: functools.reduce(operator.getitem, path.split("."), result)
                     for col, path in SWEEP_RESULTS}, status="ok")
     except Exception as e:  # per-run failures must not kill the sweep
@@ -522,7 +525,8 @@ def cmd_sweep(cfg_path, out_override, jobs: int, max_order: int) -> int:
 
     out = _out_root(out_override, doc) / "sweep"
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(i, _render_sweep(base, combo), str(out), max_order)
+    # worker processes already fill the CPUs: their monitors stay on one thread
+    tasks = [(i, _render_sweep(base, combo), str(out), max_order, jobs <= 1)
              for i, combo in enumerate(combos)]
     if jobs <= 1:
         results = [_sweep_worker(t) for t in tasks]

@@ -10,6 +10,7 @@ factor.  All functions here are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,15 @@ def rescaled_time(t, b: float):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=1)
+def _chirp(grid_u: Grid, b: float, scale: float) -> np.ndarray:
+    # one entry: the error series moves a snapshot and then its prediction
+    # through the lens, and the two scales are usually equal
+    chirp = np.exp(1j * b * grid_u.radius_sq() / (4.0 * scale))
+    chirp.flags.writeable = False
+    return chirp
+
+
 def to_u_frame(v: Field, b: float) -> Field:
     """Physical-frame field at t = s/(1-bs) on the grid stretched by 1 + bt."""
     if v.frame != "v":
@@ -46,8 +56,7 @@ def to_u_frame(v: Field, b: float) -> Field:
     t = physical_time(s, b)
     scale = 1.0 + b * t
     grid_u = v.grid.scaled(scale)
-    chirp = np.exp(1j * b * grid_u.radius_sq() / (4.0 * scale))
-    vals = scale ** (-grid_u.dim / 2.0) * chirp * v.values
+    vals = scale ** (-grid_u.dim / 2.0) * _chirp(grid_u, b, scale) * v.values
     return Field(grid_u, vals, "u", t)
 
 

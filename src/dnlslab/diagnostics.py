@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import correction_algebraic, horizon_gauge
+from .asymptotics import correction_field, horizon_gauge
 from .conformal import NormSeries
 from .field import (
     DEFAULT_MAX_ORDER,
@@ -25,13 +26,18 @@ from .field import (
     derivative_orders,
     l2_norm,
     sup_norm,
-    weighted_inf,
 )
 from .params import ExponentSet, PhysParams
 from .solver import Trajectory
 
 MIN_FIT_SAMPLES = 8
 REPORT_SCHEMA = 2
+# Grid points from which monitor_phi maps snapshots over one thread per CPU;
+# numpy's FFT releases the GIL.  Two threads against one on 2 CPUs (Xeon,
+# Python 3.11, numpy 2.4; 49 snapshots, medians of 10 alternating rounds):
+# 2-D M = 64 took 1.3-1.4x as long, M = 128 0.85-0.95x, M = 256 0.77-0.84x,
+# and 1-D M = 2048 1.1-1.6x.  So 2-D grids from 128^2 up use the threads.
+THREAD_FLOOR = 128 * 128
 
 
 @dataclass(frozen=True)
@@ -206,23 +212,35 @@ class MonitorReport:
         }
 
 
+def _cpu_count() -> int:
+    # the CPUs this process may run on; os.cpu_count where affinity is unknown
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def monitor_phi(
     traj: Trajectory,
     v0: Field,
     exps: ExponentSet,
     max_order: int = DEFAULT_MAX_ORDER,
-    corrections: list[Field] | None = None,
+    threaded: bool = True,
 ) -> MonitorReport:
     """Evaluate the weighted running-sup monitors over a rescaled-frame run.
 
     Per snapshot: the weighted derivative sup ladder (orders <= max_order,
     compensated by gauge^{sigma_j}), the compensated reciprocal of the
-    weighted modulus floor, and the logarithmic-derivative ladder; their
-    running maxima, and the pointwise two-sided decay check against the
-    constructed-data constant.  Flags classify; nothing raises on a broken
-    bound since a coefficient below the regime threshold breaks them
-    legitimately.  ``corrections`` are the ``correction_algebraic`` fields
-    of ``traj`` when the caller has them already; they are built otherwise.
+    weighted modulus floor, the logarithmic-derivative ladder, and the sup
+    of the ``correction_algebraic`` field; their running maxima, and the
+    pointwise two-sided decay check against the constructed-data constant.
+    Flags classify; nothing raises on a broken bound since a coefficient
+    below the regime threshold breaks them legitimately.  A vanishing
+    modulus raises ``ExtractionError`` for the first such snapshot.
+
+    Snapshots are independent, so on a grid of at least ``THREAD_FLOOR``
+    points they are mapped over one thread per CPU; the result is the same
+    bit for bit.  ``threaded=False`` keeps them on the calling thread, for a
+    process that already shares the CPUs with others.
     """
     if traj.frame != "v":
         raise ValueError("monitors are defined on rescaled-frame trajectories")
@@ -230,45 +248,51 @@ def monitor_phi(
         raise ValueError("no snapshots")
     p = traj.params
     n = exps.n
-    q = p.gauge_exponent
     K = data_bound(v0, n, max_order)
     decay_const = 1.0 + p.sup_limit
     orders = derivative_orders(v0.grid.dim, max_order)
+    weight = v0.grid.bracket_pow(n)
     tail_bound = 2.0 * K**p.alpha * v0.grid.bracket_pow(-n * p.alpha)
+    mod0a = np.abs(traj.snapshots[0].values) ** p.alpha
 
-    f_fields = correction_algebraic(traj) if corrections is None else corrections
-    times, phi1, phi3, phi4, psi, fsup = [], [], [], [], [], []
-    r1 = r3 = r4 = 0.0
-    decay_ok = True
-    for snap, f_fld in zip(traj.snapshots, f_fields):
+    def one_snapshot(snap: Field) -> tuple[float, float, float, float, bool]:
+        # pure: reads only its argument and the arrays above.  The correction
+        # comes first: it raises on a vanishing modulus, so |v| > 0 below
+        f_sup = float(np.max(np.abs(correction_field(snap, mod0a, p).values)))
         g = 1.0 - p.b * snap.t
         mod = np.abs(snap.values)
-        weight = snap.grid.bracket_pow(n)
         now1 = now4 = 0.0
-        for beta, mod_d in zip(orders, derivative_moduli(snap, orders)):
+        for beta, mod_d in derivative_moduli(snap, orders):
             sig = exps.sigma_j(sum(beta))
             now1 = max(now1, g**sig * float(np.max(weight * mod_d)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(mod > 0, mod_d / mod, np.inf)
-            now4 = max(now4, g**sig * float(np.max(ratio)))
-        floor, _ = weighted_inf(snap, n)
-        now3 = np.inf if floor == 0.0 else g ** (q / p.alpha) / floor
+            now4 = max(now4, g**sig * float(np.max(mod_d / mod)))
+        now3 = g ** (p.gauge_exponent / p.alpha) / float(np.min(weight * mod))
+        cap = decay_const * np.minimum(tail_bound, p.b * horizon_gauge(snap.t, p))
+        decays = not np.any(mod**p.alpha > cap * (1.0 + 1e-12))
+        return now1, now3, now4, f_sup, decays
+
+    workers = _cpu_count() if threaded and np.prod(v0.grid.shape) >= THREAD_FLOOR else 1
+    if workers > 1:
+        # imported here, so a process that never threads never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(one_snapshot, traj.snapshots))
+    else:
+        rows = list(map(one_snapshot, traj.snapshots))
+
+    phi1, phi3, phi4, psi = [], [], [], []
+    r1 = r3 = r4 = 0.0
+    for now1, now3, now4, _, _ in rows:
         r1, r3, r4 = max(r1, now1), max(r3, now3), max(r4, now4)
-        times.append(snap.t)
         phi1.append(r1)
         phi3.append(r3)
         phi4.append(r4)
         psi.append(max(r1, r3, r4))
-        fsup.append(float(np.max(np.abs(f_fld.values))))
-        cap = decay_const * np.minimum(tail_bound, p.b * horizon_gauge(snap.t, p))
-        if np.any(mod**p.alpha > cap * (1.0 + 1e-12)):
-            decay_ok = False
-
-    times = np.array(times)
     psi = np.array(psi)
-    f_arr = np.array(fsup)
+    f_arr = np.array([row[3] for row in rows])
     return MonitorReport(
-        times=times,
+        times=traj.snapshot_times,
         phi1=np.array(phi1),
         phi3=np.array(phi3),
         phi4=np.array(phi4),
@@ -278,7 +302,7 @@ def monitor_phi(
         data_constant=K,
         psi_bounded=bool(np.isfinite(psi[-1])),
         f_within_quarter=bool(np.max(f_arr) <= 0.25),
-        decay_pointwise=decay_ok,
+        decay_pointwise=all(row[4] for row in rows),
     )
 
 

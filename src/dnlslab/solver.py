@@ -25,15 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (
-    Field,
-    Grid,
-    boundary_magnitude,
-    l2_norm,
-    sup_norm,
-    weighted_inf,
-    weighted_sup_norm,
-)
+from .field import Field, Grid, boundary_magnitude
 from .params import ExponentSet, PhysParams, validate_phys
 
 log = logging.getLogger(__name__)
@@ -225,6 +217,18 @@ def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float, t_end: f
     return times
 
 
+def _records(f: Field, weight: np.ndarray | None) -> tuple[float, ...]:
+    # l2, sup and, with a weight, weighted sup and inf of a state from one
+    # |v| pass; the same arithmetic as l2_norm, sup_norm, weighted_sup_norm
+    # and weighted_inf
+    mod = np.abs(f.values)
+    norms = (float(np.sqrt(f.grid.cell_volume * np.sum(mod**2))), float(np.max(mod)))
+    if weight is None:
+        return norms
+    weighted = weight * mod
+    return (*norms, float(np.max(weighted)), float(np.min(weighted)))
+
+
 def _coupling_integrand(f: Field, alpha: float) -> np.ndarray:
     # Im(conj(v) Lap v) / |v|^{alpha+2}; admissible data start nonvanishing, but
     # a b below the regime drives |v| near zero, where this is ill-conditioned;
@@ -293,15 +297,12 @@ def run(
     snaps_due = snapshot_schedule(cfg, params, t0, t_end)
 
     tracking = track_coupling and cfg.frame == "v" and params.lam != 0
-    weight_n = None if exps is None else exps.n
+    weight = None if exps is None else f0.grid.bracket_pow(exps.n)
 
     f = f0
     t = t0
-    times, dts, l2s, linfs = [t], [0.0], [l2_norm(f)], [sup_norm(f)]
-    wsups, winfs = [], []
-    if weight_n is not None:
-        wsups.append(weighted_sup_norm(f, weight_n))
-        winfs.append(weighted_inf(f, weight_n)[0])
+    times, dts = [t], [0.0]
+    records = [_records(f, weight)]
 
     snapshots: list[Field] = []
     coupling: list[Field] | None = [] if tracking else None
@@ -339,20 +340,18 @@ def run(
             f = strang_step(f, t, dt, cfg, params)
             t = t + dt
             nsteps += 1
-            if not np.all(np.isfinite(f.values)):
+            rec = _records(f, weight)
+            # a NaN or inf anywhere makes the sum of squares non-finite
+            if not np.isfinite(rec[0]):
                 raise UnstableSolutionError(f"non-finite values at t = {t:.6g}")
-            l2_new = l2_norm(f)
-            if l2_new > l2s[-1] * (1.0 + 1e-12) + 1e-12:
+            l2_prev = records[-1][0]
+            if rec[0] > l2_prev * (1.0 + 1e-12) + 1e-12:
                 raise UnstableSolutionError(
-                    f"mass grew from {l2s[-1]:.12e} to {l2_new:.12e} at t = {t:.6g}"
+                    f"mass grew from {l2_prev:.12e} to {rec[0]:.12e} at t = {t:.6g}"
                 )
             times.append(t)
             dts.append(dt)
-            l2s.append(l2_new)
-            linfs.append(sup_norm(f))
-            if weight_n is not None:
-                wsups.append(weighted_sup_norm(f, weight_n))
-                winfs.append(weighted_inf(f, weight_n)[0])
+            records.append(rec)
             if tracking:
                 g_new = _coupling_integrand(f, params.alpha)
                 accum += 0.5 * dt * (g_prev + g_new)
@@ -361,20 +360,21 @@ def run(
             take_snapshot(f.with_values(f.values, t=snaps_due[due_idx]))
 
     edge = boundary_magnitude(f)
-    peak = sup_norm(f)
+    peak = records[-1][1]
     if peak > 0 and edge > 1e-6 * peak:
         log.warning("final state boundary ratio %.2e; box may be too small", edge / peak)
     log.info("run done: %d steps, %d snapshots", nsteps, len(snapshots))
 
+    columns = [np.array(col) for col in zip(*records)]
     return Trajectory(
         frame=cfg.frame,
         params=params,
         times=np.array(times),
         dts=np.array(dts),
-        l2=np.array(l2s),
-        linf=np.array(linfs),
-        wsup=np.array(wsups) if weight_n is not None else None,
-        winf=np.array(winfs) if weight_n is not None else None,
+        l2=columns[0],
+        linf=columns[1],
+        wsup=columns[2] if weight is not None else None,
+        winf=columns[3] if weight is not None else None,
         snapshots=snapshots,
         coupling=coupling,
     )

@@ -82,7 +82,7 @@ def regime_companion():
 @pytest.fixture(scope="module")
 def reference_profile(reference):
     traj, _, _ = reference
-    return finalize_profile(traj, correction_algebraic(traj))
+    return finalize_profile(traj)
 
 
 def test_criterion_01_nonlinear_substep_matches_ode_oracle():

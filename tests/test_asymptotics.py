@@ -36,7 +36,7 @@ def ref_run():
 
 @pytest.fixture(scope="module")
 def ref_profile(ref_run):
-    return finalize_profile(ref_run, correction_algebraic(ref_run))
+    return finalize_profile(ref_run)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +164,7 @@ def test_profile_defining_relation(ref_profile):
 
 def test_profile_without_dispersion_keeps_data():
     traj = pure_nonlinear_trajectory()
-    prof = finalize_profile(traj, correction_algebraic(traj))
+    prof = finalize_profile(traj)
     assert np.max(np.abs(prof.correction)) < 1e-12
     assert np.max(np.abs(prof.amplitude - traj.snapshots[0].values)) < 1e-12
 
@@ -175,11 +175,12 @@ def test_profile_reports_sup(ref_profile):
 
 
 def test_profile_rejects_broken_balance():
+    # a terminal modulus far above the balance drives 1 + correction below 0
     traj = pure_nonlinear_trajectory()
-    g = traj.snapshots[0].grid
-    bad = [Field(g, np.full(g.shape, -1.5), "v", traj.snapshots[-1].t)]
+    last = traj.snapshots[-1]
+    traj.snapshots[-1] = last.with_values(10.0 * last.values)
     with pytest.raises(ExtractionError, match="asymptotic regime|unresolved"):
-        finalize_profile(traj, bad)
+        finalize_profile(traj)
 
 
 # --- envelope and drift ---
@@ -204,7 +205,7 @@ def test_drift_zero_for_pure_dissipation(ref_profile):
 
 def test_drift_sign_with_rotation():
     traj = pure_nonlinear_trajectory()
-    prof = finalize_profile(traj, correction_algebraic(traj))
+    prof = finalize_profile(traj)
     rotated = PhysParams(REF.N, REF.alpha, 1.0 - 1.0j, REF.b)
     prof2 = type(prof)(prof.correction, prof.amplitude, prof.reference, rotated, prof.meta)
     th = phase_drift(0.2, prof2)

@@ -1,11 +1,15 @@
 """End-to-end command-line coverage: configs, verdicts, sweeps, plot tables."""
 
+import concurrent.futures
 import csv
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dnlslab import cli, diagnostics
 from dnlslab.cli import main
 from dnlslab.field import Field, Grid, load_field, save_field
 
@@ -190,6 +194,36 @@ def test_tiny_b_classified_not_failed(tmp_path):
     assert not verdict["monitors"]["f_within_quarter"]
 
 
+def test_verify_post_processing_holds_no_correction_series(tmp_path, monkeypatch):
+    # everything after the simulation: monitors, profile, bridge, errors, report
+    M, snapshots = 64, 65
+    doc = {
+        "phys": {"N": 2, "alpha": 0.8, "lam": [0.0, -1.0], "b": 20.0},
+        "grid": {"L": 30.0, "M": M, "boundary_tol": 1e-2},
+        "solver": {"frame": "v", "dt0": 2e-3, "c_adapt": 0.2,
+                   "horizon_floor": 1e-2, "snapshot_count": snapshots},
+        "data": {"c": 1.0, "n": 5},
+    }
+    simulate = cli._simulate_and_dump
+
+    def simulate_then_trace(rc, doc):
+        done = simulate(rc, doc)
+        tracemalloc.start()
+        return done
+
+    monkeypatch.setattr(cli, "_simulate_and_dump", simulate_then_trace)
+    cfg = write_config(tmp_path / "c.json", doc)
+    try:
+        assert main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    correction_bytes = 8 * M * M  # one real field per snapshot
+    print(f"post-processing peak {peak / 1024:.0f} KiB; "
+          f"a correction series would be {snapshots * correction_bytes / 1024:.0f} KiB")
+    assert peak < snapshots * correction_bytes
+
+
 def test_verify_deterministic(tmp_path, pass_run):
     cfg = write_config(tmp_path / "cfg.json", PASS_CONFIG)
     out2 = tmp_path / "out2"
@@ -293,6 +327,46 @@ def test_one_point_sweep_matches_verify(tmp_path):
     assert len(rows) == 1
     assert rows[0]["verdict"] == verdict["verdict"]
     assert float(rows[0]["sup_deviation"]) == verdict["checks"]["sup_limit"]["deviation_u"]
+
+
+class InlinePool:
+    """Stands in for the sweep's process pool: runs each point in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_sweep_workers_run_the_monitor_serially(tmp_path, monkeypatch):
+    pools = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    # every grid above the floor and two CPUs, so only the sweep decides
+    monkeypatch.setattr(diagnostics, "THREAD_FLOOR", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    cfg = write_config(tmp_path / "s.json", {"base": sweep_base(), "grid": {"b": [10.0, 20.0]}})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o2"), "--jobs", "2"]) == 0
+    assert pools == []
+    # points run one after another in this process may use the threads
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o1"), "--jobs", "1"]) == 0
+    assert pools == [2, 2]
+    for out in ("o1", "o2"):
+        with open(tmp_path / out / "sweep" / "sweep.csv") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
 
 
 def test_empty_sweep_grid_rejected(tmp_path, capsys):

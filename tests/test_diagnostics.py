@@ -1,7 +1,9 @@
 """Power-law fits, decay-limit checks, monitors, and report artifacts."""
 
+import concurrent.futures
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from dnlslab.asymptotics import correction_algebraic, horizon_gauge
 from dnlslab.conformal import NormSeries, norm_bridge
 from dnlslab.diagnostics import (
+    THREAD_FLOOR,
     MonitorReport,
     RateFit,
     check_l2_envelope,
@@ -240,12 +243,39 @@ def test_monitor_matches_per_beta_route(N, alpha, b, M):
                        snapshot_count=13)
     traj = run(v0, cfg, p)
     ref = _monitor_per_beta(traj, v0, exps)
-    for rep in (monitor_phi(traj, v0, exps),
-                monitor_phi(traj, v0, exps, corrections=correction_algebraic(traj))):
-        for key in ("phi1", "phi3", "phi4", "psi", "f_sup"):
-            np.testing.assert_allclose(getattr(rep, key), ref[key], rtol=1e-12, atol=0.0)
-        assert (rep.psi_bounded, rep.f_within_quarter, rep.decay_pointwise) == ref["flags"]
+    rep = monitor_phi(traj, v0, exps)
+    for key in ("phi1", "phi3", "phi4", "psi", "f_sup"):
+        np.testing.assert_allclose(getattr(rep, key), ref[key], rtol=1e-12, atol=0.0)
+    assert (rep.psi_bounded, rep.f_within_quarter, rep.decay_pointwise) == ref["flags"]
     print(f"N={N} b={b:g}: flags {ref['flags']}")
+
+
+def test_threaded_monitor_equals_serial_bitwise(monkeypatch):
+    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
+    assert 128 * 128 >= THREAD_FLOOR
+    v0, _ = build_initial_data(g, 1.0, 5)
+    p = PhysParams(2, 0.8, -1j, 20.0)
+    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2,
+                       snapshot_count=9)
+    traj = run(v0, cfg, p)
+    pools = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    # two CPUs whatever the host has, so the threaded path is the one taken
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    serial = monitor_phi(traj, v0, exps, threaded=False)
+    assert pools == []
+    threaded = monitor_phi(traj, v0, exps)
+    assert pools == [2]
+    for key in ("times", "phi1", "phi3", "phi4", "psi", "f_sup"):
+        assert getattr(threaded, key).tobytes() == getattr(serial, key).tobytes(), key
+    assert threaded.as_dict() == serial.as_dict()
 
 
 def test_monitor_rejects_wrong_frame(clean_setup):

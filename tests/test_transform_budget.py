@@ -1,31 +1,51 @@
-"""FFT budget of the stepper and the monitors: counted calls, no timing.
+"""FFT budget of the stepper and the monitors: counted passes, no timing.
 
-Pins the transforms each stage may spend, so a change that brings back a
-transform pair per multi-index, or a coupling pass nothing reads, fails here.
+A pass is one axis transformed once, so an N-D ``fftn`` counts N passes and
+a 1-D ``fft(axis=...)`` one.  Pins the passes each stage may spend, so a
+change that brings back a transform pair per multi-index, or a coupling
+pass nothing reads, fails here.
 """
 
 import numpy as np
 import pytest
 
 from dnlslab.diagnostics import monitor_phi
-from dnlslab.field import Grid, build_initial_data, derivative_orders
+from dnlslab.field import Grid, build_initial_data
 from dnlslab.params import PhysParams, synthesize_exponents
 from dnlslab.solver import SolverConfig, run
 
 TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
               "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
 CFG = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=9)
+# passes of the derivative ladder up to order 4.  1-D: one forward, one
+# inverse per nonzero order.  2-D: along x one forward and 4 inverses; along
+# y one forward for each x-derivative that has a y-partner (orders 0..3) and
+# one inverse per multi-index with a y-component (4 + 3 + 2 + 1).
+LADDER_PASSES = {1: 1 + 4, 2: (1 + 4) + (4 + 10)}
+
+
+def _passes(name, a, args, kwargs):
+    # the axes one numpy.fft call transforms
+    if name[-1] not in "2n":
+        return 1
+    s, axes = (list(args) + [None, None])[:2]
+    s, axes = kwargs.get("s", s), kwargs.get("axes", axes)
+    if axes is not None:
+        return len(axes)
+    if s is not None:
+        return len(s)
+    return 2 if name[-1] == "2" else np.ndim(a)
 
 
 @pytest.fixture
-def fft_calls(monkeypatch):
-    calls = []
+def fft_passes(monkeypatch):
+    passes = []
     for name in TRANSFORMS:
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(_fn.__name__)
-            return _fn(*args, **kwargs)
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            passes.append(_passes(_name, a, args, kwargs))
+            return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    return calls
+    return passes
 
 
 def tiny_setup(dim):
@@ -36,27 +56,27 @@ def tiny_setup(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_run_spends_four_transforms_per_step(fft_calls, dim):
+def test_run_spends_four_transforms_per_step(fft_passes, dim):
     v0, params = tiny_setup(dim)
-    fft_calls.clear()
+    fft_passes.clear()
     traj = run(v0, CFG, params)
     steps = len(traj.times) - 1
     assert steps > 10
-    assert len(fft_calls) == 4 * steps
-    fft_calls.clear()
+    assert len(fft_passes) == 4 * steps
+    assert sum(fft_passes) == 4 * steps * dim
+    fft_passes.clear()
     run(v0, CFG, params, track_coupling=True)
     # one Laplacian pair per step and one for the initial state
-    assert len(fft_calls) == 6 * steps + 2
+    assert sum(fft_passes) == (6 * steps + 2) * dim
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_monitor_spends_one_transform_per_order_and_snapshot(fft_calls, dim):
+def test_monitor_spends_one_ladder_per_snapshot(fft_passes, dim):
     v0, params = tiny_setup(dim)
     exps = synthesize_exponents(params, strict=False, n=5, fallback_sigma=True)
     traj = run(v0, CFG, params)
-    orders = len(derivative_orders(dim, 4))
-    fft_calls.clear()
+    fft_passes.clear()
     monitor_phi(traj, v0, exps)
-    # one forward and one inverse per nonzero order for each snapshot, plus
-    # data_bound's transform pair per nonzero order
-    assert len(fft_calls) == orders * len(traj.snapshots) + 2 * (orders - 1)
+    # one derivative ladder per snapshot, plus data_bound's on v0
+    assert sum(fft_passes) == LADDER_PASSES[dim] * (len(traj.snapshots) + 1)
+    assert set(fft_passes) == {1}

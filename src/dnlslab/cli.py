@@ -336,12 +336,8 @@ def _profile_error_series(traj, profile):
     return np.array(ts), np.array(e2s), np.array(einfs)
 
 
-def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int,
-                 threaded: bool = True) -> dict:
-    """simulate -> monitors -> profile -> bridge -> checks -> verdict; writes all artifacts.
-
-    ``threaded`` is passed to ``monitor_phi``.
-    """
+def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -> dict:
+    """simulate -> monitors -> profile -> bridge -> checks -> verdict; writes all artifacts."""
     rc = build_run(doc, cfg_path, text, out_override)
     if rc.solver.frame != "v" or rc.params.lam.imag >= 0:
         raise ConfigError(cfg_path, _find_line(text, "frame"),
@@ -355,7 +351,7 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int,
 
     # a vanishing modulus raises ExtractionError here, before any profile or
     # bridge artifact is written, and exits 3
-    monitor = monitor_phi(traj, v0, rc.exps, max_order, threaded)
+    monitor = monitor_phi(traj, v0, rc.exps, max_order)
     profile = None
     extraction_error = None
     try:
@@ -492,7 +488,7 @@ def _render_sweep(base: dict, combo: dict) -> dict:
 
 
 def _sweep_worker(task):
-    index, doc, out_dir, max_order, threaded = task
+    index, doc, out_dir, max_order = task
     row = {
         "run": f"run_{index:03d}",
         "alpha": doc["phys"]["alpha"],
@@ -504,7 +500,7 @@ def _sweep_worker(task):
     try:
         text = json.dumps(doc, indent=2)
         result = run_pipeline(doc, text, f"<sweep:{index}>",
-                              Path(out_dir) / row["run"], max_order, threaded)
+                              Path(out_dir) / row["run"], max_order)
         row.update({col: functools.reduce(operator.getitem, path.split("."), result)
                     for col, path in SWEEP_RESULTS}, status="ok")
     except Exception as e:  # per-run failures must not kill the sweep
@@ -525,8 +521,7 @@ def cmd_sweep(cfg_path, out_override, jobs: int, max_order: int) -> int:
 
     out = _out_root(out_override, doc) / "sweep"
     out.mkdir(parents=True, exist_ok=True)
-    # worker processes already fill the CPUs: their monitors stay on one thread
-    tasks = [(i, _render_sweep(base, combo), str(out), max_order, jobs <= 1)
+    tasks = [(i, _render_sweep(base, combo), str(out), max_order)
              for i, combo in enumerate(combos)]
     if jobs <= 1:
         results = [_sweep_worker(t) for t in tasks]

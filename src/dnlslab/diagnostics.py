@@ -32,12 +32,20 @@ from .solver import Trajectory
 
 MIN_FIT_SAMPLES = 8
 REPORT_SCHEMA = 2
-# Grid points from which monitor_phi maps snapshots over one thread per CPU;
-# numpy's FFT releases the GIL.  Two threads against one on 2 CPUs (Xeon,
-# Python 3.11, numpy 2.4; 49 snapshots, medians of 10 alternating rounds):
-# 2-D M = 64 took 1.3-1.4x as long, M = 128 0.85-0.95x, M = 256 0.77-0.84x,
-# and 1-D M = 2048 1.1-1.6x.  So 2-D grids from 128^2 up use the threads.
+# Grid points from which monitor_phi maps snapshots over one thread per CPU,
+# up to MAX_THREADS; numpy's FFT releases the GIL.  Two threads against one
+# on 2 CPUs (Xeon, Python 3.11, numpy 2.4; 49 snapshots, medians of 10
+# alternating rounds): 2-D M = 64 took 1.3-1.4x as long, M = 128 0.85-0.95x,
+# M = 256 0.77-0.84x, and 1-D M = 2048 1.1-1.6x.  So 2-D grids from 128^2
+# up use the threads.
 THREAD_FLOOR = 128 * 128
+# Only two threads were measured.  Each holds a few grid-sized temporaries
+# (about 7 MiB each at 256^2), and every `sweep --jobs K` worker process runs
+# its own monitor, so the cap bounds both peak RSS and the thread count.  On
+# the same 2 CPUs, 4-point 2-D sweeps on 2 workers took no longer with the
+# worker monitors on two threads than on one (10 alternating pairs, medians:
+# M = 128 1.40 against 1.49 s, M = 256 5.56 against 5.86 s).
+MAX_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -224,7 +232,6 @@ def monitor_phi(
     v0: Field,
     exps: ExponentSet,
     max_order: int = DEFAULT_MAX_ORDER,
-    threaded: bool = True,
 ) -> MonitorReport:
     """Evaluate the weighted running-sup monitors over a rescaled-frame run.
 
@@ -238,9 +245,8 @@ def monitor_phi(
     modulus raises ``ExtractionError`` for the first such snapshot.
 
     Snapshots are independent, so on a grid of at least ``THREAD_FLOOR``
-    points they are mapped over one thread per CPU; the result is the same
-    bit for bit.  ``threaded=False`` keeps them on the calling thread, for a
-    process that already shares the CPUs with others.
+    points they are mapped over one thread per CPU, at most ``MAX_THREADS``;
+    the result is the same bit for bit.
     """
     if traj.frame != "v":
         raise ValueError("monitors are defined on rescaled-frame trajectories")
@@ -271,7 +277,7 @@ def monitor_phi(
         decays = not np.any(mod**p.alpha > cap * (1.0 + 1e-12))
         return now1, now3, now4, f_sup, decays
 
-    workers = _cpu_count() if threaded and np.prod(v0.grid.shape) >= THREAD_FLOOR else 1
+    workers = min(_cpu_count(), MAX_THREADS) if np.prod(v0.grid.shape) >= THREAD_FLOOR else 1
     if workers > 1:
         # imported here, so a process that never threads never loads it
         from concurrent.futures import ThreadPoolExecutor

@@ -1,15 +1,13 @@
 """End-to-end command-line coverage: configs, verdicts, sweeps, plot tables."""
 
-import concurrent.futures
 import csv
 import json
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dnlslab import cli, diagnostics
+from dnlslab import cli
 from dnlslab.cli import main
 from dnlslab.field import Field, Grid, load_field, save_field
 
@@ -327,46 +325,6 @@ def test_one_point_sweep_matches_verify(tmp_path):
     assert len(rows) == 1
     assert rows[0]["verdict"] == verdict["verdict"]
     assert float(rows[0]["sup_deviation"]) == verdict["checks"]["sup_limit"]["deviation_u"]
-
-
-class InlinePool:
-    """Stands in for the sweep's process pool: runs each point in this process."""
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-def test_sweep_workers_run_the_monitor_serially(tmp_path, monkeypatch):
-    pools = []
-
-    class CountedPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    # every grid above the floor and two CPUs, so only the sweep decides
-    monkeypatch.setattr(diagnostics, "THREAD_FLOOR", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    cfg = write_config(tmp_path / "s.json", {"base": sweep_base(), "grid": {"b": [10.0, 20.0]}})
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o2"), "--jobs", "2"]) == 0
-    assert pools == []
-    # points run one after another in this process may use the threads
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o1"), "--jobs", "1"]) == 0
-    assert pools == [2, 2]
-    for out in ("o1", "o2"):
-        with open(tmp_path / out / "sweep" / "sweep.csv") as fh:
-            assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
 
 
 def test_empty_sweep_grid_rejected(tmp_path, capsys):

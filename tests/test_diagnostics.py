@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dnlslab.asymptotics import correction_algebraic, horizon_gauge
 from dnlslab.conformal import NormSeries, norm_bridge
 from dnlslab.diagnostics import (
+    MAX_THREADS,
     THREAD_FLOOR,
     MonitorReport,
     RateFit,
@@ -266,16 +267,22 @@ def test_threaded_monitor_equals_serial_bitwise(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    # two CPUs whatever the host has, so the threaded path is the one taken
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-    serial = monitor_phi(traj, v0, exps, threaded=False)
+    # one CPU, then two, whatever the host has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = monitor_phi(traj, v0, exps)
     assert pools == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     threaded = monitor_phi(traj, v0, exps)
     assert pools == [2]
     for key in ("times", "phi1", "phi3", "phi4", "psi", "f_sup"):
         assert getattr(threaded, key).tobytes() == getattr(serial, key).tobytes(), key
     assert threaded.as_dict() == serial.as_dict()
+    # more CPUs than MAX_THREADS: the pool stays at the cap
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    capped = monitor_phi(traj, v0, exps)
+    assert pools == [2, MAX_THREADS]
+    assert capped.as_dict() == serial.as_dict()
 
 
 def test_monitor_rejects_wrong_frame(clean_setup):

@@ -33,6 +33,9 @@ from .solver import Trajectory
 log = logging.getLogger(__name__)
 
 PROFILE_SCHEMA = 1
+# The regime bound on the correction sup: the monitors classify a run as
+# compliant only while |f| <= 1/4 at every snapshot.
+CORRECTION_BOUND = 0.25
 
 
 class ExtractionError(RuntimeError):
@@ -56,7 +59,7 @@ def horizon_gauge(t, params: PhysParams):
     return float(out) if out.ndim == 0 else out
 
 
-def crossover_time(params: PhysParams, tol: float = 1e-12) -> float:
+def crossover_time(params: PhysParams) -> float:
     """Root of b * horizon_gauge(t) = 1, located by bisection."""
     b = params.b
     if b <= 0:
@@ -68,7 +71,7 @@ def crossover_time(params: PhysParams, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
     return 0.5 * (lo + hi)
 
@@ -96,17 +99,14 @@ def correction_field(snap: Field, mod0a: np.ndarray, params: PhysParams) -> Fiel
     return Field(snap.grid, f, "v", snap.t)
 
 
-def correction_algebraic(traj: Trajectory, v0: Field | None = None) -> list[Field]:
+def correction_algebraic(traj: Trajectory) -> list[Field]:
     """Correction fields at every snapshot, by inverting the modulus balance."""
     p = _check_v_traj(traj)
-    v0 = traj.snapshots[0] if v0 is None else v0
-    mod0a = np.abs(v0.values) ** p.alpha
+    mod0a = np.abs(traj.snapshots[0].values) ** p.alpha
     return [correction_field(snap, mod0a, p) for snap in traj.snapshots]
 
 
-def correction_integral(
-    traj: Trajectory, v0: Field | None = None
-) -> tuple[list[Field], float]:
+def correction_integral(traj: Trajectory) -> tuple[list[Field], float]:
     """Correction by time-integrating the dispersive coupling; plus a residual.
 
     Reads the per-step running integral the solver records for a v-frame run
@@ -123,13 +123,12 @@ def correction_integral(
         raise ValueError(
             "trajectory carries no coupling record; run it with run(..., track_coupling=True)"
         )
-    v0 = traj.snapshots[0] if v0 is None else v0
-    mod0a = np.abs(v0.values) ** p.alpha
+    mod0a = np.abs(traj.snapshots[0].values) ** p.alpha
     fields = [
         Field(snap.grid, p.alpha * mod0a * acc.values.real, "v", snap.t)
         for snap, acc in zip(traj.snapshots, traj.coupling)
     ]
-    alg = correction_algebraic(traj, v0)
+    alg = correction_algebraic(traj)
     residual = max(
         float(np.max(np.abs(fi.values - fa.values))) for fi, fa in zip(fields, alg)
     )
@@ -189,7 +188,7 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
             "b is far below the asymptotic regime or the run is unresolved"
         )
     f0_sup = float(np.max(np.abs(f0)))
-    if f0_sup > 0.25:
+    if f0_sup > CORRECTION_BOUND:
         log.warning("terminal correction sup %.3f exceeds 1/4; b may be too small", f0_sup)
     amp_mod = (mod0a / (1.0 + f0)) ** (1.0 / p.alpha)
     psi_a = _psi_pow_alpha(v_last.t, f0, mod0a, p)

@@ -13,16 +13,16 @@ import csv
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import (
+    CORRECTION_BOUND,
     ExtractionError,
     crossover_time,
     error_metric,
@@ -33,6 +33,7 @@ from .asymptotics import (
 )
 from .conformal import norm_bridge, to_u_frame
 from .diagnostics import (
+    MASS_SLACK,
     check_l2_envelope,
     check_sup_limit,
     emit_report,
@@ -44,6 +45,7 @@ from .diagnostics import (
 from .field import (
     DEFAULT_BOUNDARY_TOL,
     DEFAULT_MAX_ORDER,
+    BoundaryDecayError,
     Field,
     Grid,
     build_initial_data,
@@ -55,8 +57,56 @@ from .solver import NumericalError, SolverConfig, run
 
 ENV_OUT = "DNLSLAB_OUT"
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 2, 3, 4
-VERDICT_SCHEMA = 1
+VERDICT_SCHEMA = 2
 DEFAULT_SNAPSHOTS = 49
+# The verdict's gates: (check, quantity, bound), each holding while value <= bound.
+GATES = (
+    ("sup_limit", "deviation_u", 0.05),
+    ("l2_envelope", "exponent_deviation", 0.10),
+    ("l2_envelope", "band_ratio", 2.0),
+    ("profile_error", "slope_l2", -0.05),
+    ("profile_error", "slope_sup", -0.05),
+)
+
+
+def decide(checks: dict, monitors: dict) -> tuple[str, list[dict]]:
+    """The verdict on a run's checks and regime flags, with every reason against it.
+
+    Sets each gated check's "ok".  The verdict is "pass" when every gate
+    holds, else "not in theorem regime" when a regime flag is broken, else
+    "fail".  ``reasons`` lists each broken gate with its value and bound, one
+    entry per check that carries an "error", and each broken flag, whatever
+    the verdict.
+    """
+    reasons = []
+    for name in dict.fromkeys(check for check, _, _ in GATES):
+        check = checks[name]
+        if "error" in check:
+            reasons.append({"check": name, "error": check["error"]})
+            check["ok"] = False
+            check["error"] = check.pop("error")  # "ok" precedes "error" in report.json
+            continue
+        broken = [{"check": name, "quantity": q, "value": check[q], "bound": bound}
+                  for c, q, bound in GATES
+                  if c == name and (check[q] is None or not check[q] <= bound)]
+        check["ok"] = not broken
+        reasons += broken
+    mass = checks["mass_dissipation"]
+    flags = (
+        ("mass_dissipation", mass["ok"], {"value": mass["worst_growth"], "bound": MASS_SLACK}),
+        ("f_within_quarter", monitors["f_within_quarter"],
+         {"value": monitors["f_max"], "bound": CORRECTION_BOUND}),
+        ("decay_pointwise", monitors["decay_pointwise"], {}),
+        ("psi_bounded", monitors["psi_bounded"], {}),
+    )
+    broken_flags = [{"flag": flag, **detail} for flag, ok, detail in flags if not ok]
+    if not reasons:
+        verdict = "pass"
+    elif broken_flags:
+        verdict = "not in theorem regime"
+    else:
+        verdict = "fail"
+    return verdict, reasons + broken_flags
 
 
 class ConfigError(Exception):
@@ -80,12 +130,9 @@ def _find_line(text: str, key: str) -> int:
 class RunConfig:
     params: PhysParams
     exps: ExponentSet | None
-    grid: Grid | None
-    data: dict
+    initial: Field
     solver: SolverConfig
     out: Path
-    seed: int
-    data_n: int | None
 
 
 def _out_root(out_override, doc: dict) -> Path:
@@ -240,52 +287,42 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
         if data_n is not None and exps.n != data_n:
             err("exponents", f"exponent weight n = {exps.n} does not match data n = {data_n}")
 
-    return RunConfig(
-        params=params,
-        exps=exps,
-        grid=grid,
-        data=da,
-        solver=solver,
-        out=_out_root(out_override, doc),
-        seed=int(doc.get("seed", 0)),
-        data_n=data_n,
-    )
-
-
-def _initial_field(rc: RunConfig) -> Field:
-    if "snapshot" in rc.data:
-        f = load_field(rc.data["snapshot"])
-        if rc.grid is not None and (
-            tuple(f.grid.points) != tuple(rc.grid.points)
-            or not np.allclose(f.grid.extents, rc.grid.extents)
+    if "snapshot" in da:
+        initial = load_field(da["snapshot"])
+        if grid is not None and (
+            tuple(initial.grid.points) != tuple(grid.points)
+            or not np.allclose(initial.grid.extents, grid.extents)
         ):
-            raise ConfigError("<config>", 1, "snapshot grid does not match the grid section")
-        if f.frame != rc.solver.frame:
-            f = Field(f.grid, f.values, rc.solver.frame, f.t)
-        return f
-    bump = None
-    if rc.data.get("bump"):
-        bump = _bump_builder(rc.data["bump"], rc.seed)
-    v0, _ = build_initial_data(rc.grid, complex(rc.data["c"]), rc.data_n, bump)
-    if rc.solver.frame == "u":
-        v0 = Field(v0.grid, v0.values, "u", 0.0)
-    return v0
+            err("grid", "snapshot grid does not match the grid section")
+    else:
+        c = complex(da["c"])
+        if c == 0:
+            err("c", "leading coefficient c must be nonzero")
+        bump = _bump_builder(da["bump"], int(doc.get("seed", 0))) if da.get("bump") else None
+        try:
+            initial = build_initial_data(grid, c, data_n, bump)
+        except BoundaryDecayError as e:
+            err("grid", str(e))
+        except ValueError as e:
+            err("data", str(e))
+    if initial.frame != frame:
+        initial = Field(initial.grid, initial.values, frame, initial.t)
+    return RunConfig(params=params, exps=exps, initial=initial, solver=solver,
+                     out=_out_root(out_override, doc))
 
 
-def _write_norms(out: Path, traj) -> Path:
-    path = out / "norms.csv"
-    have_weighted = traj.wsup is not None
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["t", "dt", "l2", "linf"] + (["wsup", "winf"] if have_weighted else [])
         w.writerow(header)
-        for i in range(len(traj.times)):
-            row = [float(traj.times[i]), float(traj.dts[i]),
-                   float(traj.l2[i]), float(traj.linf[i])]
-            if have_weighted:
-                row += [float(traj.wsup[i]), float(traj.winf[i])]
-            w.writerow(row)
-    return path
+        w.writerows(rows)
+
+
+def _write_norms(out: Path, traj) -> None:
+    cols = {"t": traj.times, "dt": traj.dts, "l2": traj.l2, "linf": traj.linf}
+    if traj.wsup is not None:
+        cols.update(wsup=traj.wsup, winf=traj.winf)
+    _write_csv(out / "norms.csv", list(cols), zip(*(c.tolist() for c in cols.values())))
 
 
 def _write_snapshots(out: Path, traj) -> None:
@@ -300,22 +337,21 @@ def _echo_config(out: Path, doc: dict) -> None:
 
 def _simulate_and_dump(rc: RunConfig, doc: dict):
     """Run the configured simulation and write config echo, norms and snapshots."""
-    v0 = _initial_field(rc)
-    traj = run(v0, rc.solver, rc.params, exps=rc.exps)
+    traj = run(rc.initial, rc.solver, rc.params, exps=rc.exps)
     rc.out.mkdir(parents=True, exist_ok=True)
     _echo_config(rc.out, doc)
     _write_norms(rc.out, traj)
     _write_snapshots(rc.out, traj)
-    return v0, traj
+    return traj
 
 
 def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
     doc, text = load_config(cfg_path)
     rc = build_run(doc, cfg_path, text, out_override)
-    v0, traj = _simulate_and_dump(rc, doc)
+    traj = _simulate_and_dump(rc, doc)
     monitor = None
     if rc.solver.frame == "v" and rc.exps is not None:  # exps exist only for Im(lam) < 0
-        monitor = monitor_phi(traj, v0, rc.exps, max_order)
+        monitor = monitor_phi(traj, rc.initial, rc.exps, max_order)
     emit_report(rc.out, traj, monitor=monitor)
     print(f"simulate: {len(traj.times) - 1} steps, artifacts in {rc.out}")
     return EXIT_OK
@@ -346,12 +382,12 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
         raise ConfigError(cfg_path, _find_line(text, "data"),
                           'theorem verification needs a weight order: data "n" '
                           'or an "exponents" section')
-    v0, traj = _simulate_and_dump(rc, doc)
+    traj = _simulate_and_dump(rc, doc)
     out = rc.out
 
     # a vanishing modulus raises ExtractionError here, before any profile or
     # bridge artifact is written, and exits 3
-    monitor = monitor_phi(traj, v0, rc.exps, max_order)
+    monitor = monitor_phi(traj, rc.initial, rc.exps, max_order)
     profile = None
     extraction_error = None
     try:
@@ -363,24 +399,20 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
         extraction_error = str(e)
 
     series = norm_bridge(traj)
-    with open(out / "bridge.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "t", "l2", "linf"])
-        for i in range(len(series.t)):
-            w.writerow([float(series.s[i]), float(series.t[i]),
-                        float(series.l2[i]), float(series.linf[i])])
+    _write_csv(out / "bridge.csv", ["s", "t", "l2", "linf"],
+               zip(series.s.tolist(), series.t.tolist(), series.l2.tolist(), series.linf.tolist()))
 
     sup_check = check_sup_limit(series, rc.params)
-    l2_check = check_l2_envelope(series, rc.params, rc.exps.n)
+    try:
+        l2_check = check_l2_envelope(series, rc.params, rc.exps.n)
+    except ValueError as e:  # too few samples in the last decade to fit
+        l2_check = {"error": str(e)}
 
     slope_l2 = slope_sup = None
     if profile is not None:
         ts, e2s, einfs = _profile_error_series(traj, profile)
-        with open(out / "error_metric.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "err_l2_compensated", "err_sup_compensated"])
-            for i in range(ts.size):
-                w.writerow([float(ts[i]), float(e2s[i]), float(einfs[i])])
+        _write_csv(out / "error_metric.csv", ["t", "err_l2_compensated", "err_sup_compensated"],
+                   zip(ts.tolist(), e2s.tolist(), einfs.tolist()))
         if ts.size >= 8:
             window = (float(ts.max() / 10.0), float(ts.max()))
             try:
@@ -390,54 +422,35 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
                 pass  # degenerate errors (exact profile); leave unset
 
     mass_ok, mass_worst = mass_dissipation_ok(traj)
-
-    ok_sup = sup_check["deviation_u"] <= 0.05
-    ok_l2 = l2_check["exponent_deviation"] <= 0.10 and l2_check["band_ratio"] <= 2.0
-    ok_profile = (
-        slope_l2 is not None and slope_sup is not None
-        and slope_l2 <= -0.05 and slope_sup <= -0.05
-    )
-    compliant = bool(
-        mass_ok and monitor.f_within_quarter and monitor.decay_pointwise and monitor.psi_bounded
-    )
-    if ok_sup and ok_l2 and ok_profile:
-        verdict = "pass"
-    elif not compliant:
-        verdict = "not in theorem regime"
-    else:
-        verdict = "fail"
-
-    profile_check = {"slope_l2": slope_l2, "slope_sup": slope_sup, "ok": ok_profile}
+    profile_check = {"slope_l2": slope_l2, "slope_sup": slope_sup}
     if extraction_error is not None:
         profile_check["error"] = extraction_error
     checks = {
-        "sup_limit": {**sup_check, "ok": ok_sup},
-        "l2_envelope": {**l2_check, "ok": ok_l2},
+        "sup_limit": sup_check,
+        "l2_envelope": l2_check,
         "profile_error": profile_check,
         "mass_dissipation": {"ok": mass_ok, "worst_growth": mass_worst},
     }
-    strict_ref = synthesize_exponents(rc.params) if rc.params.lam.imag < 0 else None
+    monitors = {
+        "f_max": float(np.max(monitor.f_sup)),
+        "f_within_quarter": monitor.f_within_quarter,
+        "decay_pointwise": monitor.decay_pointwise,
+        "psi_bounded": monitor.psi_bounded,
+        "psi_ratio": monitor.psi_ratio,
+    }
+    verdict, reasons = decide(checks, monitors)
+    strict_ref = synthesize_exponents(rc.params)
     doc_out = {
         "schema_version": VERDICT_SCHEMA,
         "verdict": verdict,
-        "compliant_regime": compliant,
+        "reasons": reasons,
+        "compliant_regime": not any("flag" in r for r in reasons),
         "crossover_time": crossover_time(rc.params),
         "checks": checks,
-        "monitors": {
-            "f_max": float(np.max(monitor.f_sup)),
-            "f_within_quarter": monitor.f_within_quarter,
-            "decay_pointwise": monitor.decay_pointwise,
-            "psi_bounded": monitor.psi_bounded,
-            "psi_ratio": monitor.psi_ratio,
-        },
+        "monitors": monitors,
         "exponents": {
-            "k": rc.exps.k, "n": rc.exps.n, "m": rc.exps.m, "J": rc.exps.J,
-            "sigma": rc.exps.sigma, "strict": rc.exps.strict,
-            "violations": list(rc.exps.violations),
-            "strict_reference": None if strict_ref is None else {
-                "k": strict_ref.k, "n": strict_ref.n,
-                "m": strict_ref.m, "J": strict_ref.J,
-            },
+            **asdict(rc.exps),
+            "strict_reference": {k: getattr(strict_ref, k) for k in ("k", "n", "m", "J")},
         },
         "profile_meta": profile.meta if profile is not None
         else {"extraction_error": extraction_error},
@@ -474,12 +487,9 @@ SWEEP_RESULTS = (
 
 def _render_sweep(base: dict, combo: dict) -> dict:
     doc = json.loads(json.dumps(base))  # deep copy
-    if "alpha" in combo:
-        doc["phys"]["alpha"] = combo["alpha"]
-    if "lam" in combo:
-        doc["phys"]["lam"] = combo["lam"]
-    if "b" in combo:
-        doc["phys"]["b"] = combo["b"]
+    for key in ("alpha", "lam", "b"):
+        if key in combo:
+            doc["phys"][key] = combo[key]
     if "n" in combo:
         doc.setdefault("data", {})["n"] = combo["n"]
         if "exponents" in doc and doc["exponents"].get("n") is not None:
@@ -501,7 +511,8 @@ def _sweep_worker(task):
         text = json.dumps(doc, indent=2)
         result = run_pipeline(doc, text, f"<sweep:{index}>",
                               Path(out_dir) / row["run"], max_order)
-        row.update({col: functools.reduce(operator.getitem, path.split("."), result)
+        # a key an errored check lacks reads None, an empty cell
+        row.update({col: functools.reduce(lambda d, k: (d or {}).get(k), path.split("."), result)
                     for col, path in SWEEP_RESULTS}, status="ok")
     except Exception as e:  # per-run failures must not kill the sweep
         row.update({col: "" for col, _ in SWEEP_RESULTS}, status=f"error: {e}")
@@ -568,39 +579,28 @@ def cmd_plot_data(run_dir, out_override=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     with open(bridge_path) as fh:
-        rows = list(csv.DictReader(fh))
-    with open(out / "compensated.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "series", "value"])
-        for r in rows:
-            t, l2v, linfv = float(r["t"]), float(r["l2"]), float(r["linf"])
-            if t <= 0:
-                continue
-            w.writerow([t, "sup_compensated", t * linfv**params.alpha])
-            w.writerow([t, "l2_compensated", (1.0 + params.b * t) ** e * l2v])
+        bridge = [(float(r["t"]), float(r["l2"]), float(r["linf"])) for r in csv.DictReader(fh)]
+    _write_csv(out / "compensated.csv", ["t", "series", "value"], [
+        row for t, l2v, linfv in bridge if t > 0
+        for row in ((t, "sup_compensated", t * linfv**params.alpha),
+                    (t, "l2_compensated", (1.0 + params.b * t) ** e * l2v))])
 
     with open(err_path) as fh:
         err_rows = list(csv.DictReader(fh))
-    with open(out / "errors.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "series", "value"])
-        for r in err_rows:
-            w.writerow([float(r["t"]), "err_l2_compensated", float(r["err_l2_compensated"])])
-            w.writerow([float(r["t"]), "err_sup_compensated", float(r["err_sup_compensated"])])
+    _write_csv(out / "errors.csv", ["t", "series", "value"], [
+        (float(r["t"]), series, float(r[series])) for r in err_rows
+        for series in ("err_l2_compensated", "err_sup_compensated")])
 
     grid = profile.reference.grid
     axis = grid.axes()[0]
-    with open(out / "psi_slices.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gauge", "x", "psi"])
-        for gauge in PSI_SLICE_GAUGES:
-            t = (1.0 - gauge) / params.b
-            psi = modulus_envelope(t, profile)
-            if grid.dim > 1:
-                centre = tuple(m // 2 for m in grid.points[1:])
-                psi = psi[(slice(None),) + centre]
-            for x, val in zip(axis, psi):
-                w.writerow([float(gauge), float(x), float(val)])
+    slices = []
+    for gauge in PSI_SLICE_GAUGES:
+        psi = modulus_envelope((1.0 - gauge) / params.b, profile)
+        if grid.dim > 1:
+            centre = tuple(m // 2 for m in grid.points[1:])
+            psi = psi[(slice(None),) + centre]
+        slices += [(float(gauge), float(x), float(val)) for x, val in zip(axis, psi)]
+    _write_csv(out / "psi_slices.csv", ["gauge", "x", "psi"], slices)
     print(f"plot-data: tables in {out}")
     return EXIT_OK
 

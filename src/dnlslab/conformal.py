@@ -103,12 +103,11 @@ class NormSeries:
     linf: np.ndarray
 
 
-def norm_bridge(traj: Trajectory, b: float | None = None) -> NormSeries:
+def norm_bridge(traj: Trajectory) -> NormSeries:
     """Norm identities: ||u(t)||_2 = ||v(s)||_2, ||u(t)||_inf = (1-bs)^{N/2}||v(s)||_inf."""
     if traj.frame != "v":
         raise ValueError("norm bridge expects a v-frame trajectory")
-    if b is None:
-        b = traj.params.b
+    b = traj.params.b
     s = traj.times
     half_dim = traj.snapshots[0].grid.dim / 2.0
     return NormSeries(

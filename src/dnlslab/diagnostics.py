@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import correction_field, horizon_gauge
+from .asymptotics import CORRECTION_BOUND, correction_field, horizon_gauge
 from .conformal import NormSeries
 from .field import (
     DEFAULT_MAX_ORDER,
@@ -31,6 +31,8 @@ from .params import ExponentSet, PhysParams
 from .solver import Trajectory
 
 MIN_FIT_SAMPLES = 8
+# Largest relative per-step growth of the mass that still counts as dissipation.
+MASS_SLACK = 1e-12
 REPORT_SCHEMA = 2
 # Grid points from which monitor_phi maps snapshots over one thread per CPU,
 # up to MAX_THREADS; numpy's FFT releases the GIL.  Two threads against one
@@ -67,13 +69,7 @@ class RateFit:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "prefactor": self.prefactor,
-            "window": list(self.window),
-            "residual": self.residual,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 def fit_power_law(times, values, window: tuple[float, float] | None = None) -> RateFit:
@@ -106,11 +102,11 @@ def fit_power_law(times, values, window: tuple[float, float] | None = None) -> R
     )
 
 
-def check_sup_limit(series: NormSeries, params: PhysParams, tail: int = 5) -> dict:
+def check_sup_limit(series: NormSeries, params: PhysParams) -> dict:
     """Compare late-time sup-norm growth against its closed-form limit.
 
     Evaluates t * ||u||_inf^alpha (physical frame) and its rescaled-frame
-    companion (1 + bt) * ||u||_inf^alpha at the ``tail`` latest times; both
+    companion (1 + bt) * ||u||_inf^alpha at the five latest times; both
     converge to targets fixed by (N, alpha, Im lambda, b) alone.
     """
     target_u = params.sup_limit
@@ -124,7 +120,7 @@ def check_sup_limit(series: NormSeries, params: PhysParams, tail: int = 5) -> di
     warnings = []
     if decades < 2.0:
         warnings.append(f"series spans {decades:.2f} decades, below the advised 2")
-    k = max(1, min(tail, t.size))
+    k = max(1, min(5, t.size))
     tt, ss = t[-k:], linf[-k:]
     u_vals = tt * ss**params.alpha
     v_vals = (1.0 + params.b * tt) * ss**params.alpha
@@ -146,24 +142,18 @@ def l2_envelope_exponent(params: PhysParams, n: int) -> float:
     return (1.0 / params.alpha - params.N / 2.0) * (1.0 - params.N / (2.0 * n))
 
 
-def check_l2_envelope(
-    series: NormSeries,
-    params: PhysParams,
-    n: int,
-    window: tuple[float, float] | None = None,
-) -> dict:
+def check_l2_envelope(series: NormSeries, params: PhysParams, n: int) -> dict:
     """Fit the mass decay rate and squeeze the compensated series.
 
     The compensated quantity (1+bt)^e * ||u||_L2 with e the predicted rate
     should stay inside a fixed band [a, A]; the report carries the band
-    observed over the fit window (default: last decade of t).
+    observed over the fit window, the last decade of t.
     """
     e = l2_envelope_exponent(params, n)
     t = np.asarray(series.t, dtype=float)
     l2 = np.asarray(series.l2, dtype=float)
-    if window is None:
-        hi = float(t.max())
-        window = (hi / 10.0, hi)
+    hi = float(t.max())
+    window = (hi / 10.0, hi)
     mask = (t >= window[0]) & (t <= window[1]) & (t > 0)
     tw, lw = t[mask], l2[mask]
     comp = (1.0 + params.b * tw) ** e * lw
@@ -307,19 +297,19 @@ def monitor_phi(
         max_order=max_order,
         data_constant=K,
         psi_bounded=bool(np.isfinite(psi[-1])),
-        f_within_quarter=bool(np.max(f_arr) <= 0.25),
+        f_within_quarter=bool(np.max(f_arr) <= CORRECTION_BOUND),
         decay_pointwise=all(row[4] for row in rows),
     )
 
 
-def mass_dissipation_ok(traj: Trajectory, slack: float = 1e-12) -> tuple[bool, float]:
+def mass_dissipation_ok(traj: Trajectory) -> tuple[bool, float]:
     """Check per-step mass monotonicity; returns (ok, worst relative growth)."""
     l2 = np.asarray(traj.l2, dtype=float)
     if l2.size < 2:
         return True, 0.0
     growth = (l2[1:] - l2[:-1]) / np.where(l2[:-1] > 0, l2[:-1], 1.0)
     worst = float(np.max(growth))
-    return bool(np.all(growth <= slack)), worst
+    return bool(np.all(growth <= MASS_SLACK)), worst
 
 
 def emit_report(
@@ -329,9 +319,8 @@ def emit_report(
     fits: dict[str, RateFit] | None = None,
     checks: dict[str, dict] | None = None,
     profile_meta: dict | None = None,
-    stem: str = "report",
 ) -> tuple[Path, Path]:
-    """Write <stem>.json (reports) and <stem>.csv (per-snapshot series).
+    """Write report.json (reports) and report.csv (per-snapshot series).
 
     CSV columns: t, gauge (rescaled frame; empty otherwise), l2, linf, then
     phi1/phi3/phi4/psi/f_sup when a monitor report is attached.  One row per
@@ -361,7 +350,7 @@ def emit_report(
             )
         rows.append(row)
 
-    csv_path = out / f"{stem}.csv"
+    csv_path = out / "report.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -377,7 +366,7 @@ def emit_report(
         "checks": checks or {},
         "profile": profile_meta,
     }
-    json_path = out / f"{stem}.json"
+    json_path = out / "report.json"
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2)
     return json_path, csv_path

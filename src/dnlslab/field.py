@@ -347,19 +347,13 @@ def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
     return worst + 1.0 / low
 
 
-def build_initial_data(
-    grid: Grid,
-    c: complex,
-    n: int,
-    bump=None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> tuple[Field, float]:
-    """Admissible initial data c <x>^{-n} + bump, with its norm constant.
+def build_initial_data(grid: Grid, c: complex, n: int, bump=None) -> Field:
+    """Admissible initial data c <x>^{-n} + bump, as the v-frame field at t = 0.
 
     ``bump`` is an optional callable taking the coordinate meshes and
     returning a complex perturbation; it must keep <x>^n |v0| bounded away
-    from zero (checked on the grid).  Returns the v-frame field at t = 0 and
-    the constant from :func:`data_bound`.
+    from zero (checked on the grid).  Data that has not decayed at the box
+    boundary is refused too.  Its norm constant is :func:`data_bound`.
     """
     if c == 0:
         raise ValueError("leading coefficient c must be nonzero")
@@ -370,7 +364,8 @@ def build_initial_data(
     low, loc = weighted_inf(v0, n)
     if low <= 0:
         raise ValueError(f"initial data vanishes near x = {loc}")
-    return v0, data_bound(v0, n, max_order)
+    check_boundary_decay(v0)
+    return v0
 
 
 def save_field(f: Field, path_base) -> tuple[Path, Path]:

@@ -28,7 +28,7 @@ REF = PhysParams(1, 1.0, -1j, 4.0)
 @pytest.fixture(scope="module")
 def ref_run():
     g = Grid.line(30.0, 512, boundary_tol=1e-4)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=1e-3, c_adapt=0.05, horizon_floor=1e-4,
                        snapshot_count=25)
     return run(v0, cfg, REF, track_coupling=True)
@@ -44,7 +44,7 @@ def clean_run():
     # b = 20 keeps the modulus bounded away from zero everywhere, so the
     # integral route's quadrature constant stays small
     g = Grid.line(30.0, 512, boundary_tol=1e-4)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-4, c_adapt=0.02, horizon_floor=1e-4,
                        snapshot_count=25)
     return run(v0, cfg, PhysParams(1, 1.0, -1j, 20.0), track_coupling=True)
@@ -85,7 +85,7 @@ def test_correction_zero_at_start(ref_run):
 
 def pure_nonlinear_trajectory():
     g = Grid.line(30.0, 256, boundary_tol=1e-4)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     snaps, f, t = [v0], v0, 0.0
     for t_next in (0.05, 0.1, 0.2, 0.24):
         f = nonlinear_substep_v(f, t, t_next - t, REF)
@@ -123,7 +123,7 @@ def test_correction_integral_starts_at_zero_and_certifies(clean_run):
 
 def test_correction_integral_names_the_coupling_flag():
     g = Grid.line(30.0, 128, boundary_tol=1e-3)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
     with pytest.raises(ValueError, match=r"run\(\.\.\., track_coupling=True\)"):
         correction_integral(run(v0, cfg, REF))
@@ -140,7 +140,7 @@ def test_correction_routes_disagree_near_modulus_dips(ref_run):
 
 def test_correction_routes_agree_at_second_order():
     g = Grid.line(30.0, 512, boundary_tol=1e-4)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(1, 1.0, -1j, 20.0)
     residuals = []
     for dt0 in (1.5e-3, 7.5e-4, 3.75e-4):

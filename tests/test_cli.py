@@ -89,6 +89,25 @@ def test_snapshot_data_without_weight_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section,key,value,anchored", [
+    ("grid", "boundary_tol", 1e-8, "grid"),  # the default: <30>^-5 is 4.1e-8 of the peak
+    ("data", "c", 0.0, "c"),
+    # cancels c <x>^-5 at the grid point x = 0
+    ("data", "bump", [{"amp": [-1.0, 0.0], "center": [0.0], "width": 1.0}], "data"),
+])
+def test_unusable_initial_data_exit_2(tmp_path, capsys, section, key, value, anchored):
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    doc["grid"]["M"] = 64
+    doc[section][key] = value
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, anchored) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("dt0", -1.0), ("c_adapt", 0.0), ("horizon_floor", 1.5)])
 def test_invalid_solver_value_exit_2(tmp_path, capsys, key, value):
     doc = json.loads(json.dumps(PASS_CONFIG))
@@ -151,8 +170,9 @@ def test_env_var_output_root(tmp_path, monkeypatch):
 
 def test_verify_pass_verdict(pass_run):
     doc = json.loads((pass_run / "verdict.json").read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["verdict"] == "pass"
+    assert doc["reasons"] == []
     assert doc["compliant_regime"] is True
     for check in doc["checks"].values():
         assert check["ok"]
@@ -190,6 +210,28 @@ def test_tiny_b_classified_not_failed(tmp_path):
     assert verdict["verdict"] == "not in theorem regime"
     assert verdict["compliant_regime"] is False
     assert not verdict["monitors"]["f_within_quarter"]
+
+
+def short_decade_config(snapshots):
+    # with few snapshots the step count of the last decade of t, where the
+    # L2 envelope is fitted, falls below the fit's 8 samples
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    doc["grid"].update(M=64, boundary_tol=1e-2)
+    doc["solver"].update(dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=snapshots)
+    return doc
+
+
+@pytest.mark.parametrize("snapshots", [1, 3])
+def test_short_last_decade_is_a_failed_check(tmp_path, snapshots):
+    cfg = write_config(tmp_path / "c.json", short_decade_config(snapshots))
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    error = verdict["checks"]["l2_envelope"]["error"]
+    assert "at least 8 samples" in error
+    assert verdict["checks"]["l2_envelope"]["ok"] is False
+    assert {"check": "l2_envelope", "error": error} in verdict["reasons"]
+    assert verdict["verdict"] != "pass"
 
 
 def test_verify_post_processing_holds_no_correction_series(tmp_path, monkeypatch):
@@ -325,6 +367,19 @@ def test_one_point_sweep_matches_verify(tmp_path):
     assert len(rows) == 1
     assert rows[0]["verdict"] == verdict["verdict"]
     assert float(rows[0]["sup_deviation"]) == verdict["checks"]["sup_limit"]["deviation_u"]
+
+
+def test_sweep_row_with_an_errored_check(tmp_path):
+    doc = {"base": short_decade_config(3), "grid": {"b": [20.0]}}
+    cfg = write_config(tmp_path / "s.json", doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "sweep" / "sweep.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "ok"
+    assert row["verdict"] == "not in theorem regime"
+    assert row["l2_target"] == row["l2_fitted"] == row["band_ratio"] == ""
+    assert row["sup_deviation"] != ""
 
 
 def test_empty_sweep_grid_rejected(tmp_path, capsys):

@@ -116,7 +116,7 @@ def test_frame_tags_enforced():
 
 def v_run(b=4.0, floor=0.05):
     g = Grid.line(30.0, 128, boundary_tol=1e-3)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=floor, snapshot_count=5)
     return run(v0, cfg, PhysParams(1, 1.0, -1j, b))
 

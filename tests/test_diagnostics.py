@@ -41,7 +41,7 @@ from dnlslab.solver import SolverConfig, run
 @pytest.fixture(scope="module")
 def clean_setup():
     g = Grid.line(30.0, 512, boundary_tol=1e-4)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(1, 1.0, -1j, 20.0)
     exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
     cfg = SolverConfig(frame="v", dt0=5e-4, c_adapt=0.02, horizon_floor=1e-4,
@@ -237,7 +237,7 @@ def _monitor_per_beta(traj, v0, exps, max_order=4):
                                          (2, 0.8, 20.0, 32)])
 def test_monitor_matches_per_beta_route(N, alpha, b, M):
     g = Grid.box(30.0, M, N, boundary_tol=1e-3)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(N, alpha, -1j, b)
     exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
     cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.05 * 4.0 / b, horizon_floor=1e-3,
@@ -254,7 +254,7 @@ def test_monitor_matches_per_beta_route(N, alpha, b, M):
 def test_threaded_monitor_equals_serial_bitwise(monkeypatch):
     g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
     assert 128 * 128 >= THREAD_FLOOR
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(2, 0.8, -1j, 20.0)
     exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
     cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2,
@@ -339,8 +339,8 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
     assert doc["checks"]["sup_limit"]["target_u"] == 0.5
     assert doc["profile"]["final_gauge"] == 1e-4
     # serialization is stable: a second pass reproduces the document
-    jp2, _ = emit_report(tmp_path, traj, monitor=rep, fits=fits, checks=checks,
-                         profile_meta={"final_gauge": 1e-4}, stem="again")
+    jp2, _ = emit_report(tmp_path / "again", traj, monitor=rep, fits=fits, checks=checks,
+                         profile_meta={"final_gauge": 1e-4})
     again = json.loads(jp2.read_text())
     assert json.dumps(again, sort_keys=True) == json.dumps(doc, sort_keys=True)
 

@@ -176,7 +176,7 @@ def test_strang_small_step_near_identity():
 
 def test_strang_self_convergence_order_two():
     g = Grid.line(15.0, 256, boundary_tol=1e-4)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     T = 0.125
     finals = {}
     for dt0 in (4e-3, 2e-3, 1e-3, 2.5e-4):
@@ -200,7 +200,7 @@ def test_run_free_gaussian_oracle():
 
 def test_run_mass_nonincreasing():
     g = Grid.line(30.0, 256, boundary_tol=1e-4)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=2e-3, horizon_floor=1e-2, snapshot_count=9)
     traj = run(v0, cfg, REF)
     assert np.all(np.diff(traj.l2) <= 1e-12)
@@ -209,7 +209,7 @@ def test_run_mass_nonincreasing():
 
 def test_run_snapshot_times_and_coupling_alignment():
     g = Grid.line(30.0, 128, boundary_tol=1e-3)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
     traj = run(v0, cfg, REF, track_coupling=True)
     ts = traj.snapshot_times
@@ -231,14 +231,14 @@ def test_run_frame_mismatch():
 
 def test_run_rejects_t_end_past_horizon():
     g = Grid.line(30.0, 64, boundary_tol=1e-2)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     with pytest.raises(ValueError, match="horizon"):
         run(v0, SolverConfig(frame="v", t_end=0.3), REF)  # 1/b = 0.25
 
 
 def test_run_step_underflow():
     g = Grid.line(30.0, 64, boundary_tol=1e-2)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-3, dt_min=1e-3, c_adapt=0.05, horizon_floor=1e-4)
     with pytest.raises(StepUnderflowError):
         run(v0, cfg, REF)
@@ -290,7 +290,7 @@ def _replay_strang(v0, traj, params):
 @pytest.mark.parametrize("N,alpha,M", [(1, 1.0, 512), (2, 0.8, 64)])
 def test_run_matches_local_strang_composition(N, alpha, M, lam):
     g = Grid.box(30.0, M, N, boundary_tol=1e-3)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(N, alpha, lam, 20.0)
     cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.02, horizon_floor=1e-2,
                        snapshot_count=9)
@@ -326,7 +326,7 @@ def test_free_multiplier_cache_is_never_stale():
 
 def test_run_keeps_no_coupling_by_default():
     g = Grid.line(30.0, 128, boundary_tol=1e-3)
-    v0, _ = build_initial_data(g, 1.0, 5)
+    v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
     traj = run(v0, cfg, REF)
     assert traj.coupling is None

@@ -50,9 +50,16 @@ def fft_passes(monkeypatch):
 
 def tiny_setup(dim):
     grid = Grid.box(30.0, 64 if dim == 1 else 16, dim, boundary_tol=1e-2)
-    v0, _ = build_initial_data(grid, 1.0, 5)
+    v0 = build_initial_data(grid, 1.0, 5)
     params = PhysParams(dim, 1.0 if dim == 1 else 0.8, -1j, 20.0)
     return v0, params
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_initial_data_spends_no_transform(fft_passes, dim):
+    # its norm constant is data_bound's, which the monitor computes once
+    tiny_setup(dim)
+    assert fft_passes == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])

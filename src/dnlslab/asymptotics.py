@@ -18,6 +18,7 @@ error metrics of the main convergence statement.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -85,18 +86,29 @@ def _check_v_traj(traj: Trajectory) -> PhysParams:
     return p
 
 
+def nonvanishing_modulus(snap: Field) -> np.ndarray:
+    """|v| of a snapshot; raises ``ExtractionError`` where it vanishes on the grid."""
+    mod = np.abs(snap.values)
+    if np.min(mod) <= 0.0:
+        raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:.6g}")
+    return mod
+
+
+def balance_correction(t: float, moda: np.ndarray, mod0a: np.ndarray,
+                       params: PhysParams) -> np.ndarray:
+    """The correction at time t from |v|^alpha (``moda``) and |v0|^alpha (``mod0a``)."""
+    bracket = (1.0 - params.b * t) ** -params.gauge_exponent - 1.0
+    return mod0a / moda - 1.0 - params.balance_coefficient * mod0a * bracket
+
+
 def correction_field(snap: Field, mod0a: np.ndarray, params: PhysParams) -> Field:
     """Correction at one snapshot by inverting the modulus balance.
 
     ``mod0a`` is |v0|^alpha of the initial state.  Pure, so snapshots can
     be processed one at a time or concurrently.
     """
-    mod = np.abs(snap.values)
-    if np.min(mod) <= 0.0:
-        raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:.6g}")
-    bracket = (1.0 - params.b * snap.t) ** -params.gauge_exponent - 1.0
-    f = mod0a / mod**params.alpha - 1.0 - params.balance_coefficient * mod0a * bracket
-    return Field(snap.grid, f, "v", snap.t)
+    moda = nonvanishing_modulus(snap) ** params.alpha
+    return Field(snap.grid, balance_correction(snap.t, moda, mod0a, params), "v", snap.t)
 
 
 def correction_algebraic(traj: Trajectory) -> list[Field]:
@@ -154,6 +166,11 @@ class ProfileData:
     def correction_sup(self) -> float:
         return float(np.max(np.abs(self.correction)))
 
+    @functools.cached_property
+    def reference_power(self) -> np.ndarray:
+        """|v0|^alpha of the reference state, computed once per profile."""
+        return np.abs(self.reference.values) ** self.params.alpha
+
 
 def _psi_pow_alpha(t: float, correction: np.ndarray, mod0a: np.ndarray, p: PhysParams):
     if t < 0 or p.b * t >= 1:
@@ -192,7 +209,7 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
         log.warning("terminal correction sup %.3f exceeds 1/4; b may be too small", f0_sup)
     amp_mod = (mod0a / (1.0 + f0)) ** (1.0 / p.alpha)
     psi_a = _psi_pow_alpha(v_last.t, f0, mod0a, p)
-    theta = (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
+    theta = _drift(psi_a, p)
     phase = np.angle(v_last.values * np.exp(1j * theta))
     meta = {
         "final_time": v_last.t,
@@ -203,31 +220,39 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
     return ProfileData(f0, amp_mod * np.exp(1j * phase), v0, p, meta)
 
 
-def modulus_envelope(t: float, profile: ProfileData) -> np.ndarray:
-    """Envelope by which the amplitude is squeezed between time 0 and t."""
-    p = profile.params
-    mod0a = np.abs(profile.reference.values) ** p.alpha
-    psi = _psi_pow_alpha(t, profile.correction, mod0a, p) ** (1.0 / p.alpha)
+def _profile_psi_pow_alpha(t: float, profile: ProfileData) -> np.ndarray:
+    return _psi_pow_alpha(t, profile.correction, profile.reference_power, profile.params)
+
+
+def _envelope(psi_a: np.ndarray, profile: ProfileData) -> np.ndarray:
+    psi = psi_a ** (1.0 / profile.params.alpha)
     if profile.correction_sup < 1.0:
         assert np.all(psi > 0.0) and np.all(psi <= 1.0 + 1e-12)
     return psi
 
 
+def _drift(psi_a: np.ndarray, p: PhysParams) -> np.ndarray:
+    return (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
+
+
+def modulus_envelope(t: float, profile: ProfileData) -> np.ndarray:
+    """Envelope by which the amplitude is squeezed between time 0 and t."""
+    return _envelope(_profile_psi_pow_alpha(t, profile), profile)
+
+
 def phase_drift(t: float, profile: ProfileData) -> np.ndarray:
     """Accumulated nonlinear phase; identically zero for purely imaginary lam."""
-    p = profile.params
-    if p.lam.real == 0.0:
+    if profile.params.lam.real == 0.0:
         return np.zeros(profile.reference.grid.shape)
-    mod0a = np.abs(profile.reference.values) ** p.alpha
-    psi_a = _psi_pow_alpha(t, profile.correction, mod0a, p)
-    return (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
+    return _drift(_profile_psi_pow_alpha(t, profile), profile.params)
 
 
 def predicted_field_v(s: float, profile: ProfileData) -> Field:
     """Rescaled-frame prediction amplitude * envelope * exp(-i drift) at time s."""
-    vals = profile.amplitude * modulus_envelope(s, profile)
+    psi_a = _profile_psi_pow_alpha(s, profile)
+    vals = profile.amplitude * _envelope(psi_a, profile)
     if profile.params.lam.real != 0.0:  # the drift is identically zero otherwise
-        vals = vals * np.exp(-1j * phase_drift(s, profile))
+        vals = vals * np.exp(-1j * _drift(psi_a, profile.params))
     return Field(profile.reference.grid, vals, "v", s)
 
 

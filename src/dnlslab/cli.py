@@ -34,13 +34,13 @@ from .asymptotics import (
 from .conformal import norm_bridge, to_u_frame
 from .diagnostics import (
     MASS_SLACK,
+    SnapshotMonitor,
     check_l2_envelope,
     check_sup_limit,
     emit_report,
     fit_power_law,
     l2_envelope_exponent,
     mass_dissipation_ok,
-    monitor_phi,
 )
 from .field import (
     DEFAULT_BOUNDARY_TOL,
@@ -288,7 +288,10 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
             err("exponents", f"exponent weight n = {exps.n} does not match data n = {data_n}")
 
     if "snapshot" in da:
-        initial = load_field(da["snapshot"])
+        try:
+            initial = load_field(da["snapshot"])
+        except ValueError as e:  # an unknown sidecar schema, a payload off the grid
+            err("snapshot", str(e))
         if grid is not None and (
             tuple(initial.grid.points) != tuple(grid.points)
             or not np.allclose(initial.grid.extents, grid.extents)
@@ -335,9 +338,13 @@ def _echo_config(out: Path, doc: dict) -> None:
     (out / "run_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
-def _simulate_and_dump(rc: RunConfig, doc: dict):
-    """Run the configured simulation and write config echo, norms and snapshots."""
-    traj = run(rc.initial, rc.solver, rc.params, exps=rc.exps)
+def _simulate_and_dump(rc: RunConfig, doc: dict, on_snapshot=None):
+    """Run the configured simulation and write config echo, norms and snapshots.
+
+    ``on_snapshot`` is handed to ``run``: a monitor that starts on each
+    snapshot while the solve goes on.
+    """
+    traj = run(rc.initial, rc.solver, rc.params, exps=rc.exps, on_snapshot=on_snapshot)
     rc.out.mkdir(parents=True, exist_ok=True)
     _echo_config(rc.out, doc)
     _write_norms(rc.out, traj)
@@ -345,13 +352,25 @@ def _simulate_and_dump(rc: RunConfig, doc: dict):
     return traj
 
 
+def _simulate_monitored(rc: RunConfig, doc: dict, max_order: int):
+    """``_simulate_and_dump`` with the monitors fed each snapshot as it is taken.
+
+    On a large grid the monitor rows start during the solve; a solver error
+    cancels those not started.  A vanishing modulus raises ExtractionError
+    once the run is dumped, before anything else is written.
+    """
+    with SnapshotMonitor(rc.initial, rc.exps, rc.params, max_order) as monitoring:
+        traj = _simulate_and_dump(rc, doc, monitoring)
+        return traj, monitoring.report()
+
+
 def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
     doc, text = load_config(cfg_path)
     rc = build_run(doc, cfg_path, text, out_override)
-    traj = _simulate_and_dump(rc, doc)
-    monitor = None
     if rc.solver.frame == "v" and rc.exps is not None:  # exps exist only for Im(lam) < 0
-        monitor = monitor_phi(traj, rc.initial, rc.exps, max_order)
+        traj, monitor = _simulate_monitored(rc, doc, max_order)
+    else:
+        traj, monitor = _simulate_and_dump(rc, doc), None
     emit_report(rc.out, traj, monitor=monitor)
     print(f"simulate: {len(traj.times) - 1} steps, artifacts in {rc.out}")
     return EXIT_OK
@@ -382,12 +401,9 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
         raise ConfigError(cfg_path, _find_line(text, "data"),
                           'theorem verification needs a weight order: data "n" '
                           'or an "exponents" section')
-    traj = _simulate_and_dump(rc, doc)
+    # a vanishing modulus exits 3 before any profile or bridge artifact
+    traj, monitor = _simulate_monitored(rc, doc, max_order)
     out = rc.out
-
-    # a vanishing modulus raises ExtractionError here, before any profile or
-    # bridge artifact is written, and exits 3
-    monitor = monitor_phi(traj, rc.initial, rc.exps, max_order)
     profile = None
     extraction_error = None
     try:

@@ -9,6 +9,7 @@ structures that ``emit_report`` serializes to JSON plus a per-snapshot CSV.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, field as dc_field
@@ -16,7 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import CORRECTION_BOUND, correction_field, horizon_gauge
+from .asymptotics import (
+    CORRECTION_BOUND,
+    balance_correction,
+    horizon_gauge,
+    nonvanishing_modulus,
+)
 from .conformal import NormSeries
 from .field import (
     DEFAULT_MAX_ORDER,
@@ -34,8 +40,8 @@ MIN_FIT_SAMPLES = 8
 # Largest relative per-step growth of the mass that still counts as dissipation.
 MASS_SLACK = 1e-12
 REPORT_SCHEMA = 2
-# Grid points from which monitor_phi maps snapshots over one thread per CPU,
-# up to MAX_THREADS; numpy's FFT releases the GIL.  Two threads against one
+# Grid points from which SnapshotMonitor computes its rows on one thread per
+# CPU, up to MAX_THREADS; numpy's FFT releases the GIL.  Two threads against one
 # on 2 CPUs (Xeon, Python 3.11, numpy 2.4; 49 snapshots, medians of 10
 # alternating rounds): 2-D M = 64 took 1.3-1.4x as long, M = 128 0.85-0.95x,
 # M = 256 0.77-0.84x, and 1-D M = 2048 1.1-1.6x.  So 2-D grids from 128^2
@@ -217,6 +223,120 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+class SnapshotMonitor:
+    """The weighted running-sup monitors of a rescaled-frame run, fed snapshot by snapshot.
+
+    Call the monitor with each snapshot in schedule order, the initial state
+    first (``run``'s ``on_snapshot`` does), then take ``report()``.  On a
+    grid of at least ``THREAD_FLOOR`` points each snapshot's row starts on a
+    pool of one thread per CPU, at most ``MAX_THREADS``, as soon as the
+    snapshot arrives, so the rows overlap whatever the caller does next;
+    smaller grids compute every row in ``report()``.  The running maxima are
+    reduced in snapshot order either way, so the report is the same bit for
+    bit.  Use it as a context manager: leaving the block cancels the rows
+    that have not started, so a failing run does not wait for them.
+    """
+
+    def __init__(self, v0: Field, exps: ExponentSet, params: PhysParams,
+                 max_order: int = DEFAULT_MAX_ORDER):
+        self._v0, self._exps, self._params, self._max_order = v0, exps, params, max_order
+        self._orders = derivative_orders(v0.grid.dim, max_order)
+        self._weight = v0.grid.bracket_pow(exps.n)
+        self._mod0a = None
+        self._times: list[float] = []
+        self._rows = []  # per snapshot, a call that returns its row
+        self._pool = None
+        workers = min(_cpu_count(), MAX_THREADS) if np.prod(v0.grid.shape) >= THREAD_FLOOR else 1
+        if workers > 1:
+            # imported here, so a process that never threads never loads it
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=workers)
+            self._bound = self._pool.submit(self._data_bound).result
+        else:
+            self._bound = functools.cache(self._data_bound)
+
+    def __enter__(self) -> "SnapshotMonitor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def __call__(self, snap: Field) -> None:
+        if self._mod0a is None:
+            self._mod0a = np.abs(snap.values) ** self._params.alpha
+        self._times.append(snap.t)
+        if self._pool is not None:
+            self._rows.append(self._pool.submit(self._row, snap).result)
+        else:
+            self._rows.append(functools.partial(self._row, snap))
+
+    def _data_bound(self) -> tuple[float, np.ndarray]:
+        # the data constant K and the tail of the pointwise decay bound
+        p, n = self._params, self._exps.n
+        K = data_bound(self._v0, n, self._max_order)
+        return K, 2.0 * K**p.alpha * self._v0.grid.bracket_pow(-n * p.alpha)
+
+    def _row(self, snap: Field) -> tuple[float, float, float, float, bool]:
+        # pure: reads only its argument and the arrays fixed before the first
+        # row.  The modulus comes first: it raises on a vanishing modulus, so
+        # |v| > 0 below
+        p, exps = self._params, self._exps
+        mod = nonvanishing_modulus(snap)
+        f_sup, decays = self._balance(snap.t, mod)
+        g = 1.0 - p.b * snap.t
+        now1 = now4 = 0.0
+        for beta, mod_d in derivative_moduli(snap, self._orders):
+            sig = exps.sigma_j(sum(beta))
+            now1 = max(now1, g**sig * float(np.max(self._weight * mod_d)))
+            now4 = max(now4, g**sig * float(np.max(mod_d / mod)))
+        now3 = g ** (p.gauge_exponent / p.alpha) / float(np.min(self._weight * mod))
+        return now1, now3, now4, f_sup, decays
+
+    def _balance(self, t: float, mod: np.ndarray) -> tuple[float, bool]:
+        # the correction sup and the pointwise decay check, both from |v|^alpha;
+        # its temporaries are gone before the derivative ladder starts
+        p = self._params
+        moda = mod**p.alpha
+        f_sup = float(np.max(np.abs(balance_correction(t, moda, self._mod0a, p))))
+        cap = (1.0 + p.sup_limit) * np.minimum(self._bound()[1], p.b * horizon_gauge(t, p))
+        return f_sup, not np.any(moda > cap * (1.0 + 1e-12))
+
+    def report(self) -> MonitorReport:
+        """The monitors over every snapshot fed so far.
+
+        Raises the first error of the data constant, then of the rows in
+        snapshot order: ``ExtractionError`` for the first snapshot whose
+        modulus vanishes.
+        """
+        K = self._bound()[0]
+        rows = [row() for row in self._rows]
+        phi1, phi3, phi4, psi = [], [], [], []
+        r1 = r3 = r4 = 0.0
+        for now1, now3, now4, _, _ in rows:
+            r1, r3, r4 = max(r1, now1), max(r3, now3), max(r4, now4)
+            phi1.append(r1)
+            phi3.append(r3)
+            phi4.append(r4)
+            psi.append(max(r1, r3, r4))
+        psi = np.array(psi)
+        f_arr = np.array([row[3] for row in rows])
+        return MonitorReport(
+            times=np.array(self._times),
+            phi1=np.array(phi1),
+            phi3=np.array(phi3),
+            phi4=np.array(phi4),
+            psi=psi,
+            f_sup=f_arr,
+            max_order=self._max_order,
+            data_constant=K,
+            psi_bounded=bool(np.isfinite(psi[-1])),
+            f_within_quarter=bool(np.max(f_arr) <= CORRECTION_BOUND),
+            decay_pointwise=all(row[4] for row in rows),
+        )
+
+
 def monitor_phi(
     traj: Trajectory,
     v0: Field,
@@ -234,72 +354,18 @@ def monitor_phi(
     below the regime threshold breaks them legitimately.  A vanishing
     modulus raises ``ExtractionError`` for the first such snapshot.
 
-    Snapshots are independent, so on a grid of at least ``THREAD_FLOOR``
-    points they are mapped over one thread per CPU, at most ``MAX_THREADS``;
-    the result is the same bit for bit.
+    The rows are those of :class:`SnapshotMonitor`, fed the trajectory's
+    snapshots after the run, on the same threads; ``verify-theorem`` feeds
+    them during the run instead.
     """
     if traj.frame != "v":
         raise ValueError("monitors are defined on rescaled-frame trajectories")
     if not traj.snapshots:
         raise ValueError("no snapshots")
-    p = traj.params
-    n = exps.n
-    K = data_bound(v0, n, max_order)
-    decay_const = 1.0 + p.sup_limit
-    orders = derivative_orders(v0.grid.dim, max_order)
-    weight = v0.grid.bracket_pow(n)
-    tail_bound = 2.0 * K**p.alpha * v0.grid.bracket_pow(-n * p.alpha)
-    mod0a = np.abs(traj.snapshots[0].values) ** p.alpha
-
-    def one_snapshot(snap: Field) -> tuple[float, float, float, float, bool]:
-        # pure: reads only its argument and the arrays above.  The correction
-        # comes first: it raises on a vanishing modulus, so |v| > 0 below
-        f_sup = float(np.max(np.abs(correction_field(snap, mod0a, p).values)))
-        g = 1.0 - p.b * snap.t
-        mod = np.abs(snap.values)
-        now1 = now4 = 0.0
-        for beta, mod_d in derivative_moduli(snap, orders):
-            sig = exps.sigma_j(sum(beta))
-            now1 = max(now1, g**sig * float(np.max(weight * mod_d)))
-            now4 = max(now4, g**sig * float(np.max(mod_d / mod)))
-        now3 = g ** (p.gauge_exponent / p.alpha) / float(np.min(weight * mod))
-        cap = decay_const * np.minimum(tail_bound, p.b * horizon_gauge(snap.t, p))
-        decays = not np.any(mod**p.alpha > cap * (1.0 + 1e-12))
-        return now1, now3, now4, f_sup, decays
-
-    workers = min(_cpu_count(), MAX_THREADS) if np.prod(v0.grid.shape) >= THREAD_FLOOR else 1
-    if workers > 1:
-        # imported here, so a process that never threads never loads it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_snapshot, traj.snapshots))
-    else:
-        rows = list(map(one_snapshot, traj.snapshots))
-
-    phi1, phi3, phi4, psi = [], [], [], []
-    r1 = r3 = r4 = 0.0
-    for now1, now3, now4, _, _ in rows:
-        r1, r3, r4 = max(r1, now1), max(r3, now3), max(r4, now4)
-        phi1.append(r1)
-        phi3.append(r3)
-        phi4.append(r4)
-        psi.append(max(r1, r3, r4))
-    psi = np.array(psi)
-    f_arr = np.array([row[3] for row in rows])
-    return MonitorReport(
-        times=traj.snapshot_times,
-        phi1=np.array(phi1),
-        phi3=np.array(phi3),
-        phi4=np.array(phi4),
-        psi=psi,
-        f_sup=f_arr,
-        max_order=max_order,
-        data_constant=K,
-        psi_bounded=bool(np.isfinite(psi[-1])),
-        f_within_quarter=bool(np.max(f_arr) <= CORRECTION_BOUND),
-        decay_pointwise=all(row[4] for row in rows),
-    )
+    with SnapshotMonitor(v0, exps, traj.params, max_order) as monitor:
+        for snap in traj.snapshots:
+            monitor(snap)
+        return monitor.report()
 
 
 def mass_dissipation_ok(traj: Trajectory) -> tuple[bool, float]:

@@ -150,6 +150,17 @@ class Grid:
         kx, ky = np.meshgrid(*ks, indexing="ij")
         return kx**2 + ky**2
 
+    @_per_grid
+    def wavenumber_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values of |k|^2, and per point the index of its own.
+
+        A radial multiplier evaluated on the levels and gathered through the
+        index equals the one evaluated on ``wavenumber_sq`` bit for bit, at a
+        fraction of the cost: a 256^2 grid has 7,446 levels.
+        """
+        levels, index = np.unique(self.wavenumber_sq(), return_inverse=True)
+        return levels, index.reshape(self.shape)
+
     def scaled(self, factor: float) -> "Grid":
         """Grid with every coordinate multiplied by ``factor`` (same points)."""
         if factor <= 0:
@@ -269,7 +280,11 @@ def _ladder(part: np.ndarray, orders: list, ax: int, grid: Grid):
     k = grid.wavenumbers()[ax]
     spec = np.fft.fft(part, axis=ax) if any(beta[ax] for beta in orders) else None
     for b in dict.fromkeys(beta[ax] for beta in orders):
-        d = part if b == 0 else np.fft.ifft(spec * _axis_symbol(k, b, ax, grid.dim), axis=ax)
+        if b == 0:
+            d = part
+        else:  # in place on the product, which spares a fresh array
+            d = spec * _axis_symbol(k, b, ax, grid.dim)
+            np.fft.ifft(d, axis=ax, out=d)
         rest = [beta for beta in orders if beta[ax] == b]
         if ax + 1 == grid.dim:
             mod = np.abs(d)
@@ -277,13 +292,6 @@ def _ladder(part: np.ndarray, orders: list, ax: int, grid: Grid):
                 yield beta, mod
         else:
             yield from _ladder(d, rest, ax + 1, grid)
-
-
-def laplacian(f: Field, check: bool = True) -> Field:
-    if check:
-        check_boundary_decay(f)
-    spec = np.fft.fftn(f.values)
-    return f.with_values(np.fft.ifftn(-f.grid.wavenumber_sq() * spec))
 
 
 def sup_norm(f: Field) -> float:

@@ -1,15 +1,22 @@
 """End-to-end command-line coverage: configs, verdicts, sweeps, plot tables."""
 
+import concurrent.futures
 import csv
 import json
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dnlslab import cli
+from dnlslab import cli, diagnostics, solver
+from dnlslab.asymptotics import ExtractionError
 from dnlslab.cli import main
+from dnlslab.diagnostics import SnapshotMonitor, monitor_phi
 from dnlslab.field import Field, Grid, load_field, save_field
+from dnlslab.solver import UnstableSolutionError
 
 PASS_CONFIG = {
     "phys": {"N": 1, "alpha": 1.0, "lam": [0.0, -1.0], "b": 20.0},
@@ -86,6 +93,34 @@ def test_snapshot_data_without_weight_rejected(tmp_path, capsys):
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert anchor(cfg, "data") in err and "weight order" in err
+    assert not out.exists()
+
+
+def _schema_99(base):
+    meta = json.loads(base.with_suffix(".json").read_text())
+    base.with_suffix(".json").write_text(json.dumps({**meta, "schema_version": 99}))
+
+
+def _short_payload(base):
+    raw = base.with_suffix(".bin").read_bytes()
+    base.with_suffix(".bin").write_bytes(raw[:-16])  # one sample short of the grid
+
+
+@pytest.mark.parametrize("spoil,message", [(_schema_99, "unsupported snapshot schema 99"),
+                                           (_short_payload, "does not match grid size")])
+def test_unreadable_snapshot_data_exit_2(tmp_path, capsys, spoil, message):
+    g = Grid.line(30.0, 64)
+    save_field(Field(g, g.bracket() ** -5.0 + 0j, "v", 0.0), tmp_path / "v0")
+    spoil(tmp_path / "v0")
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    del doc["grid"]
+    doc["data"] = {"n": 5, "snapshot": str(tmp_path / "v0")}
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, "snapshot") in err and message in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -246,8 +281,8 @@ def test_verify_post_processing_holds_no_correction_series(tmp_path, monkeypatch
     }
     simulate = cli._simulate_and_dump
 
-    def simulate_then_trace(rc, doc):
-        done = simulate(rc, doc)
+    def simulate_then_trace(*args):
+        done = simulate(*args)
         tracemalloc.start()
         return done
 
@@ -262,6 +297,112 @@ def test_verify_post_processing_holds_no_correction_series(tmp_path, monkeypatch
     print(f"post-processing peak {peak / 1024:.0f} KiB; "
           f"a correction series would be {snapshots * correction_bytes / 1024:.0f} KiB")
     assert peak < snapshots * correction_bytes
+
+
+# 2-D, 128^2 points: at THREAD_FLOOR, so the monitor rows run on a pool
+THREADED_CONFIG = {
+    "phys": {"N": 2, "alpha": 0.8, "lam": [0.0, -1.0], "b": 20.0},
+    "grid": {"L": 30.0, "M": 128, "boundary_tol": 1e-2},
+    "solver": {"frame": "v", "dt0": 2e-3, "c_adapt": 0.2,
+               "horizon_floor": 1e-2, "snapshot_count": 17},
+    "data": {"c": 1.0, "n": 5},
+}
+
+
+def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
+    submitted, at_run_end, kept = [], [], []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args[0])
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    solve, simulate = cli.run, cli._simulate_and_dump
+
+    def counted_solve(*args, **kwargs):
+        traj = solve(*args, **kwargs)
+        at_run_end.append(len(submitted))
+        return traj
+
+    def keep(rc, *args):
+        kept.append((rc, simulate(rc, *args)))
+        return kept[-1][1]
+
+    monkeypatch.setattr(cli, "run", counted_solve)
+    monkeypatch.setattr(cli, "_simulate_and_dump", keep)
+    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0
+    rc, traj = kept[0]
+    # the data constant and every row were handed to the pool during the run
+    assert at_run_end == [1 + len(traj.snapshots)] and len(submitted) == at_run_end[0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    after = monitor_phi(traj, rc.initial, rc.exps)
+    block = json.loads((out / "report.json").read_text())["monitor"]
+    assert block == json.loads(json.dumps(after.as_dict()))
+
+
+def test_solver_error_beside_a_busy_monitor_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fed, started = [], []
+    feed, row, update = SnapshotMonitor.__call__, SnapshotMonitor._row, solver._nonlinear_update
+
+    def counted_feed(self, snap):
+        fed.append(snap.t)
+        feed(self, snap)
+
+    def slow_row(self, snap):
+        started.append(snap.t)
+        time.sleep(0.2)
+        return row(self, snap)
+
+    def failing_update(*args):
+        if len(fed) >= 6:
+            raise UnstableSolutionError("injected blow-up")
+        return update(*args)
+
+    monkeypatch.setattr(SnapshotMonitor, "__call__", counted_feed)
+    monkeypatch.setattr(SnapshotMonitor, "_row", slow_row)
+    monkeypatch.setattr(solver, "_nonlinear_update", failing_update)
+    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
+    out = tmp_path / "out"
+    codes = []
+    verify = threading.Thread(daemon=True, target=lambda: codes.append(
+        main(["verify-theorem", "--config", str(cfg), "--out", str(out)])))
+    verify.start()
+    verify.join(timeout=60)
+    assert not verify.is_alive() and codes == [3]
+    err = capsys.readouterr().err
+    assert "numerical failure: injected blow-up" in err
+    assert "Traceback" not in err
+    # rows that had not started were cancelled, not waited for
+    assert len(fed) == 6 and len(started) < len(fed)
+    assert not out.exists()
+
+
+def test_vanishing_modulus_beside_the_solve_exits_3_after_the_run(tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    check = diagnostics.nonvanishing_modulus
+
+    def vanishing(snap):
+        if snap.t > 0:
+            raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:.6g}")
+        return check(snap)
+
+    monkeypatch.setattr(diagnostics, "nonvanishing_modulus", vanishing)
+    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    # the first snapshot after the initial one, reported once the run is dumped
+    first = json.loads((out / "snapshots" / "snap_0001.json").read_text())["time"]
+    assert f"numerical failure: modulus vanishes on the grid at t = {first:.6g}\n" in err
+    assert "Traceback" not in err
+    assert (out / "norms.csv").exists() and len(list((out / "snapshots").glob("*.bin"))) == 17
+    assert not (out / "profile").exists() and not (out / "bridge.csv").exists()
 
 
 def test_verify_deterministic(tmp_path, pass_run):

@@ -12,7 +12,6 @@ from dnlslab.field import (
     check_boundary_decay,
     data_bound,
     l2_norm,
-    laplacian,
     load_field,
     save_field,
     spectral_derivative,
@@ -84,13 +83,6 @@ def test_mixed_partial_2d():
     df = spectral_derivative(f, (1, 1))
     exact = 4 * X * Y * np.exp(-(X**2) - Y**2)
     assert np.max(np.abs(df.values - exact)) < 1e-10
-
-
-def test_laplacian_matches_second_derivative():
-    _, _, f = gaussian_field()
-    lap = laplacian(f)
-    d2 = spectral_derivative(f, 2)
-    assert np.max(np.abs(lap.values - d2.values)) < 1e-12
 
 
 def test_derivative_linearity():

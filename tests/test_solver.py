@@ -8,6 +8,7 @@ from dnlslab.field import Field, Grid, build_initial_data, l2_norm
 from dnlslab.params import PhysParams
 from dnlslab.solver import (
     SolverConfig,
+    _free_multiplier,
     StepUnderflowError,
     UnstableSolutionError,
     coefficient_integral,
@@ -333,3 +334,49 @@ def test_run_keeps_no_coupling_by_default():
     tracked = run(v0, cfg, REF, track_coupling=True)
     for a, b in zip(traj.snapshots, tracked.snapshots):
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("grid", [Grid.line(30.0, 2048), Grid.line(20.0, 512),
+                                  Grid.box(30.0, 256, 2), Grid.box(20.0, 64, 2)],
+                         ids=["1d-2048", "1d-512", "2d-256", "2d-64"])
+def test_free_multiplier_from_levels_is_the_direct_exponential(grid):
+    # evaluated on the distinct |k|^2 and gathered, the same bits as on every point
+    for tau in (1e-9, 3.3e-6, 2.5e-4, 1e-3, 0.0123, 0.37, 3.1):
+        direct = np.exp(-1j * tau * grid.wavenumber_sq())
+        assert _free_multiplier(grid, tau).tobytes() == direct.tobytes()
+
+
+def _strang_composed(f0, traj, cfg, params):
+    """States after each recorded step of ``traj``, composed from strang_step."""
+    f, states = f0, [f0.values]
+    for t_new, dt in zip(traj.times[1:], traj.dts[1:]):
+        f = strang_step(f, t_new - dt, dt, cfg, params)
+        states.append(f.values)
+    return states
+
+
+@pytest.mark.parametrize("N,alpha,M,lam,frame", [
+    (1, 1.0, 512, -1j, "v"),
+    (2, 0.8, 64, -1j, "v"),
+    (1, 1.0, 512, 2.0 - 1j, "v"),
+    (2, 0.8, 64, 2.0 - 1j, "v"),
+    (1, 1.0, 512, -1j, "u"),
+    (2, 0.8, 64, 0j, "u"),
+])
+def test_run_carrying_the_spectrum_matches_strang_step(N, alpha, M, lam, frame):
+    g = Grid.box(30.0, M, N, boundary_tol=1e-3)
+    f0 = build_initial_data(g, 1.0, 5)
+    p = PhysParams(N, alpha, lam, 20.0)
+    if frame == "v":
+        cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.02, horizon_floor=1e-2,
+                           snapshot_count=9)
+    else:
+        f0 = Field(g, f0.values, "u", 0.0)
+        cfg = SolverConfig(frame="u", dt0=2e-3, t_end=0.5, snapshot_count=9)
+    traj = run(f0, cfg, p)
+    assert len(traj.times) > 30
+    states = _strang_composed(f0, traj, cfg, p)
+    for snap in traj.snapshots:
+        i = int(np.argmin(np.abs(traj.times - snap.t)))
+        ref = states[i]
+        assert np.max(np.abs(snap.values - ref)) <= 1e-12 * np.max(np.abs(ref)), snap.t

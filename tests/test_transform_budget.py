@@ -63,18 +63,22 @@ def test_initial_data_spends_no_transform(fft_passes, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_run_spends_four_transforms_per_step(fft_passes, dim):
+def test_run_spends_three_transforms_per_step(fft_passes, dim):
     v0, params = tiny_setup(dim)
     fft_passes.clear()
     traj = run(v0, CFG, params)
     steps = len(traj.times) - 1
     assert steps > 10
-    assert len(fft_passes) == 4 * steps
-    assert sum(fft_passes) == 4 * steps * dim
+    # the spectrum is carried: one forward transform of the initial state,
+    # then per step into and out of the nonlinear substep and back for the
+    # records
+    assert len(fft_passes) == 3 * steps + 1
+    assert sum(fft_passes) == (3 * steps + 1) * dim
     fft_passes.clear()
     run(v0, CFG, params, track_coupling=True)
-    # one Laplacian pair per step and one for the initial state
-    assert sum(fft_passes) == (6 * steps + 2) * dim
+    # one inverse transform of the carried spectrum per Laplacian, one per
+    # step and one for the initial state
+    assert sum(fft_passes) == (4 * steps + 2) * dim
 
 
 @pytest.mark.parametrize("dim", [1, 2])

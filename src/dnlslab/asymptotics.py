@@ -18,7 +18,6 @@ error metrics of the main convergence statement.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -166,11 +165,6 @@ class ProfileData:
     def correction_sup(self) -> float:
         return float(np.max(np.abs(self.correction)))
 
-    @functools.cached_property
-    def reference_power(self) -> np.ndarray:
-        """|v0|^alpha of the reference state, computed once per profile."""
-        return np.abs(self.reference.values) ** self.params.alpha
-
 
 def _psi_pow_alpha(t: float, correction: np.ndarray, mod0a: np.ndarray, p: PhysParams):
     if t < 0 or p.b * t >= 1:
@@ -209,7 +203,7 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
         log.warning("terminal correction sup %.3f exceeds 1/4; b may be too small", f0_sup)
     amp_mod = (mod0a / (1.0 + f0)) ** (1.0 / p.alpha)
     psi_a = _psi_pow_alpha(v_last.t, f0, mod0a, p)
-    theta = _drift(psi_a, p)
+    theta = (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
     phase = np.angle(v_last.values * np.exp(1j * theta))
     meta = {
         "final_time": v_last.t,
@@ -220,39 +214,31 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
     return ProfileData(f0, amp_mod * np.exp(1j * phase), v0, p, meta)
 
 
-def _profile_psi_pow_alpha(t: float, profile: ProfileData) -> np.ndarray:
-    return _psi_pow_alpha(t, profile.correction, profile.reference_power, profile.params)
-
-
-def _envelope(psi_a: np.ndarray, profile: ProfileData) -> np.ndarray:
-    psi = psi_a ** (1.0 / profile.params.alpha)
+def modulus_envelope(t: float, profile: ProfileData) -> np.ndarray:
+    """Envelope by which the amplitude is squeezed between time 0 and t."""
+    p = profile.params
+    mod0a = np.abs(profile.reference.values) ** p.alpha
+    psi = _psi_pow_alpha(t, profile.correction, mod0a, p) ** (1.0 / p.alpha)
     if profile.correction_sup < 1.0:
         assert np.all(psi > 0.0) and np.all(psi <= 1.0 + 1e-12)
     return psi
 
 
-def _drift(psi_a: np.ndarray, p: PhysParams) -> np.ndarray:
-    return (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
-
-
-def modulus_envelope(t: float, profile: ProfileData) -> np.ndarray:
-    """Envelope by which the amplitude is squeezed between time 0 and t."""
-    return _envelope(_profile_psi_pow_alpha(t, profile), profile)
-
-
 def phase_drift(t: float, profile: ProfileData) -> np.ndarray:
     """Accumulated nonlinear phase; identically zero for purely imaginary lam."""
-    if profile.params.lam.real == 0.0:
+    p = profile.params
+    if p.lam.real == 0.0:
         return np.zeros(profile.reference.grid.shape)
-    return _drift(_profile_psi_pow_alpha(t, profile), profile.params)
+    mod0a = np.abs(profile.reference.values) ** p.alpha
+    psi_a = _psi_pow_alpha(t, profile.correction, mod0a, p)
+    return (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
 
 
 def predicted_field_v(s: float, profile: ProfileData) -> Field:
     """Rescaled-frame prediction amplitude * envelope * exp(-i drift) at time s."""
-    psi_a = _profile_psi_pow_alpha(s, profile)
-    vals = profile.amplitude * _envelope(psi_a, profile)
+    vals = profile.amplitude * modulus_envelope(s, profile)
     if profile.params.lam.real != 0.0:  # the drift is identically zero otherwise
-        vals = vals * np.exp(-1j * _drift(psi_a, profile.params))
+        vals = vals * np.exp(-1j * phase_drift(s, profile))
     return Field(profile.reference.grid, vals, "v", s)
 
 

@@ -41,6 +41,8 @@ from .diagnostics import (
     fit_power_law,
     l2_envelope_exponent,
     mass_dissipation_ok,
+    monitor_phi,
+    monitor_threads,
 )
 from .field import (
     DEFAULT_BOUNDARY_TOL,
@@ -353,12 +355,18 @@ def _simulate_and_dump(rc: RunConfig, doc: dict, on_snapshot=None):
 
 
 def _simulate_monitored(rc: RunConfig, doc: dict, max_order: int):
-    """``_simulate_and_dump`` with the monitors fed each snapshot as it is taken.
+    """``_simulate_and_dump``, then the monitor report of the run.
 
-    On a large grid the monitor rows start during the solve; a solver error
-    cancels those not started.  A vanishing modulus raises ExtractionError
-    once the run is dumped, before anything else is written.
+    Where the monitor rows run on threads (``monitor_threads``), each
+    snapshot is handed to them as it is taken, so the rows overlap the
+    solve, and a solver error cancels those not started; elsewhere
+    ``monitor_phi`` runs after the run.  Either way a vanishing modulus
+    raises ExtractionError once the run is dumped, before anything else is
+    written.
     """
+    if monitor_threads(rc.initial.grid) == 1:
+        traj = _simulate_and_dump(rc, doc)
+        return traj, monitor_phi(traj, rc.initial, rc.exps, max_order)
     with SnapshotMonitor(rc.initial, rc.exps, rc.params, max_order) as monitoring:
         traj = _simulate_and_dump(rc, doc, monitoring)
         return traj, monitoring.report()

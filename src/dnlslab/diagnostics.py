@@ -27,6 +27,7 @@ from .conformal import NormSeries
 from .field import (
     DEFAULT_MAX_ORDER,
     Field,
+    Grid,
     data_bound,
     derivative_moduli,
     derivative_orders,
@@ -223,6 +224,11 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def monitor_threads(grid: Grid) -> int:
+    """Threads the monitor rows of ``grid`` run on: 1 below ``THREAD_FLOOR``."""
+    return min(_cpu_count(), MAX_THREADS) if np.prod(grid.shape) >= THREAD_FLOOR else 1
+
+
 class SnapshotMonitor:
     """The weighted running-sup monitors of a rescaled-frame run, fed snapshot by snapshot.
 
@@ -246,7 +252,7 @@ class SnapshotMonitor:
         self._times: list[float] = []
         self._rows = []  # per snapshot, a call that returns its row
         self._pool = None
-        workers = min(_cpu_count(), MAX_THREADS) if np.prod(v0.grid.shape) >= THREAD_FLOOR else 1
+        workers = monitor_threads(v0.grid)
         if workers > 1:
             # imported here, so a process that never threads never loads it
             from concurrent.futures import ThreadPoolExecutor

@@ -16,15 +16,12 @@ the only error is the splitting commutator.
 Near the horizon the step size shrinks like c_adapt * (1 - b t); a run
 stops once 1 - b t reaches a configured floor.
 
-``run`` steps on plain arrays and carries the state's spectrum from step to
-step.  A step is w = ifftn(H S), the nonlinear substep on w, S = H fftn(w),
-and v = ifftn(S) for the per-step records and the snapshots, with H the
-half-step multiplier: 3 N-D transforms per step, plus one forward transform
-of the initial state, where composing ``strang_step`` spends 4.  The
+``run`` carries the state's spectrum from step to step (``Field.spectrum``):
+a step is w = ifftn(H S), the nonlinear substep on w, S = H fftn(w), and
+v = ifftn(S) for the per-step records and the snapshots, with H the
+half-step multiplier.  That is 3 N-D transforms per step, plus one forward
+transform of the initial state; a state without its spectrum costs 4.  The
 Laplacian of the coupling record comes from the carried spectrum too.
-``strang_step`` and the substeps are the ``Field``-level reference that the
-tests compare ``run`` against; both share ``_nonlinear_update``,
-``coefficient_integral`` and ``_free_multiplier``.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 import functools
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,15 +179,28 @@ def nonlinear_substep_v(f: Field, t: float, tau: float, params: PhysParams) -> F
 
 
 def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysParams) -> Field:
-    """One splitting step [t, t + dt]: half linear, full nonlinear, half linear."""
-    g = linear_substep(f, 0.5 * dt)
+    """One splitting step [t, t + dt]: half linear, full nonlinear, half linear.
+
+    The half-steps are ``linear_substep``'s multiplier applied to spectra:
+    the step starts from ``f.spectrum`` when ``f`` carries one, and the
+    result carries its own, so composed steps spend 3 transforms each.
+    """
+    half = _free_multiplier(f.grid, 0.5 * dt)
+    spec = np.fft.fftn(f.values) if f.spectrum is None else f.spectrum
+    # every transform writes into an array this step made (``out``): an N-D
+    # transform otherwise allocates one array per axis.  Without ``out`` here
+    # and in the derivative ladder, a 256^2 verify run's peak RSS was 3.8 MiB
+    # higher (2-CPU Xeon, numpy 2.4)
+    w = half * spec
+    g = f.with_values(np.fft.ifftn(w, out=w))
     if params.lam != 0:
         if cfg.frame == "u":
             g = nonlinear_substep_u(g, dt, params.lam, params.alpha)
         else:
             g = nonlinear_substep_v(g, t, dt, params)
-    g = linear_substep(g, 0.5 * dt)
-    return g.with_values(g.values, t=t + dt)
+    # g's values are this step's own array either way
+    spec = np.multiply(half, np.fft.fftn(g.values, out=g.values), out=g.values)
+    return Field(f.grid, np.fft.ifftn(spec, out=np.empty_like(spec)), f.frame, t + dt, spec)
 
 
 def _resolve_t_end(cfg: SolverConfig, params: PhysParams, t0: float) -> float:
@@ -229,26 +239,26 @@ def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float, t_end: f
     return times
 
 
-def _records(v: np.ndarray, grid: Grid, weight: np.ndarray | None) -> tuple[float, ...]:
+def _records(f: Field, weight: np.ndarray | None) -> tuple[float, ...]:
     # l2, sup and, with a weight, weighted sup and inf of a state from one
     # |v| pass; the same arithmetic as l2_norm, sup_norm, weighted_sup_norm
     # and weighted_inf
-    mod = np.abs(v)
-    norms = (float(np.sqrt(grid.cell_volume * np.sum(mod**2))), float(np.max(mod)))
+    mod = np.abs(f.values)
+    norms = (float(np.sqrt(f.grid.cell_volume * np.sum(mod**2))), float(np.max(mod)))
     if weight is None:
         return norms
     weighted = weight * mod
     return (*norms, float(np.max(weighted)), float(np.min(weighted)))
 
 
-def _coupling_integrand(v: np.ndarray, spec: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    # Im(conj(v) Lap v) / |v|^{alpha+2}, the Laplacian taken from the state's
+def _coupling_integrand(f: Field, alpha: float) -> np.ndarray:
+    # Im(conj(v) Lap v) / |v|^{alpha+2}, the Laplacian taken from the carried
     # spectrum; admissible data start nonvanishing, but a b below the regime
     # drives |v| near zero, where this is ill-conditioned; guard underflowed
     # points — they contribute nothing downstream
-    lap = np.fft.ifftn(-grid.wavenumber_sq() * spec)
-    mod = np.abs(v)
-    dens = np.imag(np.conj(v) * lap)
+    lap = np.fft.ifftn(-f.grid.wavenumber_sq() * f.spectrum)
+    mod = np.abs(f.values)
+    dens = np.imag(np.conj(f.values) * lap)
     out = np.zeros_like(mod)
     ok = mod > 1e-300
     out[ok] = dens[ok] / mod[ok] ** (alpha + 2.0)
@@ -264,10 +274,6 @@ def run(
     on_snapshot: Callable[[Field], object] | None = None,
 ) -> Trajectory:
     """Integrate from f0 to the configured end time.
-
-    Steps on plain arrays with the spectrum carried (see the module
-    docstring); ``Field``s are built only for the snapshots and the final
-    boundary check.
 
     Parameters
     ----------
@@ -315,20 +321,18 @@ def run(
     t_end = _resolve_t_end(cfg, params, t0)
     snaps_due = snapshot_schedule(cfg, params, t0, t_end)
 
-    grid = f0.grid
     tracking = track_coupling and cfg.frame == "v" and params.lam != 0
-    weight = None if exps is None else grid.bracket_pow(exps.n)
+    weight = None if exps is None else f0.grid.bracket_pow(exps.n)
 
-    v = f0.values
-    spec = np.fft.fftn(v)
+    f = replace(f0, spectrum=np.fft.fftn(f0.values))
     t = t0
     times, dts = [t], [0.0]
-    records = [_records(v, grid, weight)]
+    records = [_records(f, weight)]
 
     snapshots: list[Field] = []
     coupling: list[Field] | None = [] if tracking else None
-    accum = np.zeros(grid.shape) if tracking else None
-    g_prev = _coupling_integrand(v, spec, grid, params.alpha) if tracking else None
+    accum = np.zeros(f.grid.shape) if tracking else None
+    g_prev = _coupling_integrand(f, params.alpha) if tracking else None
 
     due_idx = 0
 
@@ -336,7 +340,7 @@ def run(
         nonlocal due_idx
         snapshots.append(state)
         if tracking:
-            coupling.append(Field(grid, accum.astype(complex), cfg.frame, state.t))
+            coupling.append(Field(state.grid, accum.astype(complex), cfg.frame, state.t))
         if on_snapshot is not None:
             on_snapshot(state)
         due_idx += 1
@@ -360,22 +364,10 @@ def run(
         if dt <= _LANDING_EPS:  # float dust from landing arithmetic
             t = t_next
         else:
-            # the Strang step of strang_step with the state's spectrum carried.
-            # Every transform writes into an array this step made: without
-            # ``out`` an N-D transform allocates a fresh array per axis, and on
-            # 256^2 points (2-CPU Xeon VM, numpy 2.4) ifftn took 1.5 ms that way
-            # against 0.6 ms in place
-            half = _free_multiplier(grid, 0.5 * dt)
-            w = half * spec
-            np.fft.ifftn(w, out=w)
-            if params.lam != 0:
-                tau = dt if cfg.frame == "u" else coefficient_integral(t, dt, params)
-                w = _nonlinear_update(w, tau, params.lam, params.alpha)
-            spec = np.multiply(half, np.fft.fftn(w, out=w), out=w)
-            v = np.fft.ifftn(spec, out=np.empty_like(spec))
+            f = strang_step(f, t, dt, cfg, params)
             t = t + dt
             nsteps += 1
-            rec = _records(v, grid, weight)
+            rec = _records(f, weight)
             # a NaN or inf anywhere makes the sum of squares non-finite
             if not np.isfinite(rec[0]):
                 raise UnstableSolutionError(f"non-finite values at t = {t:.6g}")
@@ -388,13 +380,13 @@ def run(
             dts.append(dt)
             records.append(rec)
             if tracking:
-                g_new = _coupling_integrand(v, spec, grid, params.alpha)
+                g_new = _coupling_integrand(f, params.alpha)
                 accum += 0.5 * dt * (g_prev + g_new)
                 g_prev = g_new
         if due_idx < len(snaps_due) and abs(t - snaps_due[due_idx]) <= _LANDING_EPS:
-            take_snapshot(Field(grid, v, cfg.frame, snaps_due[due_idx]))
+            take_snapshot(f.with_values(f.values, t=snaps_due[due_idx]))
 
-    edge = boundary_magnitude(Field(grid, v, cfg.frame, t))
+    edge = boundary_magnitude(f)
     peak = records[-1][1]
     if peak > 0 and edge > 1e-6 * peak:
         log.warning("final state boundary ratio %.2e; box may be too small", edge / peak)

@@ -281,8 +281,8 @@ def test_verify_post_processing_holds_no_correction_series(tmp_path, monkeypatch
     }
     simulate = cli._simulate_and_dump
 
-    def simulate_then_trace(*args):
-        done = simulate(*args)
+    def simulate_then_trace(rc, doc):
+        done = simulate(rc, doc)
         tracemalloc.start()
         return done
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from dnlslab import solver
 from dnlslab.field import Field, Grid, build_initial_data, l2_norm
 from dnlslab.params import PhysParams
 from dnlslab.solver import (
@@ -347,32 +348,26 @@ def test_free_multiplier_from_levels_is_the_direct_exponential(grid):
 
 
 def _strang_composed(f0, traj, cfg, params):
-    """States after each recorded step of ``traj``, composed from strang_step."""
+    """States after each recorded step of ``traj``, composed from strang_step.
+
+    Each step starts from a state without its spectrum, so it transforms
+    the values afresh: 4 transforms a step, none carried.
+    """
     f, states = f0, [f0.values]
     for t_new, dt in zip(traj.times[1:], traj.dts[1:]):
-        f = strang_step(f, t_new - dt, dt, cfg, params)
+        f = strang_step(f.with_values(f.values), t_new - dt, dt, cfg, params)
+        assert f.spectrum is not None
         states.append(f.values)
     return states
 
 
-@pytest.mark.parametrize("N,alpha,M,lam,frame", [
-    (1, 1.0, 512, -1j, "v"),
-    (2, 0.8, 64, -1j, "v"),
-    (1, 1.0, 512, 2.0 - 1j, "v"),
-    (2, 0.8, 64, 2.0 - 1j, "v"),
-    (1, 1.0, 512, -1j, "u"),
-    (2, 0.8, 64, 0j, "u"),
-])
-def test_run_carrying_the_spectrum_matches_strang_step(N, alpha, M, lam, frame):
+@pytest.mark.parametrize("N,alpha,M,lam", [(1, 1.0, 512, -1j), (2, 0.8, 64, 0j)])
+def test_run_matches_strang_step_without_the_spectrum_in_the_u_frame(N, alpha, M, lam):
+    # the v-frame cases are test_run_matches_local_strang_composition's
     g = Grid.box(30.0, M, N, boundary_tol=1e-3)
-    f0 = build_initial_data(g, 1.0, 5)
+    f0 = Field(g, build_initial_data(g, 1.0, 5).values, "u", 0.0)
     p = PhysParams(N, alpha, lam, 20.0)
-    if frame == "v":
-        cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.02, horizon_floor=1e-2,
-                           snapshot_count=9)
-    else:
-        f0 = Field(g, f0.values, "u", 0.0)
-        cfg = SolverConfig(frame="u", dt0=2e-3, t_end=0.5, snapshot_count=9)
+    cfg = SolverConfig(frame="u", dt0=2e-3, t_end=0.5, snapshot_count=9)
     traj = run(f0, cfg, p)
     assert len(traj.times) > 30
     states = _strang_composed(f0, traj, cfg, p)
@@ -380,3 +375,22 @@ def test_run_carrying_the_spectrum_matches_strang_step(N, alpha, M, lam, frame):
         i = int(np.argmin(np.abs(traj.times - snap.t)))
         ref = states[i]
         assert np.max(np.abs(snap.values - ref)) <= 1e-12 * np.max(np.abs(ref)), snap.t
+
+
+def test_run_takes_every_step_through_strang_step(monkeypatch):
+    # one implementation of the step: run composes strang_step on a state
+    # that carries its spectrum, so a profile of strang_step counts the steps
+    carried = []
+    step = solver.strang_step
+
+    def counted(f, *args):
+        carried.append(f.spectrum is not None)
+        return step(f, *args)
+
+    monkeypatch.setattr(solver, "strang_step", counted)
+    g = Grid.box(30.0, 32, 2, boundary_tol=1e-2)
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=5)
+    traj = run(build_initial_data(g, 1.0, 5), cfg, PhysParams(2, 0.8, -1j, 20.0))
+    assert len(carried) == len(traj.times) - 1 > 10 and all(carried)
+    # snapshots are taken without the spectrum
+    assert all(snap.spectrum is None for snap in traj.snapshots)

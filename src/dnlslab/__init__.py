@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .params import PhysParams, ExponentSet, validate_phys, synthesize_exponents
 from .field import Grid, Field, build_initial_data, l2_norm, sup_norm
 from .solver import SolverConfig, Trajectory, run
-from .conformal import to_u_frame, to_v_frame, norm_bridge
+from .conformal import to_u_frame, norm_bridge
 from .asymptotics import (
     correction_algebraic,
     correction_integral,
@@ -35,7 +35,6 @@ __all__ = [
     "Trajectory",
     "run",
     "to_u_frame",
-    "to_v_frame",
     "norm_bridge",
     "correction_algebraic",
     "correction_integral",

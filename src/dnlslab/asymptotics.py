@@ -18,6 +18,7 @@ error metrics of the main convergence statement.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -161,9 +162,14 @@ class ProfileData:
     params: PhysParams
     meta: dict
 
-    @property
+    @functools.cached_property
     def correction_sup(self) -> float:
         return float(np.max(np.abs(self.correction)))
+
+    @property
+    def reference_power(self) -> np.ndarray:
+        """|v0|^alpha of the reference state, computed on each access and not kept."""
+        return np.abs(self.reference.values) ** self.params.alpha
 
 
 def _psi_pow_alpha(t: float, correction: np.ndarray, mod0a: np.ndarray, p: PhysParams):
@@ -190,8 +196,7 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
     p = _check_v_traj(traj)
     v0 = traj.snapshots[0]
     v_last = traj.snapshots[-1]
-    mod0 = np.abs(v0.values)
-    mod0a = mod0**p.alpha
+    mod0a = np.abs(v0.values) ** p.alpha
     f0 = np.real(correction_field(v_last, mod0a, p).values)
     if np.min(1.0 + f0) <= 0.0:
         raise ExtractionError(
@@ -203,8 +208,7 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
         log.warning("terminal correction sup %.3f exceeds 1/4; b may be too small", f0_sup)
     amp_mod = (mod0a / (1.0 + f0)) ** (1.0 / p.alpha)
     psi_a = _psi_pow_alpha(v_last.t, f0, mod0a, p)
-    theta = (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
-    phase = np.angle(v_last.values * np.exp(1j * theta))
+    phase = np.angle(v_last.values * np.exp(1j * _drift(psi_a, p)))
     meta = {
         "final_time": v_last.t,
         "final_gauge": 1.0 - p.b * v_last.t,
@@ -214,14 +218,21 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
     return ProfileData(f0, amp_mod * np.exp(1j * phase), v0, p, meta)
 
 
-def modulus_envelope(t: float, profile: ProfileData) -> np.ndarray:
-    """Envelope by which the amplitude is squeezed between time 0 and t."""
-    p = profile.params
-    mod0a = np.abs(profile.reference.values) ** p.alpha
-    psi = _psi_pow_alpha(t, profile.correction, mod0a, p) ** (1.0 / p.alpha)
+def _drift(psi_a: np.ndarray, p: PhysParams) -> np.ndarray:
+    return (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
+
+
+def _envelope(psi_a: np.ndarray, profile: ProfileData) -> np.ndarray:
+    psi = psi_a ** (1.0 / profile.params.alpha)
     if profile.correction_sup < 1.0:
         assert np.all(psi > 0.0) and np.all(psi <= 1.0 + 1e-12)
     return psi
+
+
+def modulus_envelope(t: float, profile: ProfileData) -> np.ndarray:
+    """Envelope by which the amplitude is squeezed between time 0 and t."""
+    p = profile.params
+    return _envelope(_psi_pow_alpha(t, profile.correction, profile.reference_power, p), profile)
 
 
 def phase_drift(t: float, profile: ProfileData) -> np.ndarray:
@@ -229,16 +240,16 @@ def phase_drift(t: float, profile: ProfileData) -> np.ndarray:
     p = profile.params
     if p.lam.real == 0.0:
         return np.zeros(profile.reference.grid.shape)
-    mod0a = np.abs(profile.reference.values) ** p.alpha
-    psi_a = _psi_pow_alpha(t, profile.correction, mod0a, p)
-    return (p.lam.real / p.lam.imag) * np.log(psi_a) / p.alpha
+    return _drift(_psi_pow_alpha(t, profile.correction, profile.reference_power, p), p)
 
 
 def predicted_field_v(s: float, profile: ProfileData) -> Field:
     """Rescaled-frame prediction amplitude * envelope * exp(-i drift) at time s."""
-    vals = profile.amplitude * modulus_envelope(s, profile)
-    if profile.params.lam.real != 0.0:  # the drift is identically zero otherwise
-        vals = vals * np.exp(-1j * phase_drift(s, profile))
+    p = profile.params
+    psi_a = _psi_pow_alpha(s, profile.correction, profile.reference_power, p)
+    vals = profile.amplitude * _envelope(psi_a, profile)
+    if p.lam.real != 0.0:  # the drift is identically zero otherwise
+        vals = vals * np.exp(-1j * _drift(psi_a, p))
     return Field(profile.reference.grid, vals, "v", s)
 
 

@@ -539,7 +539,7 @@ def _sweep_worker(task):
         row.update({col: functools.reduce(lambda d, k: (d or {}).get(k), path.split("."), result)
                     for col, path in SWEEP_RESULTS}, status="ok")
     except Exception as e:  # per-run failures must not kill the sweep
-        row.update({col: "" for col, _ in SWEEP_RESULTS}, status=f"error: {e}")
+        row.update({col: "" for col, _ in SWEEP_RESULTS}, status=f"error: {type(e).__name__}: {e}")
     return index, row
 
 

@@ -28,6 +28,7 @@ from .field import (
     DEFAULT_MAX_ORDER,
     Field,
     Grid,
+    LadderWorkspace,
     data_bound,
     derivative_moduli,
     derivative_orders,
@@ -48,8 +49,8 @@ REPORT_SCHEMA = 2
 # M = 256 0.77-0.84x, and 1-D M = 2048 1.1-1.6x.  So 2-D grids from 128^2
 # up use the threads.
 THREAD_FLOOR = 128 * 128
-# Only two threads were measured.  Each holds a few grid-sized temporaries
-# (about 7 MiB each at 256^2), and every `sweep --jobs K` worker process runs
+# Only two threads were measured.  Each keeps a ladder workspace (4.5 MiB at
+# 256^2, plus up to 2.1 MiB a row), and every `sweep --jobs K` worker process runs
 # its own monitor, so the cap bounds both peak RSS and the thread count.  On
 # the same 2 CPUs, 4-point 2-D sweeps on 2 workers took no longer with the
 # worker monitors on two threads than on one (10 alternating pairs, medians:
@@ -268,6 +269,7 @@ class SnapshotMonitor:
     def __exit__(self, *exc) -> None:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
+        self.__dict__.pop("_workspace", None)  # now, not when a cycle is collected
 
     def __call__(self, snap: Field) -> None:
         if self._mod0a is None:
@@ -278,26 +280,32 @@ class SnapshotMonitor:
         else:
             self._rows.append(functools.partial(self._row, snap))
 
+    @functools.cached_property
+    def _workspace(self) -> LadderWorkspace:
+        # built on the first thread that needs it, never on an idle one
+        return LadderWorkspace(self._v0.grid)
+
     def _data_bound(self) -> tuple[float, np.ndarray]:
         # the data constant K and the tail of the pointwise decay bound
         p, n = self._params, self._exps.n
-        K = data_bound(self._v0, n, self._max_order)
+        K = data_bound(self._v0, n, self._max_order, self._workspace)
         return K, 2.0 * K**p.alpha * self._v0.grid.bracket_pow(-n * p.alpha)
 
     def _row(self, snap: Field) -> tuple[float, float, float, float, bool]:
-        # pure: reads only its argument and the arrays fixed before the first
-        # row.  The modulus comes first: it raises on a vanishing modulus, so
-        # |v| > 0 below
+        # reads only its argument, the arrays fixed before the first row and
+        # its thread's workspace, each modulus before the ladder advances.  |v|
+        # comes first: it raises where it vanishes, so |v| > 0 below
         p, exps = self._params, self._exps
         mod = nonvanishing_modulus(snap)
         f_sup, decays = self._balance(snap.t, mod)
         g = 1.0 - p.b * snap.t
+        scratch, weight = self._workspace.scratch, self._weight
         now1 = now4 = 0.0
-        for beta, mod_d in derivative_moduli(snap, self._orders):
+        for beta, mod_d in derivative_moduli(snap, self._orders, self._workspace):
             sig = exps.sigma_j(sum(beta))
-            now1 = max(now1, g**sig * float(np.max(self._weight * mod_d)))
-            now4 = max(now4, g**sig * float(np.max(mod_d / mod)))
-        now3 = g ** (p.gauge_exponent / p.alpha) / float(np.min(self._weight * mod))
+            now1 = max(now1, g**sig * float(np.max(np.multiply(weight, mod_d, out=scratch))))
+            now4 = max(now4, g**sig * float(np.max(np.divide(mod_d, mod, out=scratch))))
+        now3 = g ** (p.gauge_exponent / p.alpha) / float(np.min(weight * mod))
         return now1, now3, now4, f_sup, decays
 
     def _balance(self, t: float, mod: np.ndarray) -> tuple[float, bool]:

@@ -30,7 +30,7 @@ from dnlslab.asymptotics import (
     finalize_profile,
     modulus_envelope,
 )
-from dnlslab.conformal import norm_bridge, to_u_frame, to_v_frame
+from dnlslab.conformal import norm_bridge, to_u_frame
 from dnlslab.diagnostics import (
     check_l2_envelope,
     check_sup_limit,
@@ -46,6 +46,7 @@ from dnlslab.params import (
     synthesize_exponents,
 )
 from dnlslab.solver import SolverConfig, nonlinear_substep_u, run
+from lens import to_v_frame
 
 REF_PARAMS = PhysParams(1, 1.0, -1j, 4.0)
 REF_CFG = SolverConfig(

@@ -293,3 +293,9 @@ def test_predicted_field_v_matches_components(ref_profile):
     manual = ref_profile.amplitude * modulus_envelope(s, ref_profile)
     assert np.max(np.abs(pv.values - manual)) == 0.0  # drift is zero here
     assert pv.t == s and pv.frame == "v"
+    # with Re(lam) != 0 the envelope and the drift share one psi^alpha, bit for bit
+    rotated = PhysParams(REF.N, REF.alpha, 1.0 - 1.0j, REF.b)
+    prof2 = type(ref_profile)(ref_profile.correction, ref_profile.amplitude,
+                              ref_profile.reference, rotated, ref_profile.meta)
+    manual2 = prof2.amplitude * modulus_envelope(s, prof2) * np.exp(-1j * phase_drift(s, prof2))
+    assert predicted_field_v(s, prof2).values.tobytes() == manual2.tobytes()

@@ -488,6 +488,9 @@ def test_sweep_re_lambda_targets_and_failure_tolerance(tmp_path):
     ok = [r for r in rows if r["status"] == "ok"]
     bad = [r for r in rows if r["status"].startswith("error:")]
     assert len(ok) == 2 and len(bad) == 1
+    # the row names the exception class before its message
+    assert bad[0]["status"].startswith("error: ConfigError: <sweep:2>:")
+    assert "Im(lam) > 0" in bad[0]["status"]
     # the sup-norm limit ignores the real part of lambda
     assert set(r["sup_target"] for r in ok) == {"0.5"}
     assert all(r["verdict"] == "pass" for r in ok)

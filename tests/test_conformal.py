@@ -9,11 +9,11 @@ from dnlslab.conformal import (
     physical_time,
     rescaled_time,
     to_u_frame,
-    to_v_frame,
 )
 from dnlslab.field import Field, Grid, build_initial_data, l2_norm, sup_norm
 from dnlslab.params import PhysParams
 from dnlslab.solver import SolverConfig, run
+from lens import to_v_frame
 
 REF = PhysParams(1, 1.0, -1j, 4.0)
 

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dnlslab.diagnostics import (
     THREAD_FLOOR,
     MonitorReport,
     RateFit,
+    SnapshotMonitor,
     check_l2_envelope,
     check_sup_limit,
     emit_report,
@@ -26,6 +28,7 @@ from dnlslab.diagnostics import (
     monitor_phi,
 )
 from dnlslab.field import (
+    Field,
     Grid,
     build_initial_data,
     data_bound,
@@ -283,6 +286,31 @@ def test_threaded_monitor_equals_serial_bitwise(monkeypatch):
     capped = monitor_phi(traj, v0, exps)
     assert pools == [2, MAX_THREADS]
     assert capped.as_dict() == serial.as_dict()
+
+
+def test_monitor_row_after_the_first_holds_under_three_grid_arrays(monkeypatch):
+    # the first row builds the thread's ladder workspace; later rows write
+    # into it, so a row holds |v| and the balance temporaries, not the ~50
+    # arrays a ladder with fresh buffers makes
+    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
+    v0 = build_initial_data(g, 1.0, 5)
+    p = PhysParams(2, 0.8, -1j, 20.0)
+    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    later = Field(g, 0.7 * v0.values * np.exp(0.2j * sum(g.meshes())), "v", 0.01)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with SnapshotMonitor(v0, exps, p) as monitor:  # rows on this thread
+        monitor(v0)
+        monitor.report()
+        monitor(later)
+        tracemalloc.start()
+        try:
+            rep = monitor.report()  # both rows again
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rep.times.tolist() == [0.0, 0.01]
+    print(f"row peak {peak / v0.values.nbytes:.2f} grid arrays")
+    assert peak < 3 * v0.values.nbytes
 
 
 def test_monitor_rejects_wrong_frame(clean_setup):

@@ -1,5 +1,8 @@
 """Grid, spectral derivative, weighted norm, and snapshot round-trip tests."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,12 @@ from dnlslab.field import (
     DerivativeOrderError,
     Field,
     Grid,
+    LadderWorkspace,
     build_initial_data,
     check_boundary_decay,
     data_bound,
+    derivative_moduli,
+    derivative_orders,
     l2_norm,
     load_field,
     save_field,
@@ -187,3 +193,59 @@ def test_snapshot_payload_mismatch(tmp_path):
     bin_path.write_bytes(bin_path.read_bytes()[:-16])
     with pytest.raises(ValueError, match="payload"):
         load_field(tmp_path / "snap")
+
+
+def _fresh_moduli(f, orders):
+    # the ladder's arithmetic per multi-index, with new arrays at every step
+    out = {}
+    for beta in orders:
+        d = f.values
+        for ax, (b, k) in enumerate(zip(beta, f.grid.wavenumbers())):
+            if b:
+                shape = [1] * f.grid.dim
+                shape[ax] = k.size
+                d = np.fft.ifft(np.fft.fft(d, axis=ax) * (1j * k.reshape(shape)) ** b, axis=ax)
+        out[beta] = np.abs(d)
+    return out
+
+
+@pytest.mark.parametrize("dim,M", [(1, 128), (2, 32)])
+def test_reused_workspace_gives_fresh_moduli_bitwise(dim, M):
+    grid = Grid.box(30.0, M, dim, boundary_tol=1e-2)
+    first = build_initial_data(grid, 1.0, 5)
+    phase = np.exp(0.2j * sum(grid.meshes()))
+    second = Field(grid, 0.7 * first.values * phase, "v", 0.01)
+    orders = derivative_orders(dim, 4)
+    ws = LadderWorkspace(grid)
+    for snap in (first, second):  # the second through the first's buffers
+        reused = {}
+        for beta, mod in derivative_moduli(snap, orders, ws):
+            assert np.shares_memory(mod, ws.modulus)  # a view the next yield overwrites
+            reused[beta] = mod.copy()
+        fresh = {beta: mod.copy() for beta, mod in derivative_moduli(snap, orders)}
+        expect = _fresh_moduli(snap, orders)
+        assert list(reused) == list(fresh) == orders
+        for beta in orders:
+            assert reused[beta].tobytes() == fresh[beta].tobytes() == expect[beta].tobytes()
+
+
+def test_one_workspace_on_many_threads_gives_each_its_own_arrays():
+    # more threads than CPUs, switching often: arrays shared between threads
+    # would overwrite one thread's modulus before it is copied
+    grid = Grid.box(30.0, 32, 2, boundary_tol=1e-2)
+    v0 = build_initial_data(grid, 1.0, 5)
+    snaps = [Field(grid, v0.values * np.exp(0.1j * k * sum(grid.meshes())), "v", 0.0)
+             for k in range(8)]
+    orders = derivative_orders(2, 4)
+    expect = [[mod.tobytes() for _, mod in derivative_moduli(snap, orders)] for snap in snaps]
+    ws = LadderWorkspace(grid)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(
+                lambda snap: [mod.tobytes() for _, mod in derivative_moduli(snap, orders, ws)],
+                snaps * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expect * 4

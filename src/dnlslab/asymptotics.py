@@ -235,14 +235,6 @@ def modulus_envelope(t: float, profile: ProfileData) -> np.ndarray:
     return _envelope(_psi_pow_alpha(t, profile.correction, profile.reference_power, p), profile)
 
 
-def phase_drift(t: float, profile: ProfileData) -> np.ndarray:
-    """Accumulated nonlinear phase; identically zero for purely imaginary lam."""
-    p = profile.params
-    if p.lam.real == 0.0:
-        return np.zeros(profile.reference.grid.shape)
-    return _drift(_psi_pow_alpha(t, profile.correction, profile.reference_power, p), p)
-
-
 def predicted_field_v(s: float, profile: ProfileData) -> Field:
     """Rescaled-frame prediction amplitude * envelope * exp(-i drift) at time s."""
     p = profile.params

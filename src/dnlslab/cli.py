@@ -41,8 +41,6 @@ from .diagnostics import (
     fit_power_law,
     l2_envelope_exponent,
     mass_dissipation_ok,
-    monitor_phi,
-    monitor_threads,
 )
 from .field import (
     DEFAULT_BOUNDARY_TOL,
@@ -343,8 +341,8 @@ def _echo_config(out: Path, doc: dict) -> None:
 def _simulate_and_dump(rc: RunConfig, doc: dict, on_snapshot=None):
     """Run the configured simulation and write config echo, norms and snapshots.
 
-    ``on_snapshot`` is handed to ``run``: a monitor that starts on each
-    snapshot while the solve goes on.
+    ``on_snapshot`` is handed to ``run``: the monitor, fed each snapshot as
+    the solver takes it.
     """
     traj = run(rc.initial, rc.solver, rc.params, exps=rc.exps, on_snapshot=on_snapshot)
     rc.out.mkdir(parents=True, exist_ok=True)
@@ -355,18 +353,14 @@ def _simulate_and_dump(rc: RunConfig, doc: dict, on_snapshot=None):
 
 
 def _simulate_monitored(rc: RunConfig, doc: dict, max_order: int):
-    """``_simulate_and_dump``, then the monitor report of the run.
+    """``_simulate_and_dump`` feeding a ``SnapshotMonitor``, then the monitor report.
 
-    Where the monitor rows run on threads (``monitor_threads``), each
-    snapshot is handed to them as it is taken, so the rows overlap the
-    solve, and a solver error cancels those not started; elsewhere
-    ``monitor_phi`` runs after the run.  Either way a vanishing modulus
-    raises ExtractionError once the run is dumped, before anything else is
-    written.
+    Each snapshot goes to the monitor as the solver takes it.  Where the
+    monitor runs on threads its rows overlap the solve, and a solver error
+    cancels those not started; elsewhere ``report()`` computes them once
+    the run is dumped.  Either way a vanishing modulus raises
+    ExtractionError once the run is dumped, before anything else is written.
     """
-    if monitor_threads(rc.initial.grid) == 1:
-        traj = _simulate_and_dump(rc, doc)
-        return traj, monitor_phi(traj, rc.initial, rc.exps, max_order)
     with SnapshotMonitor(rc.initial, rc.exps, rc.params, max_order) as monitoring:
         traj = _simulate_and_dump(rc, doc, monitoring)
         return traj, monitoring.report()

@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import os
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
@@ -225,23 +226,21 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def monitor_threads(grid: Grid) -> int:
-    """Threads the monitor rows of ``grid`` run on: 1 below ``THREAD_FLOOR``."""
-    return min(_cpu_count(), MAX_THREADS) if np.prod(grid.shape) >= THREAD_FLOOR else 1
-
-
 class SnapshotMonitor:
     """The weighted running-sup monitors of a rescaled-frame run, fed snapshot by snapshot.
 
     Call the monitor with each snapshot in schedule order, the initial state
     first (``run``'s ``on_snapshot`` does), then take ``report()``.  On a
-    grid of at least ``THREAD_FLOOR`` points each snapshot's row starts on a
-    pool of one thread per CPU, at most ``MAX_THREADS``, as soon as the
-    snapshot arrives, so the rows overlap whatever the caller does next;
-    smaller grids compute every row in ``report()``.  The running maxima are
-    reduced in snapshot order either way, so the report is the same bit for
-    bit.  Use it as a context manager: leaving the block cancels the rows
-    that have not started, so a failing run does not wait for them.
+    grid of at least ``THREAD_FLOOR`` points, with more than one CPU, each
+    snapshot's row starts on a pool of one thread per CPU, at most
+    ``MAX_THREADS``, as soon as the snapshot arrives, so the rows overlap
+    whatever the caller does next.  Otherwise ``report()`` computes the rows
+    fed since the last report on the calling thread, so their arrays never
+    sit beside a running solve's.  Either way each row is computed once and
+    the running maxima are reduced in snapshot order, so the report is the
+    same bit for bit.  Use it as a context manager: leaving the block
+    cancels the rows that have not started, so a failing run does not wait
+    for them.
     """
 
     def __init__(self, v0: Field, exps: ExponentSet, params: PhysParams,
@@ -251,17 +250,17 @@ class SnapshotMonitor:
         self._weight = v0.grid.bracket_pow(exps.n)
         self._mod0a = None
         self._times: list[float] = []
-        self._rows = []  # per snapshot, a call that returns its row
+        self._rows: list[tuple] = []  # the rows report() has collected, in snapshot order
+        self._fed = []  # the rest: each one's future on the threads, else its snapshot
         self._pool = None
-        workers = monitor_threads(v0.grid)
+        self._bound = Future()  # the data constant and the decay tail
+        workers = min(_cpu_count(), MAX_THREADS) if np.prod(v0.grid.shape) >= THREAD_FLOOR else 1
         if workers > 1:
             # imported here, so a process that never threads never loads it
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(max_workers=workers)
-            self._bound = self._pool.submit(self._data_bound).result
-        else:
-            self._bound = functools.cache(self._data_bound)
+            self._bound = self._pool.submit(self._data_bound)
 
     def __enter__(self) -> "SnapshotMonitor":
         return self
@@ -269,16 +268,13 @@ class SnapshotMonitor:
     def __exit__(self, *exc) -> None:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
-        self.__dict__.pop("_workspace", None)  # now, not when a cycle is collected
+        self.__dict__.pop("_workspace", None)  # a monitor kept past its block holds no ladder
 
     def __call__(self, snap: Field) -> None:
         if self._mod0a is None:
             self._mod0a = np.abs(snap.values) ** self._params.alpha
         self._times.append(snap.t)
-        if self._pool is not None:
-            self._rows.append(self._pool.submit(self._row, snap).result)
-        else:
-            self._rows.append(functools.partial(self._row, snap))
+        self._fed.append(snap if self._pool is None else self._pool.submit(self._row, snap))
 
     @functools.cached_property
     def _workspace(self) -> LadderWorkspace:
@@ -314,7 +310,7 @@ class SnapshotMonitor:
         p = self._params
         moda = mod**p.alpha
         f_sup = float(np.max(np.abs(balance_correction(t, moda, self._mod0a, p))))
-        cap = (1.0 + p.sup_limit) * np.minimum(self._bound()[1], p.b * horizon_gauge(t, p))
+        cap = (1.0 + p.sup_limit) * np.minimum(self._bound.result()[1], p.b * horizon_gauge(t, p))
         return f_sup, not np.any(moda > cap * (1.0 + 1e-12))
 
     def report(self) -> MonitorReport:
@@ -324,8 +320,14 @@ class SnapshotMonitor:
         snapshot order: ``ExtractionError`` for the first snapshot whose
         modulus vanishes.
         """
-        K = self._bound()[0]
-        rows = [row() for row in self._rows]
+        if self._pool is None and not self._bound.done():
+            self._bound.set_result(self._data_bound())
+        K = self._bound.result()[0]
+        # each row fed since the last report, once: computed here, or awaited
+        collect = self._row if self._pool is None else Future.result
+        self._rows += [collect(item) for item in self._fed]
+        self._fed.clear()
+        rows = self._rows
         phi1, phi3, phi4, psi = [], [], [], []
         r1 = r3 = r4 = 0.0
         for now1, now3, now4, _, _ in rows:
@@ -368,9 +370,10 @@ def monitor_phi(
     below the regime threshold breaks them legitimately.  A vanishing
     modulus raises ``ExtractionError`` for the first such snapshot.
 
-    The rows are those of :class:`SnapshotMonitor`, fed the trajectory's
-    snapshots after the run, on the same threads; ``verify-theorem`` feeds
-    them during the run instead.
+    This is the library route: a :class:`SnapshotMonitor` fed the
+    trajectory's snapshots after the run.  ``simulate`` and
+    ``verify-theorem`` feed one during the run instead, through ``run``'s
+    ``on_snapshot``; the report is the same bit for bit.
     """
     if traj.frame != "v":
         raise ValueError("monitors are defined on rescaled-frame trajectories")

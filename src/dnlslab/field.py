@@ -324,13 +324,6 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.values) ** 2)))
 
 
-def weighted_sup_norm(f: Field, p: float) -> float:
-    """sup over the grid of <x>^p |f(x)|."""
-    if p < 0:
-        raise ValueError("weight power must be nonnegative")
-    return float(np.max(f.grid.bracket_pow(p) * np.abs(f.values)))
-
-
 def weighted_inf(f: Field, p: float) -> tuple[float, tuple[float, ...]]:
     """inf over the grid of <x>^p |f(x)|, with the location where it is attained."""
     vals = f.grid.bracket_pow(p) * np.abs(f.values)

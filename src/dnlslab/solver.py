@@ -104,10 +104,6 @@ class Trajectory:
     snapshots: list[Field]
     coupling: list[Field] | None
 
-    @property
-    def snapshot_times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
-
 
 @functools.lru_cache(maxsize=2)
 def _free_multiplier(grid: Grid, tau: float) -> np.ndarray:
@@ -241,8 +237,7 @@ def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float, t_end: f
 
 def _records(f: Field, weight: np.ndarray | None) -> tuple[float, ...]:
     # l2, sup and, with a weight, weighted sup and inf of a state from one
-    # |v| pass; the same arithmetic as l2_norm, sup_norm, weighted_sup_norm
-    # and weighted_inf
+    # |v| pass; the same arithmetic as l2_norm, sup_norm and weighted_inf
     mod = np.abs(f.values)
     norms = (float(np.sqrt(f.grid.cell_volume * np.sum(mod**2))), float(np.max(mod)))
     if weight is None:

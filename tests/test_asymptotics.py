@@ -13,7 +13,6 @@ from dnlslab.asymptotics import (
     horizon_gauge,
     load_profile,
     modulus_envelope,
-    phase_drift,
     predicted_field,
     predicted_field_v,
     save_profile,
@@ -21,6 +20,7 @@ from dnlslab.asymptotics import (
 from dnlslab.field import Field, Grid, build_initial_data, l2_norm, sup_norm
 from dnlslab.params import PhysParams
 from dnlslab.solver import SolverConfig, Trajectory, nonlinear_substep_v, run
+from oracles import phase_drift
 
 REF = PhysParams(1, 1.0, -1j, 4.0)
 

@@ -270,7 +270,8 @@ def test_short_last_decade_is_a_failed_check(tmp_path, snapshots):
 
 
 def test_verify_post_processing_holds_no_correction_series(tmp_path, monkeypatch):
-    # everything after the simulation: monitors, profile, bridge, errors, report
+    # everything after the simulation: monitor rows (below THREAD_FLOOR
+    # report() computes them after the dump), profile, bridge, errors, report
     M, snapshots = 64, 65
     doc = {
         "phys": {"N": 2, "alpha": 0.8, "lam": [0.0, -1.0], "b": 20.0},
@@ -281,8 +282,8 @@ def test_verify_post_processing_holds_no_correction_series(tmp_path, monkeypatch
     }
     simulate = cli._simulate_and_dump
 
-    def simulate_then_trace(rc, doc):
-        done = simulate(rc, doc)
+    def simulate_then_trace(rc, doc, monitoring):
+        done = simulate(rc, doc, monitoring)
         tracemalloc.start()
         return done
 
@@ -310,38 +311,60 @@ THREADED_CONFIG = {
 
 
 def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
-    submitted, at_run_end, kept = [], [], []
+    pools, submitted, fed, at_run_end, kept = [], [], [], [], []
 
     class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
         def submit(self, *args, **kwargs):
             submitted.append(args[0])
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    solve, simulate = cli.run, cli._simulate_and_dump
+    solve, simulate, feed = cli.run, cli._simulate_and_dump, SnapshotMonitor.__call__
+
+    def counted_feed(self, snap):
+        fed.append(snap.t)
+        feed(self, snap)
 
     def counted_solve(*args, **kwargs):
         traj = solve(*args, **kwargs)
-        at_run_end.append(len(submitted))
+        at_run_end.append((len(submitted), len(fed)))
         return traj
 
     def keep(rc, *args):
         kept.append((rc, simulate(rc, *args)))
         return kept[-1][1]
 
+    def library_route(*args, **kwargs):
+        raise AssertionError("the CLI called monitor_phi")
+
+    monkeypatch.setattr(SnapshotMonitor, "__call__", counted_feed)
     monkeypatch.setattr(cli, "run", counted_solve)
     monkeypatch.setattr(cli, "_simulate_and_dump", keep)
+    monkeypatch.setattr(diagnostics, "monitor_phi", library_route)
     cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
-    out = tmp_path / "out"
-    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0
-    rc, traj = kept[0]
-    # the data constant and every row were handed to the pool during the run
-    assert at_run_end == [1 + len(traj.snapshots)] and len(submitted) == at_run_end[0]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    after = monitor_phi(traj, rc.initial, rc.exps)
-    block = json.loads((out / "report.json").read_text())["monitor"]
-    assert block == json.loads(json.dumps(after.as_dict()))
+    # two CPUs: the rows run on a pool; one CPU: no pool, report() computes them
+    for cpus in ({0, 1}, {0}):
+        for log in (pools, submitted, fed, at_run_end, kept):
+            log.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        out = tmp_path / f"out{len(cpus)}"
+        assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0
+        rc, traj = kept[0]
+        # every snapshot was fed during the run, and none after it
+        assert at_run_end[0][1] == len(traj.snapshots) == len(fed)
+        if len(cpus) > 1:
+            # the data constant and every row were handed to the pool during the run
+            assert at_run_end[0][0] == 1 + len(traj.snapshots) == len(submitted)
+        else:
+            assert pools == [] and submitted == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        after = monitor_phi(traj, rc.initial, rc.exps)
+        block = json.loads((out / "report.json").read_text())["monitor"]
+        assert block == json.loads(json.dumps(after.as_dict()))
 
 
 def test_solver_error_beside_a_busy_monitor_exits_3(tmp_path, monkeypatch, capsys):

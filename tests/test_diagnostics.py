@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import csv
+import gc
 import json
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -35,10 +37,10 @@ from dnlslab.field import (
     derivative_orders,
     spectral_derivative,
     weighted_inf,
-    weighted_sup_norm,
 )
 from dnlslab.params import PhysParams, synthesize_exponents
 from dnlslab.solver import SolverConfig, run
+from oracles import weighted_sup_norm
 
 
 @pytest.fixture(scope="module")
@@ -304,13 +306,55 @@ def test_monitor_row_after_the_first_holds_under_three_grid_arrays(monkeypatch):
         monitor(later)
         tracemalloc.start()
         try:
-            rep = monitor.report()  # both rows again
+            rep = monitor.report()  # the new row only: row 0 was kept
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert rep.times.tolist() == [0.0, 0.01]
     print(f"row peak {peak / v0.values.nbytes:.2f} grid arrays")
     assert peak < 3 * v0.values.nbytes
+
+
+def test_second_report_computes_no_row(monkeypatch):
+    # below THREAD_FLOOR report() computes each fed row once and keeps it
+    g = Grid.line(30.0, 256, boundary_tol=1e-3)
+    v0 = build_initial_data(g, 1.0, 5)
+    p = PhysParams(1, 1.0, -1j, 20.0)
+    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    later = Field(g, 0.7 * v0.values, "v", 0.01)
+    rows, row = [], SnapshotMonitor._row
+
+    def counted_row(self, snap):
+        rows.append(snap.t)
+        return row(self, snap)
+
+    monkeypatch.setattr(SnapshotMonitor, "_row", counted_row)
+    with SnapshotMonitor(v0, exps, p) as monitor:
+        monitor(v0)
+        monitor(later)
+        first = monitor.report()
+        second = monitor.report()
+    assert rows == [0.0, 0.01]
+    assert second.as_dict() == first.as_dict()
+
+
+def test_monitor_phi_leaves_no_reference_cycle(clean_setup, monkeypatch):
+    # with the cycle collector off, the monitor, its rows and its arrays go
+    # as soon as monitor_phi returns
+    traj, v0, exps = clean_setup
+    monitors, enter = [], SnapshotMonitor.__enter__
+
+    def weakly_kept(self):
+        monitors.append(weakref.ref(self))
+        return enter(self)
+
+    monkeypatch.setattr(SnapshotMonitor, "__enter__", weakly_kept)
+    gc.disable()
+    try:
+        monitor_phi(traj, v0, exps)
+        assert len(monitors) == 1 and monitors[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_monitor_rejects_wrong_frame(clean_setup):

@@ -23,8 +23,8 @@ from dnlslab.field import (
     spectral_derivative,
     sup_norm,
     weighted_inf,
-    weighted_sup_norm,
 )
+from oracles import weighted_sup_norm
 
 
 def gaussian_field(L=12.0, M=256, a=1.0):

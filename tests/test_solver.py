@@ -214,7 +214,7 @@ def test_run_snapshot_times_and_coupling_alignment():
     v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
     traj = run(v0, cfg, REF, track_coupling=True)
-    ts = traj.snapshot_times
+    ts = np.array([s.t for s in traj.snapshots])
     assert ts[0] == 0.0
     assert ts[-1] == pytest.approx((1 - 0.05) / 4.0)
     assert np.all(np.diff(ts) > 0)

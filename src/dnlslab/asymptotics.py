@@ -61,20 +61,11 @@ def horizon_gauge(t, params: PhysParams):
 
 
 def crossover_time(params: PhysParams) -> float:
-    """Root of b * horizon_gauge(t) = 1, located by bisection."""
-    b = params.b
-    if b <= 0:
-        raise ValueError("b must be positive")
-    lo, hi = 1e-300, (1.0 - 1e-15) / b
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if b * horizon_gauge(mid, params) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    """Root of b * horizon_gauge(t) = 1: there g = 1/(1 + b), so (1 - b t)^q = 1/(1 + b)."""
+    b, q = params.b, params.gauge_exponent
+    if b <= 0 or q <= 0:
+        raise ValueError("the crossover needs b > 0 and N alpha < 2")
+    return (1.0 - (1.0 + b) ** (-1.0 / q)) / b
 
 
 def _check_v_traj(traj: Trajectory) -> PhysParams:

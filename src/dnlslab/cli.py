@@ -1,7 +1,7 @@
-"""Command-line orchestration: configs, single runs, verdicts, sweeps, plot tables.
+"""Command-line orchestration: single runs, verdicts, sweeps, plot tables.
 
 Config files are JSON with explicit fields (no positional physics), see
-``build_run`` for the schema.  Exit codes: 0 success, 2 configuration,
+``config.build_run`` for the schema.  Exit codes: 0 success, 2 configuration,
 3 numerical failure, 4 I/O.  The output root is --out, else the config's
 "out", else the DNLSLAB_OUT environment variable, else ./runs.
 """
@@ -13,10 +13,9 @@ import csv
 import functools
 import itertools
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +30,9 @@ from .asymptotics import (
     modulus_envelope,
     save_profile,
 )
-from .conformal import norm_bridge, to_u_frame
+from .config import ConfigError, RunConfig, build_run, find_line, load_config, out_root
+from .conformal import norm_bridge, physical_time, to_u_frame
 from .diagnostics import (
-    MASS_SLACK,
     SnapshotMonitor,
     check_l2_envelope,
     check_sup_limit,
@@ -42,23 +41,12 @@ from .diagnostics import (
     l2_envelope_exponent,
     mass_dissipation_ok,
 )
-from .field import (
-    DEFAULT_BOUNDARY_TOL,
-    DEFAULT_MAX_ORDER,
-    BoundaryDecayError,
-    Field,
-    Grid,
-    build_initial_data,
-    load_field,
-    save_field,
-)
-from .params import ExponentSet, PhysParams, synthesize_exponents
-from .solver import NumericalError, SolverConfig, run
+from .field import DEFAULT_MAX_ORDER, save_field
+from .params import synthesize_exponents
+from .solver import MASS_SLACK, NumericalError, run
 
-ENV_OUT = "DNLSLAB_OUT"
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 2, 3, 4
 VERDICT_SCHEMA = 2
-DEFAULT_SNAPSHOTS = 49
 # The verdict's gates: (check, quantity, bound), each holding while value <= bound.
 GATES = (
     ("sup_limit", "deviation_u", 0.05),
@@ -107,211 +95,6 @@ def decide(checks: dict, monitors: dict) -> tuple[str, list[dict]]:
     else:
         verdict = "fail"
     return verdict, reasons + broken_flags
-
-
-class ConfigError(Exception):
-    """Configuration problem, anchored to a line of the config file."""
-
-    def __init__(self, path, line: int, msg: str):
-        self.path, self.line, self.msg = str(path), int(line), msg
-        super().__init__(f"{self.path}:{self.line}: {msg}")
-
-
-def _find_line(text: str, key: str) -> int:
-    """Best-effort line anchor: first line mentioning the quoted key."""
-    needle = f'"{key}"'
-    for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return i
-    return 1
-
-
-@dataclass
-class RunConfig:
-    params: PhysParams
-    exps: ExponentSet | None
-    initial: Field
-    solver: SolverConfig
-    out: Path
-
-
-def _out_root(out_override, doc: dict) -> Path:
-    """--out, else the config's "out", else $DNLSLAB_OUT, else ./runs."""
-    return Path(out_override or doc.get("out") or os.environ.get(ENV_OUT) or "runs")
-
-
-def load_config(path) -> tuple[dict, str]:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as e:
-        raise ConfigError(path, 1, f"cannot read config: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(path, e.lineno, e.msg) from e
-    if not isinstance(doc, dict):
-        raise ConfigError(path, 1, "config must be a JSON object")
-    return doc, text
-
-
-def _bump_builder(spec_list, seed: int):
-    rng = np.random.default_rng(seed)
-    bumps = []
-    for spec in spec_list:
-        width = float(spec.get("width", 1.0))
-        center = [float(c) for c in spec.get("center", [0.0])]
-        amp = spec.get("amp", [0.1, 0.0])
-        if amp == "random":
-            scale = float(spec.get("scale", 0.1))
-            draw = rng.standard_normal(2) * scale
-            amp_c = complex(draw[0], draw[1])
-        else:
-            amp_c = complex(float(amp[0]), float(amp[1]))
-        bumps.append((amp_c, center, width))
-
-    def bump(*meshes):
-        total = np.zeros(meshes[0].shape, dtype=complex)
-        for amp_c, center, width in bumps:
-            r2 = np.zeros_like(meshes[0])
-            for ax, mesh in enumerate(meshes):
-                c = center[ax] if ax < len(center) else 0.0
-                r2 = r2 + (mesh - c) ** 2
-            total = total + amp_c * np.exp(-r2 / width**2)
-        return total
-
-    return bump
-
-
-def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
-    """Validate a parsed config document and assemble the run objects.
-
-    Schema (JSON object):
-      phys:      {N, alpha, lam: [re, im], b}
-      grid:      {L, M, boundary_tol?}            (optional with snapshot data)
-      solver:    {frame, dt0?, c_adapt?, horizon_floor?, t_end?, snapshot_count?}
-      data:      {c?, n?, bump?: [{amp|"random", center, width, scale?}, ...],
-                  snapshot?: path}
-      exponents: {strict?, n?, fallback_sigma?}   (optional; defaults to the
-                  relaxed set at the data weight with the strict-window rate)
-      out:       directory (optional; --out flag and DNLSLAB_OUT override)
-      seed:      integer for randomized bumps (default 0)
-    """
-
-    def err(key, msg):
-        raise ConfigError(path, _find_line(text, key), msg)
-
-    for section in ("phys", "solver", "data"):
-        if section not in doc:
-            raise ConfigError(path, 1, f'missing section "{section}"')
-
-    ph = doc["phys"]
-    for key in ("N", "alpha", "lam", "b"):
-        if key not in ph:
-            err("phys", f'phys section needs "{key}"')
-    try:
-        lam = complex(float(ph["lam"][0]), float(ph["lam"][1]))
-    except (TypeError, ValueError, IndexError):
-        err("lam", "lam must be a [re, im] pair")
-    if lam.imag > 0:
-        err("lam", "Im(lam) > 0 amplifies mass; only dissipative or zero allowed")
-    N = int(ph["N"])
-    alpha = float(ph["alpha"])
-    b = float(ph["b"])
-    if N < 1:
-        err("N", "dimension must be a positive integer")
-    if alpha <= 0:
-        err("alpha", "alpha must be positive")
-    params = PhysParams(N, alpha, lam, b)
-
-    sv = doc["solver"]
-    frame = sv.get("frame", "v")
-    if frame not in ("u", "v"):
-        err("frame", "frame must be 'u' or 'v'")
-    if frame == "v" and b <= 0:
-        err("b", "rescaled-frame runs need b > 0")
-    t_end = sv.get("t_end")
-    if frame == "v" and t_end is not None and t_end * b >= 1.0:
-        err("t_end", f"t_end = {t_end} reaches the horizon 1/b = {1.0 / b:.6g}")
-    if frame == "u" and t_end is None:
-        err("solver", "physical-frame runs need an explicit t_end")
-    try:
-        solver = SolverConfig(
-            frame=frame,
-            t_end=None if t_end is None else float(t_end),
-            snapshot_count=int(sv.get("snapshot_count", DEFAULT_SNAPSHOTS)),
-            **{k: float(sv[k]) for k in ("dt0", "c_adapt", "horizon_floor") if k in sv},
-        )
-    except (TypeError, ValueError) as e:
-        err("solver", str(e))
-
-    da = doc["data"]
-    data_n = int(da["n"]) if "n" in da else None
-    if "snapshot" not in da:
-        if "grid" not in doc:
-            err("data", "grid section required unless data comes from a snapshot")
-        if data_n is None:
-            err("data", 'constructed data needs a weight order "n"')
-        if "c" not in da:
-            err("data", 'constructed data needs a leading coefficient "c"')
-
-    grid = None
-    if "grid" in doc:
-        gr = doc["grid"]
-        for key in ("L", "M"):
-            if key not in gr:
-                err("grid", f'grid section needs "{key}"')
-        dim = int(gr.get("dim", N))
-        if dim != N:
-            err("grid", f"grid dimension {dim} does not match N = {N}")
-        try:
-            grid = Grid.box(gr["L"], gr["M"], dim,
-                            boundary_tol=float(gr.get("boundary_tol", DEFAULT_BOUNDARY_TOL)))
-        except ValueError as e:
-            err("grid", str(e))
-
-    exps = None
-    ex = doc.get("exponents")
-    if ex is None and data_n is not None and lam.imag < 0:
-        ex = {"strict": False, "n": data_n, "fallback_sigma": True}
-    if ex is not None and lam.imag < 0:
-        try:
-            exps = synthesize_exponents(
-                params,
-                strict=bool(ex.get("strict", True)),
-                n=ex.get("n"),
-                fallback_sigma=bool(ex.get("fallback_sigma", False)),
-            )
-        except ValueError as e:
-            err("exponents", str(e))
-        if data_n is not None and exps.n != data_n:
-            err("exponents", f"exponent weight n = {exps.n} does not match data n = {data_n}")
-
-    if "snapshot" in da:
-        try:
-            initial = load_field(da["snapshot"])
-        except ValueError as e:  # an unknown sidecar schema, a payload off the grid
-            err("snapshot", str(e))
-        if grid is not None and (
-            tuple(initial.grid.points) != tuple(grid.points)
-            or not np.allclose(initial.grid.extents, grid.extents)
-        ):
-            err("grid", "snapshot grid does not match the grid section")
-    else:
-        c = complex(da["c"])
-        if c == 0:
-            err("c", "leading coefficient c must be nonzero")
-        bump = _bump_builder(da["bump"], int(doc.get("seed", 0))) if da.get("bump") else None
-        try:
-            initial = build_initial_data(grid, c, data_n, bump)
-        except BoundaryDecayError as e:
-            err("grid", str(e))
-        except ValueError as e:
-            err("data", str(e))
-    if initial.frame != frame:
-        initial = Field(initial.grid, initial.values, frame, initial.t)
-    return RunConfig(params=params, exps=exps, initial=initial, solver=solver,
-                     out=_out_root(out_override, doc))
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -379,28 +162,21 @@ def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
 
 
 def _profile_error_series(traj, profile):
-    ts, e2s, einfs = [], [], []
+    # t, L2 error and sup error at each snapshot from t = 1 on
     b = traj.params.b
-    for snap in traj.snapshots:
-        t = snap.t / (1.0 - b * snap.t)
-        if t < 1.0:
-            continue
-        u = to_u_frame(snap, b)
-        e2, einf = error_metric(u, profile)
-        ts.append(t)
-        e2s.append(e2)
-        einfs.append(einf)
-    return np.array(ts), np.array(e2s), np.array(einfs)
+    rows = [(t, *error_metric(to_u_frame(snap, b), profile)) for snap in traj.snapshots
+            if (t := physical_time(snap.t, b)) >= 1.0]
+    return np.array(rows, dtype=float).reshape(-1, 3).T
 
 
 def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -> dict:
     """simulate -> monitors -> profile -> bridge -> checks -> verdict; writes all artifacts."""
     rc = build_run(doc, cfg_path, text, out_override)
     if rc.solver.frame != "v" or rc.params.lam.imag >= 0:
-        raise ConfigError(cfg_path, _find_line(text, "frame"),
+        raise ConfigError(cfg_path, find_line(text, "frame"),
                           "theorem verification needs a rescaled-frame dissipative run")
     if rc.exps is None:
-        raise ConfigError(cfg_path, _find_line(text, "data"),
+        raise ConfigError(cfg_path, find_line(text, "data"),
                           'theorem verification needs a weight order: data "n" '
                           'or an "exponents" section')
     # a vanishing modulus exits 3 before any profile or bridge artifact
@@ -431,13 +207,12 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
         ts, e2s, einfs = _profile_error_series(traj, profile)
         _write_csv(out / "error_metric.csv", ["t", "err_l2_compensated", "err_sup_compensated"],
                    zip(ts.tolist(), e2s.tolist(), einfs.tolist()))
-        if ts.size >= 8:
+        try:  # ts.max() raises ValueError too, on a run that never reaches t = 1
             window = (float(ts.max() / 10.0), float(ts.max()))
-            try:
-                slope_l2 = fit_power_law(ts, e2s, window).exponent
-                slope_sup = fit_power_law(ts, einfs, window).exponent
-            except ValueError:
-                pass  # degenerate errors (exact profile); leave unset
+            slope_l2 = fit_power_law(ts, e2s, window).exponent
+            slope_sup = fit_power_law(ts, einfs, window).exponent
+        except ValueError:
+            pass  # too few samples, or degenerate errors (exact profile); leave unset
 
     mass_ok, mass_worst = mass_dissipation_ok(traj)
     profile_check = {"slope_l2": slope_l2, "slope_sup": slope_sup}
@@ -544,11 +319,11 @@ def cmd_sweep(cfg_path, out_override, jobs: int, max_order: int) -> int:
     base, grid = doc["base"], doc["grid"]
     axes = [(k, grid[k]) for k in SWEEP_AXES if k in grid]
     if not axes or any(len(vals) == 0 for _, vals in axes):
-        raise ConfigError(cfg_path, _find_line(text, "grid"), "sweep grid is empty")
+        raise ConfigError(cfg_path, find_line(text, "grid"), "sweep grid is empty")
     combos = [dict(zip([k for k, _ in axes], values))
               for values in itertools.product(*[vals for _, vals in axes])]
 
-    out = _out_root(out_override, doc) / "sweep"
+    out = out_root(out_override, doc) / "sweep"
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(i, _render_sweep(base, combo), str(out), max_order)
              for i, combo in enumerate(combos)]

@@ -37,11 +37,9 @@ from .field import (
     sup_norm,
 )
 from .params import ExponentSet, PhysParams
-from .solver import Trajectory
+from .solver import MASS_SLACK, Trajectory
 
 MIN_FIT_SAMPLES = 8
-# Largest relative per-step growth of the mass that still counts as dissipation.
-MASS_SLACK = 1e-12
 REPORT_SCHEMA = 2
 # Grid points from which SnapshotMonitor computes its rows on one thread per
 # CPU, up to MAX_THREADS; numpy's FFT releases the GIL.  Two threads against one

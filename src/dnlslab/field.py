@@ -394,19 +394,15 @@ def build_initial_data(grid: Grid, c: complex, n: int, bump=None) -> Field:
 def save_field(f: Field, path_base) -> tuple[Path, Path]:
     """Write a field snapshot: raw values plus a JSON descriptor.
 
-    Binary layout: little-endian float64, interleaved (re, im) per sample,
-    row-major over the grid.  The descriptor carries the grid extents and
-    point counts, the frame tag, and the time stamp.
+    Binary layout: little-endian complex128 ("<c16"), that is float64 (re, im)
+    per sample, row-major over the grid.  The descriptor carries the grid
+    extents and point counts, the frame tag, and the time stamp.
     """
     base = Path(path_base)
     bin_path = base.with_suffix(".bin")
     meta_path = base.with_suffix(".json")
-    flat = f.values.ravel(order="C")
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
     base.parent.mkdir(parents=True, exist_ok=True)
-    inter.tofile(bin_path)
+    np.ascontiguousarray(f.values, dtype="<c16").tofile(bin_path)
     meta = {
         "schema_version": SNAPSHOT_SCHEMA,
         "extents": list(f.grid.extents),
@@ -429,8 +425,7 @@ def load_field(path_base) -> Field:
         tuple(int(M) for M in meta["points"]),
         float(meta.get("boundary_tol", DEFAULT_BOUNDARY_TOL)),
     )
-    raw = np.fromfile(base.with_suffix(".bin"), dtype="<f8")
-    if raw.size != 2 * np.prod(grid.shape):
+    raw = np.fromfile(base.with_suffix(".bin"), dtype="<c16")
+    if raw.size != np.prod(grid.shape):
         raise ValueError("snapshot payload does not match grid size")
-    vals = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
-    return Field(grid, vals, meta["frame"], float(meta["time"]))
+    return Field(grid, raw.reshape(grid.shape), meta["frame"], float(meta["time"]))

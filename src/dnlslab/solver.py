@@ -39,6 +39,8 @@ from .params import ExponentSet, PhysParams, validate_phys
 log = logging.getLogger(__name__)
 
 _LANDING_EPS = 1e-12
+# Largest relative per-step growth of the mass that still counts as dissipation.
+MASS_SLACK = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -199,7 +201,14 @@ def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysPa
     return Field(f.grid, np.fft.ifftn(spec, out=np.empty_like(spec)), f.frame, t + dt, spec)
 
 
-def _resolve_t_end(cfg: SolverConfig, params: PhysParams, t0: float) -> float:
+def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float) -> np.ndarray:
+    """The run's snapshot times from t0 to its end time, which comes last.
+
+    The one home of the rules on when a run stops: a u-frame run needs
+    ``cfg.t_end``; a v-frame run needs b > 0 and stops at ``cfg.t_end`` below
+    the horizon 1/b, else where 1 - b t reaches ``cfg.horizon_floor``; the end
+    time must exceed t0.
+    """
     if cfg.frame == "u":
         if cfg.t_end is None:
             raise ValueError("t_end is required for u-frame runs")
@@ -213,11 +222,6 @@ def _resolve_t_end(cfg: SolverConfig, params: PhysParams, t0: float) -> float:
             raise ValueError(f"t_end = {t_end} must be strictly below the horizon {horizon}")
     if t_end <= t0:
         raise ValueError("t_end must exceed the initial time")
-    return t_end
-
-
-def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float, t_end: float) -> np.ndarray:
-    """Resolve the snapshot times for a run; always includes t0 and t_end."""
     if cfg.snapshot_times is not None:
         times = np.array(sorted({float(s) for s in cfg.snapshot_times} | {t0, t_end}))
         if times[0] < t0 or times[-1] > t_end:
@@ -226,7 +230,7 @@ def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float, t_end: f
     count = cfg.snapshot_count
     if count < 2:
         return np.array([t0, t_end])
-    if cfg.frame == "v" and params.b > 0:
+    if cfg.frame == "v":
         gauge = np.geomspace(1.0 - params.b * t0, 1.0 - params.b * t_end, count)
         times = (1.0 - gauge) / params.b
     else:
@@ -313,8 +317,8 @@ def run(
         log.warning("non-admissible parameters (oracle mode): %s", "; ".join(bad))
 
     t0 = f0.t
-    t_end = _resolve_t_end(cfg, params, t0)
-    snaps_due = snapshot_schedule(cfg, params, t0, t_end)
+    snaps_due = snapshot_schedule(cfg, params, t0)
+    t_end = snaps_due[-1]
 
     tracking = track_coupling and cfg.frame == "v" and params.lam != 0
     weight = None if exps is None else f0.grid.bracket_pow(exps.n)
@@ -340,13 +344,12 @@ def run(
             on_snapshot(state)
         due_idx += 1
 
-    if abs(snaps_due[0] - t0) <= _LANDING_EPS:
-        take_snapshot(f0)
+    take_snapshot(f0)
 
     nsteps = 0
     log.info("run start: frame=%s t0=%g t_end=%g dt0=%g", cfg.frame, t0, t_end, cfg.dt0)
     while t < t_end - _LANDING_EPS:
-        if cfg.frame == "v" and params.b > 0:
+        if cfg.frame == "v":
             dt_cap = min(cfg.dt0, cfg.c_adapt * (1.0 - params.b * t))
         else:
             dt_cap = cfg.dt0
@@ -354,7 +357,7 @@ def run(
             raise StepUnderflowError(
                 f"step {dt_cap:.3e} below dt_min {cfg.dt_min:.3e} at t = {t:.6g}"
             )
-        t_next = snaps_due[due_idx] if due_idx < len(snaps_due) else t_end
+        t_next = snaps_due[due_idx]
         dt = min(dt_cap, t_next - t)
         if dt <= _LANDING_EPS:  # float dust from landing arithmetic
             t = t_next
@@ -367,7 +370,7 @@ def run(
             if not np.isfinite(rec[0]):
                 raise UnstableSolutionError(f"non-finite values at t = {t:.6g}")
             l2_prev = records[-1][0]
-            if rec[0] > l2_prev * (1.0 + 1e-12) + 1e-12:
+            if rec[0] > l2_prev * (1.0 + MASS_SLACK) + MASS_SLACK:
                 raise UnstableSolutionError(
                     f"mass grew from {l2_prev:.12e} to {rec[0]:.12e} at t = {t:.6g}"
                 )
@@ -378,7 +381,7 @@ def run(
                 g_new = _coupling_integrand(f, params.alpha)
                 accum += 0.5 * dt * (g_prev + g_new)
                 g_prev = g_new
-        if due_idx < len(snaps_due) and abs(t - snaps_due[due_idx]) <= _LANDING_EPS:
+        if abs(t - snaps_due[due_idx]) <= _LANDING_EPS:
             take_snapshot(f.with_values(f.values, t=snaps_due[due_idx]))
 
     edge = boundary_magnitude(f)

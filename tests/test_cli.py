@@ -1,15 +1,21 @@
 """End-to-end command-line coverage: configs, verdicts, sweeps, plot tables."""
 
 import concurrent.futures
+import contextlib
 import csv
+import functools
+import io
 import json
+import operator
 import os
+import re
 import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dnlslab import cli, diagnostics, solver
 from dnlslab.asymptotics import ExtractionError
@@ -152,6 +158,87 @@ def test_invalid_solver_value_exit_2(tmp_path, capsys, key, value):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert anchor(cfg, "solver") in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["strict", "fallback_sigma"])
+def test_exponent_flags_must_be_json_booleans(tmp_path, capsys, key):
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    doc["grid"]["M"] = 64
+    doc["exponents"] = {"strict": False, "n": 5, "fallback_sigma": True, key: "no"}
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, key) in err and f'{key} must be true or false, not "no"' in err
+    assert not out.exists()
+
+
+# --- the exit-code contract: 0, 2, 3 or 4 for every config, never a traceback ---
+
+CONTRACT_CONFIG = {
+    "phys": {"N": 1, "alpha": 1.0, "lam": [0.0, -1.0], "b": 20.0},
+    "grid": {"L": 30.0, "M": 64, "boundary_tol": 1e-2},
+    "solver": {"frame": "v", "dt0": 2e-3, "c_adapt": 0.2, "horizon_floor": 1e-2,
+               "snapshot_count": 17},
+    "data": {"c": 1.0, "n": 5, "bump": [{"amp": [0.01, 0.0], "center": [1.0], "width": 2.0}]},
+}
+# every scalar the config may set, as a path of keys into it
+CONTRACT_PATHS = [
+    *[("phys", key) for key in ("N", "alpha", "lam", "b")],
+    *[("grid", key) for key in ("L", "M", "boundary_tol")],
+    *[("solver", key) for key in ("frame", "dt0", "c_adapt", "horizon_floor", "t_end",
+                                  "snapshot_count")],
+    *[("data", key) for key in ("c", "n")],
+    *[("data", "bump", 0, key) for key in ("amp", "center", "width")],
+]
+WRONG_TYPED = ["x", None, [1, 2], {"a": 1}]
+BOUNDARY = [0, -1, -0.5]
+PAST_HORIZON = [0.05, 0.1]  # t_end at 1/b and beyond it
+# malformed configs pinned as explicit examples: each must exit 2 at a key
+MALFORMED = [
+    ((("phys", "N"), "x"),),
+    ((("phys", "alpha"), "x"),),
+    ((("phys", "b"), None),),
+    ((("data", "n"), "x"),),
+    ((("data", "c"), "abc"),),
+    ((("data", "c"), [1, 2]),),
+    ((("solver", "t_end"), "abc"),),
+    ((("data", "bump", 0, "amp"), "zz"),),
+    ((("solver", "t_end"), 0),),
+    ((("solver", "t_end"), -1),),
+    ((("solver", "frame"), "u"), (("solver", "t_end"), 0)),
+    ((("solver", "frame"), "u"), (("solver", "t_end"), -1)),
+]
+COMMANDS = ("simulate", "verify-theorem")
+
+
+def _with_malformed(test):
+    for command in COMMANDS:
+        for case in MALFORMED:
+            test = example(command=command, case=case)(test)
+    return test
+
+
+@_with_malformed
+@given(command=st.sampled_from(COMMANDS), case=st.one_of(
+    st.tuples(st.tuples(st.sampled_from(CONTRACT_PATHS), st.sampled_from(WRONG_TYPED + BOUNDARY))),
+    st.tuples(st.tuples(st.just(("solver", "t_end")), st.sampled_from(PAST_HORIZON))),
+))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_config_exits_with_a_documented_code(tmp_path_factory, command, case):
+    doc = json.loads(json.dumps(CONTRACT_CONFIG))
+    for (*parents, key), value in case:
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+    root = tmp_path_factory.mktemp("contract")
+    cfg = write_config(root / "c.json", doc)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out", str(root / "out")])
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert re.search(re.escape(str(cfg)) + r":\d+: ", err.getvalue())
+    if case in MALFORMED:
+        assert code == 2
 
 
 # --- simulate ---

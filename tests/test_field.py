@@ -186,6 +186,19 @@ def test_snapshot_round_trip(tmp_path):
     assert g2.t == 0.125
 
 
+def test_snapshot_round_trip_is_bitwise(tmp_path):
+    # signed zeros and non-finite parts survive; a rebuilt re + 1j*im loses both
+    g = Grid((8.0, 8.0), (8, 8))
+    vals = np.full(g.shape, complex(-0.0, -0.0))
+    vals[0, :4] = [complex(1.0, np.inf), complex(np.inf, -0.0), complex(np.nan, 2.0),
+                   complex(-np.inf, -np.inf)]
+    vals[1] = np.arange(8) - 3.5j
+    save_field(Field(g, vals, "v", 0.0), tmp_path / "snap")
+    loaded = load_field(tmp_path / "snap").values
+    assert loaded.dtype == vals.dtype and loaded.tobytes() == vals.tobytes()
+    assert (tmp_path / "snap.bin").read_bytes() == vals.astype("<c16").tobytes()
+
+
 def test_snapshot_payload_mismatch(tmp_path):
     g = Grid.line(12.0, 64)
     f = Field(g, np.zeros(64, dtype=complex), "u", 0.0)

@@ -257,7 +257,7 @@ def test_run_flags_non_finite():
 
 def test_schedule_geometric_in_gauge():
     cfg = SolverConfig(frame="v", snapshot_count=13)
-    ts = snapshot_schedule(cfg, REF, 0.0, (1 - 1e-4) / 4.0)
+    ts = snapshot_schedule(cfg, REF, 0.0)
     gauge = 1.0 - 4.0 * ts
     ratios = gauge[1:] / gauge[:-1]
     assert ts[0] == 0.0

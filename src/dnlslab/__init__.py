@@ -15,7 +15,6 @@ from .solver import SolverConfig, Trajectory, run
 from .conformal import to_u_frame, norm_bridge
 from .asymptotics import (
     correction_algebraic,
-    correction_integral,
     finalize_profile,
     predicted_field,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "to_u_frame",
     "norm_bridge",
     "correction_algebraic",
-    "correction_integral",
     "finalize_profile",
     "predicted_field",
     "check_l2_envelope",

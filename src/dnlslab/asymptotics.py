@@ -9,11 +9,12 @@ with q and c the ``gauge_exponent`` and ``balance_coefficient`` of
 ``PhysParams``.  The correction f collects the dispersive coupling
 accumulated along the flow; it stays bounded while the explicit bracket
 blows up, which is the whole asymptotic mechanism.
-This module extracts f from a trajectory two independent ways (inverting
-the balance pointwise, and integrating the coupling term in time), freezes
-its terminal value f0 together with a limiting amplitude profile, and
-evaluates the resulting prediction in both frames, including the weighted
-error metrics of the main convergence statement.
+This module extracts f from a trajectory by inverting the balance
+pointwise, freezes its terminal value f0 together with a limiting amplitude
+profile, and evaluates the resulting prediction in both frames, including
+the weighted error metrics of the main convergence statement.  The
+independent route, integrating the coupling term in time along the step
+stream, is a test oracle and lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -107,35 +108,6 @@ def correction_algebraic(traj: Trajectory) -> list[Field]:
     p = _check_v_traj(traj)
     mod0a = np.abs(traj.snapshots[0].values) ** p.alpha
     return [correction_field(snap, mod0a, p) for snap in traj.snapshots]
-
-
-def correction_integral(traj: Trajectory) -> tuple[list[Field], float]:
-    """Correction by time-integrating the dispersive coupling; plus a residual.
-
-    Reads the per-step running integral the solver records for a v-frame run
-    with lam != 0 made with ``run(..., track_coupling=True)``.  The returned
-    residual is the largest sup-distance to the algebraic route over all
-    snapshots.  The two agree exactly for the continuum flow, so the residual
-    certifies the coupling quadrature, not the run: the integrand scales like
-    |v|^-(alpha+1), and the quadrature is conditioned only while |v| stays
-    away from zero.  A resolved run whose modulus passes near zero (a b below
-    the regime) reads a large residual.
-    """
-    p = _check_v_traj(traj)
-    if traj.coupling is None:
-        raise ValueError(
-            "trajectory carries no coupling record; run it with run(..., track_coupling=True)"
-        )
-    mod0a = np.abs(traj.snapshots[0].values) ** p.alpha
-    fields = [
-        Field(snap.grid, p.alpha * mod0a * acc.values.real, "v", snap.t)
-        for snap, acc in zip(traj.snapshots, traj.coupling)
-    ]
-    alg = correction_algebraic(traj)
-    residual = max(
-        float(np.max(np.abs(fi.values - fa.values))) for fi, fa in zip(fields, alg)
-    )
-    return fields, residual
 
 
 @dataclass(frozen=True)

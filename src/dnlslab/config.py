@@ -146,8 +146,8 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
     lam, b = read("phys", "lam", complex), read("phys", "b", float)
     if lam.imag > 0:
         err("lam", "Im(lam) > 0 amplifies mass; only dissipative or zero allowed")
-    if N < 1:
-        err("N", "dimension must be a positive integer")
+    if N not in (1, 2):  # before a grid of N axes is built
+        err("N", "dimension must be 1 or 2")
     if alpha <= 0:
         err("alpha", "alpha must be positive")
     params = PhysParams(N, alpha, lam, b)

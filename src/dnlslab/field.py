@@ -420,6 +420,9 @@ def load_field(path_base) -> Field:
     meta = json.loads(base.with_suffix(".json").read_text())
     if meta.get("schema_version") != SNAPSHOT_SCHEMA:
         raise ValueError(f"unsupported snapshot schema {meta.get('schema_version')}")
+    missing = [key for key in ("time", "frame", "extents", "points") if key not in meta]
+    if missing:
+        raise ValueError(f"snapshot sidecar lacks {', '.join(map(repr, missing))}")
     grid = Grid(
         tuple(float(L) for L in meta["extents"]),
         tuple(int(M) for M in meta["points"]),

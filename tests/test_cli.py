@@ -112,8 +112,15 @@ def _short_payload(base):
     base.with_suffix(".bin").write_bytes(raw[:-16])  # one sample short of the grid
 
 
+def _no_time(base):
+    meta = json.loads(base.with_suffix(".json").read_text())
+    del meta["time"]
+    base.with_suffix(".json").write_text(json.dumps(meta))
+
+
 @pytest.mark.parametrize("spoil,message", [(_schema_99, "unsupported snapshot schema 99"),
-                                           (_short_payload, "does not match grid size")])
+                                           (_short_payload, "does not match grid size"),
+                                           (_no_time, "snapshot sidecar lacks 'time'")])
 def test_unreadable_snapshot_data_exit_2(tmp_path, capsys, spoil, message):
     g = Grid.line(30.0, 64)
     save_field(Field(g, g.bracket() ** -5.0 + 0j, "v", 0.0), tmp_path / "v0")
@@ -197,6 +204,7 @@ PAST_HORIZON = [0.05, 0.1]  # t_end at 1/b and beyond it
 # malformed configs pinned as explicit examples: each must exit 2 at a key
 MALFORMED = [
     ((("phys", "N"), "x"),),
+    ((("phys", "N"), 10**400),),  # a grid of that many axes cannot be built
     ((("phys", "alpha"), "x"),),
     ((("phys", "b"), None),),
     ((("data", "n"), "x"),),
@@ -356,15 +364,20 @@ def test_short_last_decade_is_a_failed_check(tmp_path, snapshots):
     assert verdict["verdict"] != "pass"
 
 
-def test_verify_post_processing_holds_no_correction_series(tmp_path, monkeypatch):
-    # everything after the simulation: monitor rows (below THREAD_FLOOR
-    # report() computes them after the dump), profile, bridge, errors, report
-    M, snapshots = 64, 65
+# 2-D, 64^2 points, 65 snapshots: below THREAD_FLOOR, so report() computes the
+# monitor rows after the dump
+VERIFY_2D_M, VERIFY_2D_SNAPSHOTS = 64, 65
+
+
+@pytest.fixture(scope="module")
+def verify_2d(tmp_path_factory):
+    """A 2-D verify run, and the traced peak of everything after its simulation."""
+    root = tmp_path_factory.mktemp("verify_2d")
     doc = {
         "phys": {"N": 2, "alpha": 0.8, "lam": [0.0, -1.0], "b": 20.0},
-        "grid": {"L": 30.0, "M": M, "boundary_tol": 1e-2},
+        "grid": {"L": 30.0, "M": VERIFY_2D_M, "boundary_tol": 1e-2},
         "solver": {"frame": "v", "dt0": 2e-3, "c_adapt": 0.2,
-                   "horizon_floor": 1e-2, "snapshot_count": snapshots},
+                   "horizon_floor": 1e-2, "snapshot_count": VERIFY_2D_SNAPSHOTS},
         "data": {"c": 1.0, "n": 5},
     }
     simulate = cli._simulate_and_dump
@@ -374,17 +387,37 @@ def test_verify_post_processing_holds_no_correction_series(tmp_path, monkeypatch
         tracemalloc.start()
         return done
 
-    monkeypatch.setattr(cli, "_simulate_and_dump", simulate_then_trace)
-    cfg = write_config(tmp_path / "c.json", doc)
-    try:
-        assert main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    correction_bytes = 8 * M * M  # one real field per snapshot
-    print(f"post-processing peak {peak / 1024:.0f} KiB; "
-          f"a correction series would be {snapshots * correction_bytes / 1024:.0f} KiB")
-    assert peak < snapshots * correction_bytes
+    cfg = write_config(root / "c.json", doc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_simulate_and_dump", simulate_then_trace)
+        try:
+            code = main(["verify-theorem", "--config", str(cfg), "--out", str(root / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, root / "o", peak
+
+
+def test_verify_post_processing_holds_no_correction_series(verify_2d):
+    # everything after the simulation: monitor rows, profile, bridge, errors, report
+    code, _, peak = verify_2d
+    assert code == 0
+    correction_bytes = 8 * VERIFY_2D_M**2  # one real field per snapshot
+    print(f"post-processing peak {peak / 1024:.0f} KiB; a correction series would be "
+          f"{VERIFY_2D_SNAPSHOTS * correction_bytes / 1024:.0f} KiB")
+    assert peak < VERIFY_2D_SNAPSHOTS * correction_bytes
+
+
+def test_verify_2d_reaches_a_verdict_then_plot_tables(verify_2d):
+    code, out, _ = verify_2d
+    assert code == 0
+    doc = json.loads((out / "verdict.json").read_text())
+    assert doc["verdict"] in ("pass", "fail", "not in theorem regime")
+    assert (doc["verdict"] == "pass") == (doc["reasons"] == [])
+    assert main(["plot-data", str(out)]) == 0
+    for name in ("compensated.csv", "errors.csv", "psi_slices.csv"):
+        with open(out / "plots" / name) as fh:
+            assert len(list(csv.DictReader(fh))) > 0, name
 
 
 # 2-D, 128^2 points: at THREAD_FLOOR, so the monitor rows run on a pool

@@ -360,7 +360,7 @@ def test_monitor_phi_leaves_no_reference_cycle(clean_setup, monkeypatch):
 def test_monitor_rejects_wrong_frame(clean_setup):
     traj, v0, exps = clean_setup
     bad = type(traj)("u", traj.params, traj.times, traj.dts, traj.l2,
-                     traj.linf, None, None, traj.snapshots, None)
+                     traj.linf, None, None, traj.snapshots)
     with pytest.raises(ValueError, match="rescaled-frame"):
         monitor_phi(bad, v0, exps)
 
@@ -368,7 +368,7 @@ def test_monitor_rejects_wrong_frame(clean_setup):
 def test_monitor_needs_snapshots(clean_setup):
     traj, v0, exps = clean_setup
     bare = type(traj)("v", traj.params, traj.times, traj.dts, traj.l2,
-                      traj.linf, None, None, [], None)
+                      traj.linf, None, None, [])
     with pytest.raises(ValueError, match="no snapshots"):
         monitor_phi(bare, v0, exps)
 
@@ -380,7 +380,7 @@ def test_mass_dissipation_check(clean_setup):
     assert worst <= 1e-12
     doctored = type(traj)(traj.frame, traj.params, traj.times, traj.dts,
                           np.linspace(1.0, 2.0, len(traj.times)), traj.linf,
-                          None, None, traj.snapshots, None)
+                          None, None, traj.snapshots)
     ok2, worst2 = mass_dissipation_ok(doctored)
     assert not ok2 and worst2 > 0
 
@@ -420,6 +420,6 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
 def test_emit_report_requires_snapshots(tmp_path, clean_setup):
     traj, _, _ = clean_setup
     bare = type(traj)("v", traj.params, traj.times, traj.dts, traj.l2,
-                      traj.linf, None, None, [], None)
+                      traj.linf, None, None, [])
     with pytest.raises(ValueError, match="no snapshots"):
         emit_report(tmp_path, bare)

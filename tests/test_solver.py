@@ -18,6 +18,7 @@ from dnlslab.solver import (
     nonlinear_substep_v,
     run,
     snapshot_schedule,
+    steps,
     strang_step,
 )
 
@@ -210,18 +211,25 @@ def test_run_mass_nonincreasing():
 
 
 def test_run_snapshot_times_and_coupling_alignment():
+    # run is the fold over the steps stream: the stream's first item is f0,
+    # its snapshots land on the schedule, and its steps are run's records
     g = Grid.line(30.0, 128, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
-    traj = run(v0, cfg, REF, track_coupling=True)
+    stream = list(steps(v0, cfg, REF))
+    first, dt, snap = stream[0]
+    assert np.array_equal(first.values, v0.values) and first.spectrum is not None
+    assert dt == 0.0 and snap is v0
+    stamps = np.array([s.t for _, _, s in stream if s is not None])
+    assert np.array_equal(stamps, snapshot_schedule(cfg, REF, 0.0))
+    traj = run(v0, cfg, REF)
     ts = np.array([s.t for s in traj.snapshots])
-    assert ts[0] == 0.0
+    assert np.array_equal(ts, stamps)
     assert ts[-1] == pytest.approx((1 - 0.05) / 4.0)
     assert np.all(np.diff(ts) > 0)
-    assert len(traj.coupling) == len(traj.snapshots)
-    assert np.all(traj.coupling[0].values == 0)
-    for c, s in zip(traj.coupling, traj.snapshots):
-        assert c.t == s.t
+    taken = [(f.t, dt) for f, dt, _ in stream[1:] if dt > 0.0]
+    assert traj.times.tolist() == [0.0] + [t for t, _ in taken]
+    assert traj.dts.tolist() == [0.0] + [dt for _, dt in taken]
 
 
 def test_run_frame_mismatch():
@@ -324,17 +332,6 @@ def test_free_multiplier_cache_is_never_stale():
         check(wide, tau)
         check(narrow, tau)
         check(wide, tau)
-
-
-def test_run_keeps_no_coupling_by_default():
-    g = Grid.line(30.0, 128, boundary_tol=1e-3)
-    v0 = build_initial_data(g, 1.0, 5)
-    cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
-    traj = run(v0, cfg, REF)
-    assert traj.coupling is None
-    tracked = run(v0, cfg, REF, track_coupling=True)
-    for a, b in zip(traj.snapshots, tracked.snapshots):
-        assert np.array_equal(a.values, b.values)
 
 
 @pytest.mark.parametrize("grid", [Grid.line(30.0, 2048), Grid.line(20.0, 512),

@@ -217,8 +217,9 @@ def predicted_field(t: float, profile: ProfileData) -> Field:
 def error_metric(u: Field, profile: ProfileData) -> tuple[float, float]:
     """Weighted gaps (t^{1/alpha - N/2} ||u - z||_2, t^{1/alpha} ||u - z||_inf).
 
-    ``u`` must live on the co-moving stretch of the profile grid and satisfy
-    t >= 1, the range where the convergence statement applies.
+    ``u`` must satisfy t >= 1, the range where the convergence statement
+    applies.  A ``u`` off the co-moving stretch of the profile grid, where the
+    rounding of t moves it near the horizon, raises ``ExtractionError``.
     """
     p = profile.params
     if u.frame != "u":
@@ -229,7 +230,7 @@ def error_metric(u: Field, profile: ProfileData) -> tuple[float, float]:
     if z.grid.points != u.grid.points or not np.allclose(
         z.grid.extents, u.grid.extents, rtol=1e-9, atol=0.0
     ):
-        raise ValueError("field is not on the co-moving stretch of the profile grid")
+        raise ExtractionError(f"t = {u.t:.6g}: field is off the co-moving stretch of the grid")
     diff = u.values - z.values
     e2 = u.t ** (1.0 / p.alpha - p.N / 2.0) * l2_norm(Field(u.grid, diff, "u", u.t))
     einf = u.t ** (1.0 / p.alpha) * float(np.max(np.abs(diff)))

@@ -19,7 +19,6 @@ from .params import ExponentSet, PhysParams, synthesize_exponents
 from .solver import SolverConfig, snapshot_schedule
 
 ENV_OUT = "DNLSLAB_OUT"
-DEFAULT_SNAPSHOTS = 49
 _REQUIRED = object()  # build_run's marker for a key without a default
 
 
@@ -118,8 +117,8 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
       seed:      integer for randomized bumps (default 0)
 
     A null value reads as absent, and one not of its kind is a ConfigError at
-    its key.  ``snapshot_schedule`` decides when the run may start and stop;
-    its errors anchor at "solver".
+    its key.  ``snapshot_schedule`` alone judges the solver section; its
+    errors anchor at "solver".
     """
 
     def err(key, msg):
@@ -152,14 +151,10 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
         err("alpha", "alpha must be positive")
     params = PhysParams(N, alpha, lam, b)
 
-    kinds = {"frame": str, "dt0": float, "c_adapt": float, "horizon_floor": float, "t_end": float}
-    try:
-        solver = SolverConfig(
-            snapshot_count=read("solver", "snapshot_count", int, DEFAULT_SNAPSHOTS),
-            **{k: read("solver", k, kind, getattr(SolverConfig, k)) for k, kind in kinds.items()},
-        )
-    except ValueError as e:
-        err("solver", str(e))
+    kinds = {"frame": str, "dt0": float, "c_adapt": float, "t_end": float,
+             "horizon_floor": float, "snapshot_count": int}
+    solver = SolverConfig(**{k: read("solver", k, kind, getattr(SolverConfig, k))
+                             for k, kind in kinds.items()})
 
     data_n = read("data", "n", int, None)
     snapshot = read("data", "snapshot", str, None)
@@ -226,12 +221,15 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
             err("grid", str(e))
         except ValueError as e:
             err("data", str(e))
-    if initial.frame != solver.frame:
-        initial = Field(initial.grid, initial.values, solver.frame, initial.t)
     try:
         snapshot_schedule(solver, params, initial.t)
     except ValueError as e:
         err("solver", str(e))
+    if initial.frame != solver.frame:  # the lens between the frames is the identity only at t = 0
+        if initial.t != 0.0:
+            err("snapshot", f"a {initial.frame}-frame snapshot at t = {initial.t:g} cannot start "
+                f"a {solver.frame}-frame run; only t = 0 is the same state in both frames")
+        initial = Field(initial.grid, initial.values, solver.frame, initial.t)
 
     return RunConfig(params=params, exps=exps, initial=initial, solver=solver,
                      out=out_root(out_override, doc))

@@ -41,6 +41,7 @@ from .params import ExponentSet, PhysParams, validate_phys
 log = logging.getLogger(__name__)
 
 _LANDING_EPS = 1e-12
+DT_MIN = 1e-12  # smallest adaptive step; below it the horizon is not resolved
 # Largest relative per-step growth of the mass that still counts as dissipation.
 MASS_SLACK = 1e-12
 
@@ -50,7 +51,7 @@ class NumericalError(RuntimeError):
 
 
 class StepUnderflowError(NumericalError):
-    """Adaptive step fell below dt_min: the horizon is not being resolved."""
+    """Adaptive step fell below DT_MIN: the horizon is not being resolved."""
 
 
 class UnstableSolutionError(NumericalError):
@@ -59,30 +60,20 @@ class UnstableSolutionError(NumericalError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stepper numerics: frame, step-size rule, stop rule, snapshot schedule.
+    """Stepper numerics, one field per key of a config's solver section.
 
-    ``snapshot_times`` wins over ``snapshot_count``; the count requests a
-    schedule geometric in (1 - b t) for v-frame runs (log-equidistant
-    approach to the horizon) and geometric in 1 + (t - t0) otherwise.
-    Start and end times are always included.
+    ``snapshot_schedule`` judges them.  ``snapshot_count`` requests a schedule
+    geometric in (1 - b t) for v-frame runs (log-equidistant approach to the
+    horizon) and geometric in 1 + (t - t0) otherwise; start and end times are
+    always included.
     """
 
     frame: str = "v"
     dt0: float = 5e-4
     c_adapt: float = 0.05
-    dt_min: float = 1e-12
     t_end: float | None = None
     horizon_floor: float = 1e-4
-    snapshot_times: tuple[float, ...] | None = None
-    snapshot_count: int = 0
-
-    def __post_init__(self):
-        if self.frame not in ("u", "v"):
-            raise ValueError("frame must be 'u' or 'v'")
-        if self.dt0 <= 0 or self.dt_min <= 0 or self.c_adapt <= 0:
-            raise ValueError("dt0, dt_min, c_adapt must be positive")
-        if not 0 < self.horizon_floor < 1:
-            raise ValueError("horizon_floor must lie in (0, 1)")
+    snapshot_count: int = 49
 
 
 @dataclass
@@ -197,11 +188,17 @@ def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysPa
 def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float) -> np.ndarray:
     """The run's snapshot times from t0 to its end time, which comes last.
 
-    The one home of the rules on when a run stops: a u-frame run needs
-    ``cfg.t_end``; a v-frame run needs b > 0 and stops at ``cfg.t_end`` below
-    the horizon 1/b, else where 1 - b t reaches ``cfg.horizon_floor``; the end
-    time must exceed t0.
+    The one judge of a solver section.  A u-frame run needs ``cfg.t_end``; a
+    v-frame run needs b > 0 and stops at ``cfg.t_end`` below the horizon 1/b,
+    else where 1 - b t reaches ``cfg.horizon_floor``; the end time must exceed
+    t0, and no two times may lie within the landing tolerance.
     """
+    if cfg.frame not in ("u", "v"):
+        raise ValueError("frame must be 'u' or 'v'")
+    if cfg.dt0 <= 0 or cfg.c_adapt <= 0:
+        raise ValueError("dt0 and c_adapt must be positive")
+    if not 0 < cfg.horizon_floor < 1:
+        raise ValueError("horizon_floor must lie in (0, 1)")
     if cfg.frame == "u":
         if cfg.t_end is None:
             raise ValueError("t_end is required for u-frame runs")
@@ -215,20 +212,15 @@ def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float) -> np.nd
             raise ValueError(f"t_end = {t_end} must be strictly below the horizon {horizon}")
     if t_end <= t0:
         raise ValueError("t_end must exceed the initial time")
-    if cfg.snapshot_times is not None:
-        times = np.array(sorted({float(s) for s in cfg.snapshot_times} | {t0, t_end}))
-        if times[0] < t0 or times[-1] > t_end:
-            raise ValueError("snapshot times must lie within [t0, t_end]")
-        return times
-    count = cfg.snapshot_count
-    if count < 2:
-        return np.array([t0, t_end])
+    count = max(cfg.snapshot_count, 2)
     if cfg.frame == "v":
         gauge = np.geomspace(1.0 - params.b * t0, 1.0 - params.b * t_end, count)
         times = (1.0 - gauge) / params.b
     else:
         times = t0 + np.geomspace(1.0, 1.0 + (t_end - t0), count) - 1.0
     times[0], times[-1] = t0, t_end
+    if np.min(np.diff(times)) <= _LANDING_EPS:  # the stepper cannot land on both
+        raise ValueError(f"snapshot_count {count} puts two times within {_LANDING_EPS:g}")
     return times
 
 
@@ -257,7 +249,7 @@ def steps(
     Raises
     ------
     StepUnderflowError
-        If the adaptive step falls below ``cfg.dt_min``.
+        If the adaptive step falls below ``DT_MIN``.
     """
     if f0.frame != cfg.frame:
         raise ValueError(f"initial field frame {f0.frame!r} != configured {cfg.frame!r}")
@@ -278,10 +270,8 @@ def steps(
             dt_cap = min(cfg.dt0, cfg.c_adapt * (1.0 - params.b * t))
         else:
             dt_cap = cfg.dt0
-        if dt_cap < cfg.dt_min:
-            raise StepUnderflowError(
-                f"step {dt_cap:.3e} below dt_min {cfg.dt_min:.3e} at t = {t:.6g}"
-            )
+        if dt_cap < DT_MIN:
+            raise StepUnderflowError(f"step {dt_cap:.3e} below DT_MIN {DT_MIN:.0e} at t = {t:.6g}")
         dt = min(dt_cap, due[i] - t)
         if dt <= _LANDING_EPS:  # float dust from landing arithmetic
             t, dt = due[i], 0.0
@@ -329,7 +319,7 @@ def run(
     Raises
     ------
     StepUnderflowError
-        If the adaptive step falls below ``cfg.dt_min``.
+        If the adaptive step falls below ``DT_MIN``.
     UnstableSolutionError
         If the field stops being finite or the mass record increases beyond
         roundoff (dissipation must be monotone for Im(lambda) <= 0).

@@ -118,9 +118,16 @@ def _no_time(base):
     base.with_suffix(".json").write_text(json.dumps(meta))
 
 
+def _u_frame_later(base):
+    # a later u-frame state: only at t = 0 is it also the v-frame state
+    meta = json.loads(base.with_suffix(".json").read_text())
+    base.with_suffix(".json").write_text(json.dumps({**meta, "frame": "u", "time": 0.01}))
+
+
 @pytest.mark.parametrize("spoil,message", [(_schema_99, "unsupported snapshot schema 99"),
                                            (_short_payload, "does not match grid size"),
-                                           (_no_time, "snapshot sidecar lacks 'time'")])
+                                           (_no_time, "snapshot sidecar lacks 'time'"),
+                                           (_u_frame_later, "cannot start a v-frame run")])
 def test_unreadable_snapshot_data_exit_2(tmp_path, capsys, spoil, message):
     g = Grid.line(30.0, 64)
     save_field(Field(g, g.bracket() ** -5.0 + 0j, "v", 0.0), tmp_path / "v0")
@@ -167,6 +174,23 @@ def test_invalid_solver_value_exit_2(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_deep_2d_error_series_is_a_numerical_failure(tmp_path, capsys):
+    # at gauge 1e-8 the rounding of t moves the lens grid off the profile's
+    # co-moving stretch: a numerical failure, not a traceback
+    doc = {
+        "phys": {"N": 2, "alpha": 0.8, "lam": [0.0, -1.0], "b": 20.0},
+        "grid": {"L": 30.0, "M": 32, "boundary_tol": 1e-3},
+        "solver": {"frame": "v", "dt0": 5e-4, "c_adapt": 0.05,
+                   "horizon_floor": 1e-8, "snapshot_count": 97},
+        "data": {"c": 1.0, "n": 5},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: t = " in err and "co-moving stretch" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key", ["strict", "fallback_sigma"])
 def test_exponent_flags_must_be_json_booleans(tmp_path, capsys, key):
     doc = json.loads(json.dumps(PASS_CONFIG))
@@ -198,6 +222,9 @@ CONTRACT_PATHS = [
     *[("data", key) for key in ("c", "n")],
     *[("data", "bump", 0, key) for key in ("amp", "center", "width")],
 ]
+# every section, and the bump list and its first entry: objects or a list of objects
+CONTAINER_PATHS = [*[(section,) for section in ("phys", "grid", "solver", "data", "exponents")],
+                   ("data", "bump"), ("data", "bump", 0)]
 WRONG_TYPED = ["x", None, [1, 2], {"a": 1}]
 BOUNDARY = [0, -1, -0.5]
 PAST_HORIZON = [0.05, 0.1]  # t_end at 1/b and beyond it
@@ -216,6 +243,8 @@ MALFORMED = [
     ((("solver", "t_end"), -1),),
     ((("solver", "frame"), "u"), (("solver", "t_end"), 0)),
     ((("solver", "frame"), "u"), (("solver", "t_end"), -1)),
+    # 145 snapshots down to gauge 1e-12: the last lie closer than the stepper can land
+    ((("solver", "horizon_floor"), 1e-12), (("solver", "snapshot_count"), 145)),
 ]
 COMMANDS = ("simulate", "verify-theorem")
 
@@ -231,8 +260,10 @@ def _with_malformed(test):
 @given(command=st.sampled_from(COMMANDS), case=st.one_of(
     st.tuples(st.tuples(st.sampled_from(CONTRACT_PATHS), st.sampled_from(WRONG_TYPED + BOUNDARY))),
     st.tuples(st.tuples(st.just(("solver", "t_end")), st.sampled_from(PAST_HORIZON))),
+    st.tuples(st.tuples(st.sampled_from(CONTAINER_PATHS),
+                        st.sampled_from(WRONG_TYPED + [3, True, [{"a": 1}]]))),
 ))
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_every_config_exits_with_a_documented_code(tmp_path_factory, command, case):
     doc = json.loads(json.dumps(CONTRACT_CONFIG))
     for (*parents, key), value in case:

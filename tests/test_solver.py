@@ -183,7 +183,7 @@ def test_strang_self_convergence_order_two():
     T = 0.125
     finals = {}
     for dt0 in (4e-3, 2e-3, 1e-3, 2.5e-4):
-        cfg = SolverConfig(frame="v", dt0=dt0, c_adapt=0.05, t_end=T, snapshot_times=(T,))
+        cfg = SolverConfig(frame="v", dt0=dt0, c_adapt=0.05, t_end=T, snapshot_count=2)
         finals[dt0] = run(v0, cfg, REF).snapshots[-1].values
     errs = [np.max(np.abs(finals[dt] - finals[2.5e-4])) for dt in (4e-3, 2e-3, 1e-3)]
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -194,7 +194,7 @@ def test_run_free_gaussian_oracle():
     g = Grid.line(20.0, 512)
     x = g.axes()[0]
     u0 = Field(g, np.exp(-(x**2) / 2).astype(complex), "u", 0.0)
-    cfg = SolverConfig(frame="u", dt0=5e-3, t_end=1.0, snapshot_times=(0.25, 0.5, 1.0))
+    cfg = SolverConfig(frame="u", dt0=5e-3, t_end=1.0, snapshot_count=4)
     traj = run(u0, cfg, PhysParams(1, 1.0, 0j, 0.0))
     for snap in traj.snapshots[1:]:
         exact = free_gaussian(0.5, snap.t, x)
@@ -249,7 +249,8 @@ def test_run_rejects_t_end_past_horizon():
 def test_run_step_underflow():
     g = Grid.line(30.0, 64, boundary_tol=1e-2)
     v0 = build_initial_data(g, 1.0, 5)
-    cfg = SolverConfig(frame="v", dt0=5e-3, dt_min=1e-3, c_adapt=0.05, horizon_floor=1e-4)
+    # c_adapt * (1 - b t) lies below DT_MIN from the first step on
+    cfg = SolverConfig(frame="v", dt0=5e-3, c_adapt=1e-13, horizon_floor=1e-4)
     with pytest.raises(StepUnderflowError):
         run(v0, cfg, REF)
 

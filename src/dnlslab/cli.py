@@ -41,7 +41,7 @@ from .diagnostics import (
     l2_envelope_exponent,
     mass_dissipation_ok,
 )
-from .field import DEFAULT_MAX_ORDER, save_field
+from .field import DEFAULT_MAX_ORDER, SnapshotStore
 from .params import synthesize_exponents
 from .solver import MASS_SLACK, NumericalError, run
 
@@ -111,42 +111,46 @@ def _write_norms(out: Path, traj) -> None:
     _write_csv(out / "norms.csv", list(cols), zip(*(c.tolist() for c in cols.values())))
 
 
-def _write_snapshots(out: Path, traj) -> None:
-    for i, snap in enumerate(traj.snapshots):
-        save_field(snap, out / "snapshots" / f"snap_{i:04d}")
-
-
 def _echo_config(out: Path, doc: dict) -> None:
     echo = {k: v for k, v in doc.items() if k != "out"}
     (out / "run_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
-def _simulate_and_dump(rc: RunConfig, doc: dict, on_snapshot=None):
-    """Run the configured simulation and write config echo, norms and snapshots.
+def _simulate_and_dump(rc: RunConfig, doc: dict, store: SnapshotStore, on_snapshot=None):
+    """Run the configured simulation into ``store``; stage config echo and norms beside it.
 
     ``on_snapshot`` is handed to ``run``: the monitor, fed each snapshot as
-    the solver takes it.
+    the solver takes it, which saves it to ``store`` once its row is done.
+    Without one, each snapshot is saved as the solver takes it.
     """
-    traj = run(rc.initial, rc.solver, rc.params, exps=rc.exps, on_snapshot=on_snapshot)
-    rc.out.mkdir(parents=True, exist_ok=True)
-    _echo_config(rc.out, doc)
-    _write_norms(rc.out, traj)
-    _write_snapshots(rc.out, traj)
+    traj = run(rc.initial, rc.solver, rc.params, exps=rc.exps,
+               on_snapshot=store.save if on_snapshot is None else on_snapshot, snapshots=store)
+    _echo_config(store.directory.parent, doc)
+    _write_norms(store.directory.parent, traj)
     return traj
 
 
 def _simulate_monitored(rc: RunConfig, doc: dict, max_order: int):
     """``_simulate_and_dump`` feeding a ``SnapshotMonitor``, then the monitor report.
 
-    Each snapshot goes to the monitor as the solver takes it.  Where the
-    monitor runs on threads its rows overlap the solve, and a solver error
-    cancels those not started; elsewhere ``report()`` computes them once
-    the run is dumped.  Either way a vanishing modulus raises
-    ExtractionError once the run is dumped, before anything else is written.
+    Each snapshot goes to the monitor as the solver takes it, and is saved
+    once its row is done.  Where the monitor runs on threads its rows
+    overlap the solve, and a solver error cancels those not started;
+    elsewhere ``report()`` computes them once the run is dumped.  The dump
+    reaches ``rc.out`` once every snapshot is saved, so a solver or I/O
+    error leaves no ``rc.out``.  A vanishing modulus raises ExtractionError
+    once the dump is there, before anything else is written.
     """
-    with SnapshotMonitor(rc.initial, rc.exps, rc.params, max_order) as monitoring:
-        traj = _simulate_and_dump(rc, doc, monitoring)
-        return traj, monitoring.report()
+    with SnapshotStore.staged(rc.out) as store, SnapshotMonitor(
+            rc.initial, rc.exps, rc.params, max_order, save=store.save) as monitoring:
+        traj = _simulate_and_dump(rc, doc, store, monitoring)
+        try:
+            report = monitoring.report()
+        except ExtractionError:
+            store.publish(rc.out)  # the run itself is whole
+            raise
+        store.publish(rc.out)
+        return traj, report
 
 
 def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
@@ -155,17 +159,19 @@ def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
     if rc.solver.frame == "v" and rc.exps is not None:  # exps exist only for Im(lam) < 0
         traj, monitor = _simulate_monitored(rc, doc, max_order)
     else:
-        traj, monitor = _simulate_and_dump(rc, doc), None
+        with SnapshotStore.staged(rc.out) as store:
+            traj, monitor = _simulate_and_dump(rc, doc, store), None
+            store.publish(rc.out)
     emit_report(rc.out, traj, monitor=monitor)
     print(f"simulate: {len(traj.times) - 1} steps, artifacts in {rc.out}")
     return EXIT_OK
 
 
 def _profile_error_series(traj, profile):
-    # t, L2 error and sup error at each snapshot from t = 1 on
+    # t, L2 error and sup error at each snapshot from t = 1 on, each read once
     b = traj.params.b
-    rows = [(t, *error_metric(to_u_frame(snap, b), profile)) for snap in traj.snapshots
-            if (t := physical_time(snap.t, b)) >= 1.0]
+    rows = [(t, *error_metric(to_u_frame(traj.snapshots[i], b), profile))
+            for i, s in enumerate(traj.snapshot_times) if (t := physical_time(s, b)) >= 1.0]
     return np.array(rows, dtype=float).reshape(-1, 3).T
 
 

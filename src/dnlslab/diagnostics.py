@@ -12,7 +12,8 @@ import csv
 import functools
 import json
 import os
-from concurrent.futures import Future
+from collections.abc import Callable
+from concurrent.futures import Future, wait
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
@@ -33,8 +34,6 @@ from .field import (
     data_bound,
     derivative_moduli,
     derivative_orders,
-    l2_norm,
-    sup_norm,
 )
 from .params import ExponentSet, PhysParams
 from .solver import MASS_SLACK, Trajectory
@@ -55,6 +54,13 @@ THREAD_FLOOR = 128 * 128
 # worker monitors on two threads than on one (10 alternating pairs, medians:
 # M = 128 1.40 against 1.49 s, M = 256 5.56 against 5.86 s).
 MAX_THREADS = 2
+# Rows SnapshotMonitor lets run ahead of its caller.  Each holds its snapshot
+# until the row is done, so without a cap a solve that outruns the threads
+# holds a growing share of the schedule.  verify-theorem on the ref2d config
+# at M = 384, peak RSS in-process on the same 2 CPUs: 129 MiB at 49 snapshots
+# and 181 MiB at 97 uncapped, 106.8 MiB at both with this cap; M = 256 at
+# 49 snapshots, 75 against 66 MiB.
+ROWS_IN_FLIGHT = 2 * MAX_THREADS
 
 
 @dataclass(frozen=True)
@@ -236,14 +242,21 @@ class SnapshotMonitor:
     fed since the last report on the calling thread, so their arrays never
     sit beside a running solve's.  Either way each row is computed once and
     the running maxima are reduced in snapshot order, so the report is the
-    same bit for bit.  Use it as a context manager: leaving the block
-    cancels the rows that have not started, so a failing run does not wait
-    for them.
+    same bit for bit.  A feed waits for the oldest pending row while
+    ``ROWS_IN_FLIGHT`` rows are pending, so the threads hold at most that
+    many snapshots.  With ``save``, snapshot i goes to ``save(snap, i)`` once
+    its row is done, whether or not the row raised, on the row's thread; the
+    monitor then holds it no longer.  Without threads, ``report()`` saves the
+    snapshots fed since the last report before it computes their rows.  Use
+    it as a context manager: leaving the block cancels the rows that have
+    not started, so a failing run does not wait for them.
     """
 
     def __init__(self, v0: Field, exps: ExponentSet, params: PhysParams,
-                 max_order: int = DEFAULT_MAX_ORDER):
+                 max_order: int = DEFAULT_MAX_ORDER,
+                 save: Callable[[Field, int], object] | None = None):
         self._v0, self._exps, self._params, self._max_order = v0, exps, params, max_order
+        self._save = save
         self._orders = derivative_orders(v0.grid.dim, max_order)
         self._weight = v0.grid.bracket_pow(exps.n)
         self._mod0a = None
@@ -271,8 +284,15 @@ class SnapshotMonitor:
     def __call__(self, snap: Field) -> None:
         if self._mod0a is None:
             self._mod0a = np.abs(snap.values) ** self._params.alpha
+        i = len(self._times)
         self._times.append(snap.t)
-        self._fed.append(snap if self._pool is None else self._pool.submit(self._row, snap))
+        if self._pool is None:
+            self._fed.append(snap)
+            return
+        pending = [row for row in self._fed if not row.done()]
+        if len(pending) >= ROWS_IN_FLIGHT:
+            wait(pending[:1])
+        self._fed.append(self._pool.submit(self._row_then_save, i, snap))
 
     @functools.cached_property
     def _workspace(self) -> LadderWorkspace:
@@ -284,6 +304,13 @@ class SnapshotMonitor:
         p, n = self._params, self._exps.n
         K = data_bound(self._v0, n, self._max_order, self._workspace)
         return K, 2.0 * K**p.alpha * self._v0.grid.bracket_pow(-n * p.alpha)
+
+    def _row_then_save(self, i: int, snap: Field) -> tuple:
+        try:
+            return self._row(snap)
+        finally:
+            if self._save is not None:
+                self._save(snap, i)
 
     def _row(self, snap: Field) -> tuple[float, float, float, float, bool]:
         # reads only its argument, the arrays fixed before the first row and
@@ -316,13 +343,24 @@ class SnapshotMonitor:
 
         Raises the first error of the data constant, then of the rows in
         snapshot order: ``ExtractionError`` for the first snapshot whose
-        modulus vanishes.
+        modulus vanishes.  Every snapshot fed is saved first, and on the
+        threads every row is done.
         """
-        if self._pool is None and not self._bound.done():
-            self._bound.set_result(self._data_bound())
+        if self._pool is None:
+            if not self._bound.done():
+                self._bound.set_result(self._data_bound())
+            if self._save is not None:
+                # in one burst before the rows: saving after each row made a
+                # 1-D M = 2048 verify's median wall time 0.02 s longer and its
+                # peak RSS 0.1 MiB higher (2-CPU Xeon, 6-10 alternating runs)
+                for i, snap in enumerate(self._fed, len(self._rows)):
+                    self._save(snap, i)
+            # each row fed since the last report, once, computed here
+            collect = self._row
+        else:
+            wait(self._fed)  # so that no row or save is running when one raises
+            collect = Future.result
         K = self._bound.result()[0]
-        # each row fed since the last report, once: computed here, or awaited
-        collect = self._row if self._pool is None else Future.result
         self._rows += [collect(item) for item in self._fed]
         self._fed.clear()
         rows = self._rows
@@ -397,7 +435,6 @@ def emit_report(
     out_dir,
     traj: Trajectory,
     monitor: MonitorReport | None = None,
-    fits: dict[str, RateFit] | None = None,
     checks: dict[str, dict] | None = None,
     profile_meta: dict | None = None,
 ) -> tuple[Path, Path]:
@@ -405,21 +442,23 @@ def emit_report(
 
     CSV columns: t, gauge (rescaled frame; empty otherwise), l2, linf, then
     phi1/phi3/phi4/psi/f_sup when a monitor report is attached.  One row per
-    snapshot.
+    snapshot, from the norms the run recorded at its step: no snapshot is
+    read.
     """
-    if not traj.snapshots:
+    if not len(traj.snapshot_times):
         raise ValueError("no snapshots")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     p = traj.params
+    l2, linf = traj.l2[traj.snapshot_steps].tolist(), traj.linf[traj.snapshot_steps].tolist()
 
     rows = []
-    for i, snap in enumerate(traj.snapshots):
+    for i, t in enumerate(traj.snapshot_times.tolist()):
         row = {
-            "t": snap.t,
-            "gauge": 1.0 - p.b * snap.t if traj.frame == "v" else "",
-            "l2": l2_norm(snap),
-            "linf": sup_norm(snap),
+            "t": t,
+            "gauge": 1.0 - p.b * t if traj.frame == "v" else "",
+            "l2": l2[i],
+            "linf": linf[i],
         }
         if monitor is not None:
             row.update(
@@ -441,9 +480,9 @@ def emit_report(
         "schema_version": REPORT_SCHEMA,
         "frame": traj.frame,
         "params": p.to_dict(),
-        "snapshots": len(traj.snapshots),
+        "snapshots": len(traj.snapshot_times),
         "monitor": monitor.as_dict() if monitor is not None else None,
-        "fits": {k: v.as_dict() for k, v in (fits or {}).items()},
+        "fits": {},
         "checks": checks or {},
         "profile": profile_meta,
     }

@@ -10,9 +10,12 @@ Supports N = 1 and N = 2.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import shutil
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
@@ -432,3 +435,77 @@ def load_field(path_base) -> Field:
     if raw.size != np.prod(grid.shape):
         raise ValueError("snapshot payload does not match grid size")
     return Field(grid, raw.reshape(grid.shape), meta["frame"], float(meta["time"]))
+
+
+class SnapshotStore(Sequence):
+    """A run's snapshots on disk, ``snap_{i:04d}.{bin,json}`` in ``directory``.
+
+    ``run`` appends to it as to a list.  It keeps in memory only the times,
+    the first field and the latest; each snapshot reaches disk when ``save``
+    is called for it, once whatever reads it in memory is done with it.  Any
+    other index is read back from its ``.bin`` on the first field's grid and
+    frame, one array per read.
+    """
+
+    def __init__(self, directory):
+        self.directory = Path(directory)
+        self.times: list[float] = []
+        self._first = self._last = None
+
+    @classmethod
+    @contextlib.contextmanager
+    def staged(cls, out: Path):
+        """A store in ``.NAME.partial/snapshots`` beside a run's directory ``out``.
+
+        The run writes its other files into the staging directory too
+        (``directory.parent``); ``publish`` moves them all into ``out``.  The
+        staging directory goes on the way out, published or not, and one that
+        a killed run left goes on the way in.
+        """
+        stage = out.parent / f".{out.name}.partial"
+        shutil.rmtree(stage, ignore_errors=True)
+        (stage / "snapshots").mkdir(parents=True)
+        try:
+            yield cls(stage / "snapshots")
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+
+    def publish(self, out: Path) -> None:
+        """Move a ``staged`` store's files into ``out``, where it reads from then on.
+
+        Each staged entry replaces its namesake in ``out``, ``snapshots/`` as
+        a whole; every other file in ``out`` stays.
+        """
+        out.mkdir(parents=True, exist_ok=True)
+        for entry in self.directory.parent.iterdir():
+            target = out / entry.name
+            if entry.is_dir() and target.is_dir():
+                shutil.rmtree(target)
+            entry.replace(target)
+        self.directory = out / "snapshots"
+
+    def append(self, f: Field) -> None:
+        if not self.times:
+            self._first = f
+        self.times.append(f.t)
+        self._last = f
+
+    def save(self, f: Field, i: int = -1) -> None:
+        """Write ``f`` as snapshot i, by default the latest appended."""
+        save_field(f, self.directory / f"snap_{i % len(self.times):04d}")
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i: int) -> Field:
+        n = len(self.times)
+        if not -n <= i < n:
+            raise IndexError("snapshot index out of range")
+        i %= n
+        if i == 0:
+            return self._first
+        if i == n - 1:
+            return self._last
+        first = self._first
+        raw = np.fromfile(self.directory / f"snap_{i:04d}.bin", dtype="<c16")
+        return Field(first.grid, raw.reshape(first.grid.shape), first.frame, self.times[i])

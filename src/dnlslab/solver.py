@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, MutableSequence, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,7 +78,11 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Run output: per-step scalar records plus full fields on the schedule."""
+    """Run output: per-step scalar records plus full fields on the schedule.
+
+    Snapshot i is stamped ``snapshot_times[i]`` and holds the state of step
+    ``snapshot_steps[i]``, so its norms are ``l2`` and ``linf`` there.
+    """
 
     frame: str
     params: PhysParams
@@ -88,7 +92,9 @@ class Trajectory:
     linf: np.ndarray
     wsup: np.ndarray | None
     winf: np.ndarray | None
-    snapshots: list[Field]
+    snapshots: Sequence[Field]
+    snapshot_times: np.ndarray
+    snapshot_steps: np.ndarray
 
 
 @functools.lru_cache(maxsize=2)
@@ -291,6 +297,7 @@ def run(
     params: PhysParams,
     exps: ExponentSet | None = None,
     on_snapshot: Callable[[Field], object] | None = None,
+    snapshots: MutableSequence[Field] | None = None,
 ) -> Trajectory:
     """Integrate from f0 to the configured end time: the fold over ``steps``.
 
@@ -309,8 +316,13 @@ def run(
         When given, per-step weighted sup/inf records with weight <x>^n are
         kept alongside the plain norms.
     on_snapshot : callable, optional
-        Called with each snapshot as it is taken, so a consumer can start
-        on it while the run goes on.  Snapshot values are never written to.
+        Called with each snapshot as it is taken, once it is appended to
+        ``snapshots``, so a consumer can start on it while the run goes on.
+        Snapshot values are never written to.
+    snapshots : mutable sequence, optional
+        Where the snapshots are appended, in schedule order, and what the
+        trajectory's ``snapshots`` is; a new list by default.  The CLI passes
+        a ``SnapshotStore``, which keeps them on disk.
 
     Returns
     -------
@@ -325,7 +337,8 @@ def run(
         roundoff (dissipation must be monotone for Im(lambda) <= 0).
     """
     weight = None if exps is None else f0.grid.bracket_pow(exps.n)
-    times, dts, records, snapshots = [], [], [], []
+    snapshots = [] if snapshots is None else snapshots
+    times, dts, records, snapshot_times, snapshot_steps = [], [], [], [], []
     for f, dt, snapshot in steps(f0, cfg, params):
         if dt > 0.0 or not records:  # a dust landing brings no new state
             rec = _records(f, weight)
@@ -341,6 +354,8 @@ def run(
             dts.append(dt)
             records.append(rec)
         if snapshot is not None:
+            snapshot_times.append(snapshot.t)
+            snapshot_steps.append(len(records) - 1)
             snapshots.append(snapshot)
             if on_snapshot is not None:
                 on_snapshot(snapshot)
@@ -366,4 +381,6 @@ def run(
         wsup=columns[2] if weight is not None else None,
         winf=columns[3] if weight is not None else None,
         snapshots=snapshots,
+        snapshot_times=np.array(snapshot_times),
+        snapshot_steps=np.array(snapshot_steps),
     )

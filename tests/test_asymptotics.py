@@ -99,7 +99,7 @@ def pure_nonlinear_trajectory():
     times = np.array([s.t for s in snaps])
     return Trajectory("v", REF, times, np.diff(times, prepend=0.0),
                       np.ones_like(times), np.ones_like(times), None, None,
-                      snaps)
+                      snaps, times, np.arange(len(times)))
 
 
 def test_correction_vanishes_without_dispersion():

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dnlslab import cli, diagnostics, solver
+from dnlslab import cli, diagnostics, field, solver
 from dnlslab.asymptotics import ExtractionError
 from dnlslab.cli import main
+from dnlslab.config import build_run
 from dnlslab.diagnostics import SnapshotMonitor, monitor_phi
 from dnlslab.field import Field, Grid, load_field, save_field
 from dnlslab.solver import UnstableSolutionError
@@ -413,8 +414,8 @@ def verify_2d(tmp_path_factory):
     }
     simulate = cli._simulate_and_dump
 
-    def simulate_then_trace(rc, doc, monitoring):
-        done = simulate(rc, doc, monitoring)
+    def simulate_then_trace(*args):
+        done = simulate(*args)
         tracemalloc.start()
         return done
 
@@ -577,6 +578,144 @@ def test_vanishing_modulus_beside_the_solve_exits_3_after_the_run(tmp_path, monk
     assert "Traceback" not in err
     assert (out / "norms.csv").exists() and len(list((out / "snapshots").glob("*.bin"))) == 17
     assert not (out / "profile").exists() and not (out / "bridge.csv").exists()
+
+
+def test_vanishing_modulus_after_a_serial_run_exits_3_with_the_run_on_disk(tmp_path,
+                                                                        monkeypatch, capsys):
+    # one CPU: report() saves every snapshot before it computes a row
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    check = diagnostics.nonvanishing_modulus
+
+    def vanishing(snap):
+        if snap.t > 0:
+            raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:.6g}")
+        return check(snap)
+
+    monkeypatch.setattr(diagnostics, "nonvanishing_modulus", vanishing)
+    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: modulus vanishes" in err and "Traceback" not in err
+    assert (out / "norms.csv").exists() and len(list((out / "snapshots").glob("*.bin"))) == 17
+    assert not (out / "report.json").exists() and not (out / "bridge.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out"]
+
+
+def traced_verify(tmp_path, doc):
+    """Exit code, out directory and tracemalloc peak of one whole verify-theorem call."""
+    tmp_path.mkdir()
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["verify-theorem", "--config", str(cfg), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, peak
+
+
+def test_threaded_verify_memory_does_not_grow_with_the_schedule(tmp_path, monkeypatch):
+    # snapshots go to disk once their rows are done, and come back one at a
+    # time: doubling the schedule adds no snapshot arrays to the peak
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    peaks = {}
+    for count in (17, 33):
+        doc = json.loads(json.dumps(THREADED_CONFIG))
+        doc["solver"]["snapshot_count"] = count
+        code, out, peaks[count] = traced_verify(tmp_path / str(count), doc)
+        assert code == 0
+        rc = build_run(doc, "c.json", json.dumps(doc))
+        library = solver.run(rc.initial, rc.solver, rc.params, exps=rc.exps)
+        assert isinstance(library.snapshots, list) and len(library.snapshots) == count
+        assert sorted(p.name for p in (out / "snapshots").glob("*.bin")) == [
+            f"snap_{i:04d}.bin" for i in range(count)]
+        for i, snap in enumerate(library.snapshots):
+            payload = (out / "snapshots" / f"snap_{i:04d}.bin").read_bytes()
+            assert payload == snap.values.astype("<c16").tobytes(), i
+    snapshot_bytes = 16 * THREADED_CONFIG["grid"]["M"] ** 2
+    print(f"peaks {peaks[17] / 2**20:.2f} and {peaks[33] / 2**20:.2f} MiB; "
+          f"one snapshot {snapshot_bytes / 2**20:.2f} MiB")
+    assert abs(peaks[33] - peaks[17]) < 4 * snapshot_bytes
+
+
+def fail_after_six_snapshots(monkeypatch):
+    """Make the solve raise UnstableSolutionError once six snapshots were fed to the monitor."""
+    fed, feed, update = [], SnapshotMonitor.__call__, solver._nonlinear_update
+
+    def counted_feed(self, snap):
+        fed.append(snap.t)
+        feed(self, snap)
+
+    def failing_update(*args):
+        if len(fed) >= 6:
+            raise UnstableSolutionError("injected blow-up")
+        return update(*args)
+
+    monkeypatch.setattr(SnapshotMonitor, "__call__", counted_feed)
+    monkeypatch.setattr(solver, "_nonlinear_update", failing_update)
+
+
+def test_serial_solver_error_leaves_no_out(tmp_path, monkeypatch, capsys):
+    # 1-D: the monitor rows wait for report(), so only the solve was running
+    fail_after_six_snapshots(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", short_decade_config(17))
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: injected blow-up" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_rerun_into_an_existing_out(tmp_path, monkeypatch, capsys):
+    # README: a rerun replaces snapshots/ as a whole and every file it
+    # writes, and leaves the rest; a rerun that fails leaves out as it was
+    out = tmp_path / "out"
+    first = write_config(tmp_path / "first.json", short_decade_config(17))
+    assert main(["verify-theorem", "--config", str(first), "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    (out / "snapshots" / "stray.txt").write_text("dropped\n")
+    second = write_config(tmp_path / "second.json", short_decade_config(9))
+    assert main(["verify-theorem", "--config", str(second), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == sorted(
+        f"snap_{i:04d}.{ext}" for i in range(9) for ext in ("bin", "json"))
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert json.loads((out / "run_config.json").read_text())["solver"]["snapshot_count"] == 9
+    assert json.loads((out / "report.json").read_text())["snapshots"] == 9
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    fail_after_six_snapshots(monkeypatch)
+    assert main(["verify-theorem", "--config", str(first), "--out", str(out)]) == 3
+    assert "numerical failure: injected blow-up" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.json", "out", "second.json"]
+
+
+def test_failed_snapshot_write_on_a_monitor_thread_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    save, writers = field.save_field, []
+
+    def failing_save(f, path_base):
+        writers.append(threading.current_thread())
+        if path_base.name == "snap_0005":
+            raise OSError(28, "No space left on device")
+        return save(f, path_base)
+
+    monkeypatch.setattr(field, "save_field", failing_save)
+    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
+    out = tmp_path / "out"
+    codes = []
+    verify = threading.Thread(daemon=True, target=lambda: codes.append(
+        main(["verify-theorem", "--config", str(cfg), "--out", str(out)])))
+    verify.start()
+    verify.join(timeout=60)
+    assert not verify.is_alive() and codes == [4]
+    err = capsys.readouterr().err
+    assert "i/o failure: [Errno 28] No space left on device" in err
+    assert "Traceback" not in err
+    # the snapshots were written beside the solve, not by it
+    assert len(writers) >= 6 and verify not in writers
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_verify_deterministic(tmp_path, pass_run):

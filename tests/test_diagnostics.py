@@ -5,6 +5,7 @@ import csv
 import gc
 import json
 import os
+import time
 import tracemalloc
 import weakref
 
@@ -17,6 +18,7 @@ from dnlslab.asymptotics import correction_algebraic, horizon_gauge
 from dnlslab.conformal import NormSeries, norm_bridge
 from dnlslab.diagnostics import (
     MAX_THREADS,
+    ROWS_IN_FLIGHT,
     THREAD_FLOOR,
     MonitorReport,
     RateFit,
@@ -290,6 +292,32 @@ def test_threaded_monitor_equals_serial_bitwise(monkeypatch):
     assert capped.as_dict() == serial.as_dict()
 
 
+def test_threaded_monitor_saves_each_snapshot_and_caps_rows_in_flight(monkeypatch):
+    # a feed waits while ROWS_IN_FLIGHT rows are pending, so a caller that
+    # outruns the threads holds at most that many snapshots in them
+    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
+    v0 = build_initial_data(g, 1.0, 5)
+    p = PhysParams(2, 0.8, -1j, 20.0)
+    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    row = SnapshotMonitor._row
+
+    def slow_row(self, snap):
+        time.sleep(0.02)
+        return row(self, snap)
+
+    monkeypatch.setattr(SnapshotMonitor, "_row", slow_row)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    saved, unsaved = [], []
+    with SnapshotMonitor(v0, exps, p, save=lambda snap, i: saved.append((i, snap.t))) as monitor:
+        for k in range(12):
+            monitor(v0.with_values(v0.values, t=0.001 * k))
+            unsaved.append(k + 1 - len(saved))
+        rep = monitor.report()
+    assert max(unsaved) == ROWS_IN_FLIGHT
+    assert sorted(saved) == [(k, 0.001 * k) for k in range(12)]
+    assert rep.times.tolist() == [0.001 * k for k in range(12)]
+
+
 def test_monitor_row_after_the_first_holds_under_three_grid_arrays(monkeypatch):
     # the first row builds the thread's ladder workspace; later rows write
     # into it, so a row holds |v| and the balance temporaries, not the ~50
@@ -360,7 +388,8 @@ def test_monitor_phi_leaves_no_reference_cycle(clean_setup, monkeypatch):
 def test_monitor_rejects_wrong_frame(clean_setup):
     traj, v0, exps = clean_setup
     bad = type(traj)("u", traj.params, traj.times, traj.dts, traj.l2,
-                     traj.linf, None, None, traj.snapshots)
+                     traj.linf, None, None, traj.snapshots,
+                     traj.snapshot_times, traj.snapshot_steps)
     with pytest.raises(ValueError, match="rescaled-frame"):
         monitor_phi(bad, v0, exps)
 
@@ -368,7 +397,7 @@ def test_monitor_rejects_wrong_frame(clean_setup):
 def test_monitor_needs_snapshots(clean_setup):
     traj, v0, exps = clean_setup
     bare = type(traj)("v", traj.params, traj.times, traj.dts, traj.l2,
-                      traj.linf, None, None, [])
+                      traj.linf, None, None, [], np.array([]), np.array([], dtype=int))
     with pytest.raises(ValueError, match="no snapshots"):
         monitor_phi(bare, v0, exps)
 
@@ -380,7 +409,8 @@ def test_mass_dissipation_check(clean_setup):
     assert worst <= 1e-12
     doctored = type(traj)(traj.frame, traj.params, traj.times, traj.dts,
                           np.linspace(1.0, 2.0, len(traj.times)), traj.linf,
-                          None, None, traj.snapshots)
+                          None, None, traj.snapshots,
+                          traj.snapshot_times, traj.snapshot_steps)
     ok2, worst2 = mass_dissipation_ok(doctored)
     assert not ok2 and worst2 > 0
 
@@ -392,10 +422,8 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
     traj, v0, exps = clean_setup
     rep = monitor_phi(traj, v0, exps)
     series = norm_bridge(traj)
-    fits = {"mass": fit_power_law(1.0 + traj.params.b * series.t[series.t > 0],
-                                  series.l2[series.t > 0])}
     checks = {"sup_limit": check_sup_limit(series, traj.params)}
-    jp, cp = emit_report(tmp_path, traj, monitor=rep, fits=fits, checks=checks,
+    jp, cp = emit_report(tmp_path, traj, monitor=rep, checks=checks,
                          profile_meta={"final_gauge": 1e-4})
     with open(cp) as fh:
         rows = list(csv.reader(fh))
@@ -407,11 +435,11 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
     assert doc["params"] == traj.params.to_dict()
     assert doc["monitor"]["psi"] == rep.psi.tolist()
     assert doc["monitor"]["max_order"] == 4
-    assert doc["fits"]["mass"]["exponent"] == fits["mass"].exponent
+    assert doc["fits"] == {}
     assert doc["checks"]["sup_limit"]["target_u"] == 0.5
     assert doc["profile"]["final_gauge"] == 1e-4
     # serialization is stable: a second pass reproduces the document
-    jp2, _ = emit_report(tmp_path / "again", traj, monitor=rep, fits=fits, checks=checks,
+    jp2, _ = emit_report(tmp_path / "again", traj, monitor=rep, checks=checks,
                          profile_meta={"final_gauge": 1e-4})
     again = json.loads(jp2.read_text())
     assert json.dumps(again, sort_keys=True) == json.dumps(doc, sort_keys=True)
@@ -420,6 +448,6 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
 def test_emit_report_requires_snapshots(tmp_path, clean_setup):
     traj, _, _ = clean_setup
     bare = type(traj)("v", traj.params, traj.times, traj.dts, traj.l2,
-                      traj.linf, None, None, [])
+                      traj.linf, None, None, [], np.array([]), np.array([], dtype=int))
     with pytest.raises(ValueError, match="no snapshots"):
         emit_report(tmp_path, bare)

@@ -12,6 +12,7 @@ from dnlslab.field import (
     Field,
     Grid,
     LadderWorkspace,
+    SnapshotStore,
     build_initial_data,
     check_boundary_decay,
     data_bound,
@@ -197,6 +198,30 @@ def test_snapshot_round_trip_is_bitwise(tmp_path):
     loaded = load_field(tmp_path / "snap").values
     assert loaded.dtype == vals.dtype and loaded.tobytes() == vals.tobytes()
     assert (tmp_path / "snap.bin").read_bytes() == vals.astype("<c16").tobytes()
+
+
+def test_snapshot_store_keeps_the_ends_and_reads_the_rest_back(tmp_path):
+    g = Grid((8.0, 8.0), (8, 8))
+    rng = np.random.default_rng(3)
+    fields = [Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape), "v", t)
+              for t in (0.0, 0.01, 0.02, 0.04)]
+    store = SnapshotStore(tmp_path)
+    for i, f in enumerate(fields):
+        store.append(f)
+        if i % 2:
+            store.save(f, i)  # an explicit index
+        else:
+            store.save(f)  # the latest
+    assert len(store) == 4 and store.times == [0.0, 0.01, 0.02, 0.04]
+    assert store[0] is fields[0] and store[-1] is store[3] is fields[3]
+    for i, f in enumerate(store):
+        assert f.grid == g and f.frame == "v" and f.t == fields[i].t
+        assert f.values.tobytes() == fields[i].values.tobytes()
+        assert load_field(tmp_path / f"snap_{i:04d}").values.tobytes() == f.values.tobytes()
+    with pytest.raises(IndexError):
+        store[4]
+    with pytest.raises(IndexError):
+        store[-5]
 
 
 def test_snapshot_payload_mismatch(tmp_path):

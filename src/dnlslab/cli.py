@@ -9,12 +9,12 @@ Config files are JSON with explicit fields (no positional physics), see
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -40,6 +40,7 @@ from .diagnostics import (
     fit_power_law,
     l2_envelope_exponent,
     mass_dissipation_ok,
+    write_csv,
 )
 from .field import DEFAULT_MAX_ORDER, SnapshotStore
 from .params import synthesize_exponents
@@ -97,18 +98,11 @@ def decide(checks: dict, monitors: dict) -> tuple[str, list[dict]]:
     return verdict, reasons + broken_flags
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _write_norms(out: Path, traj) -> None:
     cols = {"t": traj.times, "dt": traj.dts, "l2": traj.l2, "linf": traj.linf}
     if traj.wsup is not None:
         cols.update(wsup=traj.wsup, winf=traj.winf)
-    _write_csv(out / "norms.csv", list(cols), zip(*(c.tolist() for c in cols.values())))
+    write_csv(out / "norms.csv", list(cols), zip(*(c.tolist() for c in cols.values())))
 
 
 def _echo_config(out: Path, doc: dict) -> None:
@@ -116,36 +110,30 @@ def _echo_config(out: Path, doc: dict) -> None:
     (out / "run_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
-def _simulate_and_dump(rc: RunConfig, doc: dict, store: SnapshotStore, on_snapshot=None):
-    """Run the configured simulation into ``store``; stage config echo and norms beside it.
+def _simulate(rc: RunConfig, doc: dict, max_order: int):
+    """Run the configured simulation, dump it into ``rc.out``; the trajectory and monitor report.
 
-    ``on_snapshot`` is handed to ``run``: the monitor, fed each snapshot as
-    the solver takes it, which saves it to ``store`` once its row is done.
-    Without one, each snapshot is saved as the solver takes it.
+    A rescaled-frame run with an exponent set is monitored: each snapshot
+    goes to a ``SnapshotMonitor`` as the solver takes it, and is saved once
+    its row is done.  Where the monitor runs on threads its rows overlap the
+    solve, and a solver error cancels those not started; elsewhere
+    ``report()`` computes them once the run is dumped.  Any other run saves
+    each snapshot as the solver takes it, and its report is None.  The dump
+    (config echo, norms, snapshots) is staged and reaches ``rc.out`` once
+    every snapshot is saved, so a solver or I/O error leaves no ``rc.out``.
+    A vanishing modulus raises ExtractionError once the dump is there,
+    before anything else is written.
     """
-    traj = run(rc.initial, rc.solver, rc.params, exps=rc.exps,
-               on_snapshot=store.save if on_snapshot is None else on_snapshot, snapshots=store)
-    _echo_config(store.directory.parent, doc)
-    _write_norms(store.directory.parent, traj)
-    return traj
-
-
-def _simulate_monitored(rc: RunConfig, doc: dict, max_order: int):
-    """``_simulate_and_dump`` feeding a ``SnapshotMonitor``, then the monitor report.
-
-    Each snapshot goes to the monitor as the solver takes it, and is saved
-    once its row is done.  Where the monitor runs on threads its rows
-    overlap the solve, and a solver error cancels those not started;
-    elsewhere ``report()`` computes them once the run is dumped.  The dump
-    reaches ``rc.out`` once every snapshot is saved, so a solver or I/O
-    error leaves no ``rc.out``.  A vanishing modulus raises ExtractionError
-    once the dump is there, before anything else is written.
-    """
-    with SnapshotStore.staged(rc.out) as store, SnapshotMonitor(
-            rc.initial, rc.exps, rc.params, max_order, save=store.save) as monitoring:
-        traj = _simulate_and_dump(rc, doc, store, monitoring)
+    monitored = rc.solver.frame == "v" and rc.exps is not None  # exps exist only for Im(lam) < 0
+    with SnapshotStore.staged(rc.out) as store, (
+            SnapshotMonitor(rc.initial, rc.exps, rc.params, max_order, save=store.save)
+            if monitored else contextlib.nullcontext()) as monitor:
+        traj = run(rc.initial, rc.solver, rc.params, exps=rc.exps,
+                   on_snapshot=monitor if monitored else store.save, snapshots=store)
+        _echo_config(store.directory.parent, doc)
+        _write_norms(store.directory.parent, traj)
         try:
-            report = monitoring.report()
+            report = monitor.report() if monitored else None
         except ExtractionError:
             store.publish(rc.out)  # the run itself is whole
             raise
@@ -155,13 +143,8 @@ def _simulate_monitored(rc: RunConfig, doc: dict, max_order: int):
 
 def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
     doc, text = load_config(cfg_path)
-    rc = build_run(doc, cfg_path, text, out_override)
-    if rc.solver.frame == "v" and rc.exps is not None:  # exps exist only for Im(lam) < 0
-        traj, monitor = _simulate_monitored(rc, doc, max_order)
-    else:
-        with SnapshotStore.staged(rc.out) as store:
-            traj, monitor = _simulate_and_dump(rc, doc, store), None
-            store.publish(rc.out)
+    rc = build_run(doc, cfg_path, text, out_override, max_order)
+    traj, monitor = _simulate(rc, doc, max_order)
     emit_report(rc.out, traj, monitor=monitor)
     print(f"simulate: {len(traj.times) - 1} steps, artifacts in {rc.out}")
     return EXIT_OK
@@ -177,7 +160,7 @@ def _profile_error_series(traj, profile):
 
 def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -> dict:
     """simulate -> monitors -> profile -> bridge -> checks -> verdict; writes all artifacts."""
-    rc = build_run(doc, cfg_path, text, out_override)
+    rc = build_run(doc, cfg_path, text, out_override, max_order)
     if rc.solver.frame != "v" or rc.params.lam.imag >= 0:
         raise ConfigError(cfg_path, find_line(text, "frame"),
                           "theorem verification needs a rescaled-frame dissipative run")
@@ -186,7 +169,7 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
                           'theorem verification needs a weight order: data "n" '
                           'or an "exponents" section')
     # a vanishing modulus exits 3 before any profile or bridge artifact
-    traj, monitor = _simulate_monitored(rc, doc, max_order)
+    traj, monitor = _simulate(rc, doc, max_order)
     out = rc.out
     profile = None
     extraction_error = None
@@ -199,8 +182,8 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
         extraction_error = str(e)
 
     series = norm_bridge(traj)
-    _write_csv(out / "bridge.csv", ["s", "t", "l2", "linf"],
-               zip(series.s.tolist(), series.t.tolist(), series.l2.tolist(), series.linf.tolist()))
+    write_csv(out / "bridge.csv", ["s", "t", "l2", "linf"],
+              zip(series.s.tolist(), series.t.tolist(), series.l2.tolist(), series.linf.tolist()))
 
     sup_check = check_sup_limit(series, rc.params)
     try:
@@ -211,8 +194,8 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
     slope_l2 = slope_sup = None
     if profile is not None:
         ts, e2s, einfs = _profile_error_series(traj, profile)
-        _write_csv(out / "error_metric.csv", ["t", "err_l2_compensated", "err_sup_compensated"],
-                   zip(ts.tolist(), e2s.tolist(), einfs.tolist()))
+        write_csv(out / "error_metric.csv", ["t", "err_l2_compensated", "err_sup_compensated"],
+                  zip(ts.tolist(), e2s.tolist(), einfs.tolist()))
         try:  # ts.max() raises ValueError too, on a run that never reaches t = 1
             window = (float(ts.max() / 10.0), float(ts.max()))
             slope_l2 = fit_power_law(ts, e2s, window).exponent
@@ -336,16 +319,16 @@ def cmd_sweep(cfg_path, out_override, jobs: int, max_order: int) -> int:
     if jobs <= 1:
         results = [_sweep_worker(t) for t in tasks]
     else:
+        # imported here, so a process that never pools never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     results.sort(key=lambda pair: pair[0])
 
     rows = [row for _, row in results]
     agg = out / "sweep.csv"
-    with open(agg, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        w.writeheader()
-        w.writerows(rows)
+    write_csv(agg, list(rows[0]), [row.values() for row in rows])
     failures = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep: {len(rows)} runs, {failures} failed, table in {agg}")
     return EXIT_OK
@@ -379,14 +362,14 @@ def cmd_plot_data(run_dir, out_override=None) -> int:
 
     with open(bridge_path) as fh:
         bridge = [(float(r["t"]), float(r["l2"]), float(r["linf"])) for r in csv.DictReader(fh)]
-    _write_csv(out / "compensated.csv", ["t", "series", "value"], [
+    write_csv(out / "compensated.csv", ["t", "series", "value"], [
         row for t, l2v, linfv in bridge if t > 0
         for row in ((t, "sup_compensated", t * linfv**params.alpha),
                     (t, "l2_compensated", (1.0 + params.b * t) ** e * l2v))])
 
     with open(err_path) as fh:
         err_rows = list(csv.DictReader(fh))
-    _write_csv(out / "errors.csv", ["t", "series", "value"], [
+    write_csv(out / "errors.csv", ["t", "series", "value"], [
         (float(r["t"]), series, float(r[series])) for r in err_rows
         for series in ("err_l2_compensated", "err_sup_compensated")])
 
@@ -399,7 +382,7 @@ def cmd_plot_data(run_dir, out_override=None) -> int:
             centre = tuple(m // 2 for m in grid.points[1:])
             psi = psi[(slice(None),) + centre]
         slices += [(float(gauge), float(x), float(val)) for x, val in zip(axis, psi)]
-    _write_csv(out / "psi_slices.csv", ["gauge", "x", "psi"], slices)
+    write_csv(out / "psi_slices.csv", ["gauge", "x", "psi"], slices)
     print(f"plot-data: tables in {out}")
     return EXIT_OK
 

@@ -363,29 +363,21 @@ class SnapshotMonitor:
         K = self._bound.result()[0]
         self._rows += [collect(item) for item in self._fed]
         self._fed.clear()
-        rows = self._rows
-        phi1, phi3, phi4, psi = [], [], [], []
-        r1 = r3 = r4 = 0.0
-        for now1, now3, now4, _, _ in rows:
-            r1, r3, r4 = max(r1, now1), max(r3, now3), max(r4, now4)
-            phi1.append(r1)
-            phi3.append(r3)
-            phi4.append(r4)
-            psi.append(max(r1, r3, r4))
-        psi = np.array(psi)
-        f_arr = np.array([row[3] for row in rows])
+        now1, now3, now4, f_sup, decays = zip(*self._rows)
+        phi = np.maximum.accumulate([now1, now3, now4], axis=1)  # the running maxima
+        psi, f_sup = phi.max(axis=0), np.array(f_sup)
         return MonitorReport(
             times=np.array(self._times),
-            phi1=np.array(phi1),
-            phi3=np.array(phi3),
-            phi4=np.array(phi4),
+            phi1=phi[0],
+            phi3=phi[1],
+            phi4=phi[2],
             psi=psi,
-            f_sup=f_arr,
+            f_sup=f_sup,
             max_order=self._max_order,
             data_constant=K,
             psi_bounded=bool(np.isfinite(psi[-1])),
-            f_within_quarter=bool(np.max(f_arr) <= CORRECTION_BOUND),
-            decay_pointwise=all(row[4] for row in rows),
+            f_within_quarter=bool(np.max(f_sup) <= CORRECTION_BOUND),
+            decay_pointwise=all(decays),
         )
 
 
@@ -431,6 +423,14 @@ def mass_dissipation_ok(traj: Trajectory) -> tuple[bool, float]:
     return bool(np.all(growth <= MASS_SLACK)), worst
 
 
+def write_csv(path: Path, header, rows) -> None:
+    """Write one CSV table: the header row, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def emit_report(
     out_dir,
     traj: Trajectory,
@@ -449,37 +449,19 @@ def emit_report(
         raise ValueError("no snapshots")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    p = traj.params
-    l2, linf = traj.l2[traj.snapshot_steps].tolist(), traj.linf[traj.snapshot_steps].tolist()
-
-    rows = []
-    for i, t in enumerate(traj.snapshot_times.tolist()):
-        row = {
-            "t": t,
-            "gauge": 1.0 - p.b * t if traj.frame == "v" else "",
-            "l2": l2[i],
-            "linf": linf[i],
-        }
-        if monitor is not None:
-            row.update(
-                phi1=monitor.phi1[i],
-                phi3=monitor.phi3[i],
-                phi4=monitor.phi4[i],
-                psi=monitor.psi[i],
-                f_sup=monitor.f_sup[i],
-            )
-        rows.append(row)
-
+    times, steps = traj.snapshot_times, traj.snapshot_steps
+    gauge = 1.0 - traj.params.b * times if traj.frame == "v" else np.full(times.shape, "")
+    cols = {"t": times, "gauge": gauge, "l2": traj.l2[steps], "linf": traj.linf[steps]}
+    if monitor is not None:
+        cols.update(phi1=monitor.phi1, phi3=monitor.phi3, phi4=monitor.phi4, psi=monitor.psi,
+                    f_sup=monitor.f_sup)
     csv_path = out / "report.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(csv_path, list(cols), zip(*(c.tolist() for c in cols.values())))
 
     doc = {
         "schema_version": REPORT_SCHEMA,
         "frame": traj.frame,
-        "params": p.to_dict(),
+        "params": traj.params.to_dict(),
         "snapshots": len(traj.snapshot_times),
         "monitor": monitor.as_dict() if monitor is not None else None,
         "fits": {},

@@ -9,9 +9,12 @@ import json
 import operator
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,10 +128,18 @@ def _u_frame_later(base):
     base.with_suffix(".json").write_text(json.dumps({**meta, "frame": "u", "time": 0.01}))
 
 
+def _relabelled_2d(base):
+    # the 64 samples read as an 8 x 8 grid, under the config's N = 1
+    meta = json.loads(base.with_suffix(".json").read_text())
+    base.with_suffix(".json").write_text(
+        json.dumps({**meta, "points": [8, 8], "extents": [30.0, 30.0]}))
+
+
 @pytest.mark.parametrize("spoil,message", [(_schema_99, "unsupported snapshot schema 99"),
                                            (_short_payload, "does not match grid size"),
                                            (_no_time, "snapshot sidecar lacks 'time'"),
-                                           (_u_frame_later, "cannot start a v-frame run")])
+                                           (_u_frame_later, "cannot start a v-frame run"),
+                                           (_relabelled_2d, "dimension 2 does not match N = 1")])
 def test_unreadable_snapshot_data_exit_2(tmp_path, capsys, spoil, message):
     g = Grid.line(30.0, 64)
     save_field(Field(g, g.bracket() ** -5.0 + 0j, "v", 0.0), tmp_path / "v0")
@@ -412,16 +423,17 @@ def verify_2d(tmp_path_factory):
                    "horizon_floor": 1e-2, "snapshot_count": VERIFY_2D_SNAPSHOTS},
         "data": {"c": 1.0, "n": 5},
     }
-    simulate = cli._simulate_and_dump
+    # traced from the end of the solve, so the serial monitor rows count
+    solve = cli.run
 
-    def simulate_then_trace(*args):
-        done = simulate(*args)
+    def solve_then_trace(*args, **kwargs):
+        done = solve(*args, **kwargs)
         tracemalloc.start()
         return done
 
     cfg = write_config(root / "c.json", doc)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_simulate_and_dump", simulate_then_trace)
+        mp.setattr(cli, "run", solve_then_trace)
         try:
             code = main(["verify-theorem", "--config", str(cfg), "--out", str(root / "o")])
             peak = tracemalloc.get_traced_memory()[1]
@@ -475,7 +487,7 @@ def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-    solve, simulate, feed = cli.run, cli._simulate_and_dump, SnapshotMonitor.__call__
+    solve, simulate, feed = cli.run, cli._simulate, SnapshotMonitor.__call__
 
     def counted_feed(self, snap):
         fed.append(snap.t)
@@ -487,15 +499,16 @@ def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
         return traj
 
     def keep(rc, *args):
-        kept.append((rc, simulate(rc, *args)))
-        return kept[-1][1]
+        traj, report = simulate(rc, *args)
+        kept.append((rc, traj))
+        return traj, report
 
     def library_route(*args, **kwargs):
         raise AssertionError("the CLI called monitor_phi")
 
     monkeypatch.setattr(SnapshotMonitor, "__call__", counted_feed)
     monkeypatch.setattr(cli, "run", counted_solve)
-    monkeypatch.setattr(cli, "_simulate_and_dump", keep)
+    monkeypatch.setattr(cli, "_simulate", keep)
     monkeypatch.setattr(diagnostics, "monitor_phi", library_route)
     cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
     # two CPUs: the rows run on a pool; one CPU: no pool, report() computes them
@@ -641,19 +654,19 @@ def test_threaded_verify_memory_does_not_grow_with_the_schedule(tmp_path, monkey
 
 
 def fail_after_six_snapshots(monkeypatch):
-    """Make the solve raise UnstableSolutionError once six snapshots were fed to the monitor."""
-    fed, feed, update = [], SnapshotMonitor.__call__, solver._nonlinear_update
+    """Make the solve raise UnstableSolutionError once it has taken six snapshots."""
+    taken, append, update = [], field.SnapshotStore.append, solver._nonlinear_update
 
-    def counted_feed(self, snap):
-        fed.append(snap.t)
-        feed(self, snap)
+    def counted_append(self, snap):
+        taken.append(snap.t)
+        append(self, snap)
 
     def failing_update(*args):
-        if len(fed) >= 6:
+        if len(taken) >= 6:
             raise UnstableSolutionError("injected blow-up")
         return update(*args)
 
-    monkeypatch.setattr(SnapshotMonitor, "__call__", counted_feed)
+    monkeypatch.setattr(field.SnapshotStore, "append", counted_append)
     monkeypatch.setattr(solver, "_nonlinear_update", failing_update)
 
 
@@ -666,6 +679,55 @@ def test_serial_solver_error_leaves_no_out(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: injected blow-up" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("frame", ["u", "v"])
+def test_simulate_solver_error_leaves_no_out(tmp_path, monkeypatch, capsys, frame):
+    # the u-frame run saves each snapshot as the solver takes it; the
+    # v-frame run feeds the monitor, which saves them
+    fed, feed = [], SnapshotMonitor.__call__
+
+    def counted_feed(self, snap):
+        fed.append(snap.t)
+        feed(self, snap)
+
+    monkeypatch.setattr(SnapshotMonitor, "__call__", counted_feed)
+    fail_after_six_snapshots(monkeypatch)
+    doc = short_decade_config(17)
+    if frame == "u":
+        doc["solver"] = {"frame": "u", "dt0": 2e-3, "t_end": 0.5, "snapshot_count": 17}
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: injected blow-up" in err and "Traceback" not in err
+    assert len(fed) == (6 if frame == "v" else 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-theorem"])
+@pytest.mark.parametrize("max_order,message", [
+    (115, "--max-order 115 exceeds the exponent set's J = 114"),
+    (-1, "--max-order -1 is negative"),
+], ids=["above_J", "negative"])
+def test_max_order_out_of_range_exit_2(tmp_path, capsys, command, max_order, message):
+    cfg = write_config(tmp_path / "c.json", short_decade_config(17))  # 1-D, n = 5, M = 64
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--max-order", str(max_order)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # only sweep --jobs K > 1 starts processes; a fresh interpreter shows what the import loads
+    probe = ("import sys, dnlslab.cli; print([m for m in ('multiprocessing', "
+             "'concurrent.futures.process') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_rerun_into_an_existing_out(tmp_path, monkeypatch, capsys):

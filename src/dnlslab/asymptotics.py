@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import rescaled_time, to_u_frame
+from .conformal import physical_time, rescaled_time, to_u_frame
 from .field import Field, l2_norm, load_field, save_field
 from .params import PhysParams
 from .solver import Trajectory
@@ -235,6 +235,18 @@ def error_metric(u: Field, profile: ProfileData) -> tuple[float, float]:
     e2 = u.t ** (1.0 / p.alpha - p.N / 2.0) * l2_norm(Field(u.grid, diff, "u", u.t))
     einf = u.t ** (1.0 / p.alpha) * float(np.max(np.abs(diff)))
     return e2, einf
+
+
+def error_series(traj: Trajectory, profile: ProfileData) -> tuple[np.ndarray, ...]:
+    """(t, L2 error, sup error) of ``error_metric`` at each snapshot from t = 1 on.
+
+    Each snapshot is read once; a run that never reaches t = 1 gives three
+    empty arrays.
+    """
+    b = traj.params.b
+    rows = [(t, *error_metric(to_u_frame(traj.snapshots[i], b), profile))
+            for i, s in enumerate(traj.snapshot_times) if (t := physical_time(s, b)) >= 1.0]
+    return tuple(np.array(rows, dtype=float).reshape(-1, 3).T)
 
 
 def save_profile(profile: ProfileData, dirpath) -> Path:

@@ -24,20 +24,20 @@ from .asymptotics import (
     CORRECTION_BOUND,
     ExtractionError,
     crossover_time,
-    error_metric,
+    error_series,
     finalize_profile,
     load_profile,
     modulus_envelope,
     save_profile,
 )
 from .config import ConfigError, RunConfig, build_run, find_line, load_config, out_root
-from .conformal import norm_bridge, physical_time, to_u_frame
+from .conformal import norm_bridge
 from .diagnostics import (
     SnapshotMonitor,
     check_l2_envelope,
+    check_profile_error,
     check_sup_limit,
     emit_report,
-    fit_power_law,
     l2_envelope_exponent,
     mass_dissipation_ok,
     write_csv,
@@ -150,14 +150,6 @@ def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
     return EXIT_OK
 
 
-def _profile_error_series(traj, profile):
-    # t, L2 error and sup error at each snapshot from t = 1 on, each read once
-    b = traj.params.b
-    rows = [(t, *error_metric(to_u_frame(traj.snapshots[i], b), profile))
-            for i, s in enumerate(traj.snapshot_times) if (t := physical_time(s, b)) >= 1.0]
-    return np.array(rows, dtype=float).reshape(-1, 3).T
-
-
 def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -> dict:
     """simulate -> monitors -> profile -> bridge -> checks -> verdict; writes all artifacts."""
     rc = build_run(doc, cfg_path, text, out_override, max_order)
@@ -191,22 +183,15 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
     except ValueError as e:  # too few samples in the last decade to fit
         l2_check = {"error": str(e)}
 
-    slope_l2 = slope_sup = None
-    if profile is not None:
-        ts, e2s, einfs = _profile_error_series(traj, profile)
+    if profile is None:
+        profile_check = {"slope_l2": None, "slope_sup": None, "error": extraction_error}
+    else:
+        errors = error_series(traj, profile)
         write_csv(out / "error_metric.csv", ["t", "err_l2_compensated", "err_sup_compensated"],
-                  zip(ts.tolist(), e2s.tolist(), einfs.tolist()))
-        try:  # ts.max() raises ValueError too, on a run that never reaches t = 1
-            window = (float(ts.max() / 10.0), float(ts.max()))
-            slope_l2 = fit_power_law(ts, e2s, window).exponent
-            slope_sup = fit_power_law(ts, einfs, window).exponent
-        except ValueError:
-            pass  # too few samples, or degenerate errors (exact profile); leave unset
+                  zip(*(e.tolist() for e in errors)))
+        profile_check = check_profile_error(*errors)
 
     mass_ok, mass_worst = mass_dissipation_ok(traj)
-    profile_check = {"slope_l2": slope_l2, "slope_sup": slope_sup}
-    if extraction_error is not None:
-        profile_check["error"] = extraction_error
     checks = {
         "sup_limit": sup_check,
         "l2_envelope": l2_check,

@@ -77,7 +77,7 @@ def norm_bridge(traj: Trajectory) -> NormSeries:
         raise ValueError("norm bridge expects a v-frame trajectory")
     b = traj.params.b
     s = traj.times
-    half_dim = traj.snapshots[0].grid.dim / 2.0
+    half_dim = traj.params.N / 2.0
     return NormSeries(
         s=s.copy(),
         t=physical_time(s, b),

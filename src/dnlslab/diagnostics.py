@@ -14,7 +14,7 @@ import json
 import os
 from collections.abc import Callable
 from concurrent.futures import Future, wait
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +182,18 @@ def check_l2_envelope(series: NormSeries, params: PhysParams, n: int) -> dict:
     }
 
 
+def check_profile_error(t, err_l2, err_sup) -> dict:
+    """Decay rates of the profile errors over [t_max/10, t_max]; None where a fit raises."""
+    slopes = {}
+    for key, err in (("slope_l2", err_l2), ("slope_sup", err_sup)):
+        try:  # max() raises on a run that never reaches t = 1
+            hi = float(np.max(t))
+            slopes[key] = fit_power_law(t, err, (hi / 10.0, hi)).exponent
+        except ValueError:
+            slopes[key] = None
+    return slopes
+
+
 @dataclass
 class MonitorReport:
     """Truncated weighted running suprema and pointwise-decay classification."""
@@ -195,32 +207,15 @@ class MonitorReport:
     max_order: int
     data_constant: float
     psi_bounded: bool
+    psi_ratio: float
     f_within_quarter: bool
     decay_pointwise: bool
     label: str = "truncated"
     extras: dict = dc_field(default_factory=dict)
 
-    @property
-    def psi_ratio(self) -> float:
-        return float(self.psi[-1] / self.psi[0])
-
     def as_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "phi1": self.phi1.tolist(),
-            "phi3": self.phi3.tolist(),
-            "phi4": self.phi4.tolist(),
-            "psi": self.psi.tolist(),
-            "f_sup": self.f_sup.tolist(),
-            "max_order": self.max_order,
-            "data_constant": self.data_constant,
-            "psi_bounded": self.psi_bounded,
-            "psi_ratio": self.psi_ratio,
-            "f_within_quarter": self.f_within_quarter,
-            "decay_pointwise": self.decay_pointwise,
-            "label": self.label,
-            "extras": self.extras,
-        }
+        items = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items}
 
 
 def _cpu_count() -> int:
@@ -376,6 +371,7 @@ class SnapshotMonitor:
             max_order=self._max_order,
             data_constant=K,
             psi_bounded=bool(np.isfinite(psi[-1])),
+            psi_ratio=float(psi[-1] / psi[0]),
             f_within_quarter=bool(np.max(f_sup) <= CORRECTION_BOUND),
             decay_pointwise=all(decays),
         )

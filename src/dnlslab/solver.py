@@ -152,6 +152,8 @@ def coefficient_integral(t: float, tau: float, params: PhysParams) -> float:
     if head <= 0 or tail <= 0:
         raise ValueError("substep interval touches the horizon 1/b")
     q = params.gauge_exponent
+    if q == 0.0:  # N alpha = 2: the integrand is 1/(1 - b s), so log(head/tail)/b
+        return float(np.log1p(b * tau / tail)) / b
     # the prefactor is not written as 1/(b q), which rounds differently
     return (2.0 / (b * (2.0 - params.N * params.alpha))) * (tail**-q - head**-q)
 
@@ -259,6 +261,8 @@ def steps(
     """
     if f0.frame != cfg.frame:
         raise ValueError(f"initial field frame {f0.frame!r} != configured {cfg.frame!r}")
+    if f0.grid.dim != params.N:
+        raise ValueError(f"initial field dimension {f0.grid.dim} != N = {params.N}")
     if params.lam.imag > 0:
         raise ValueError("Im(lambda) must be <= 0; amplifying nonlinearity is out of scope")
     bad = validate_phys(params)
@@ -304,7 +308,8 @@ def run(
     Parameters
     ----------
     f0 : Field
-        Initial state; its frame must match ``cfg.frame``.
+        Initial state; its frame must match ``cfg.frame``, its grid dimension
+        ``params.N``.
     cfg : SolverConfig
         Stepping and snapshot rules.
     params : PhysParams

@@ -24,16 +24,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dnlslab.asymptotics import (
-    correction_algebraic,
-    error_metric,
+    error_series,
     finalize_profile,
     modulus_envelope,
 )
 from dnlslab.conformal import norm_bridge, to_u_frame
 from dnlslab.diagnostics import (
     check_l2_envelope,
+    check_profile_error,
     check_sup_limit,
-    fit_power_law,
     mass_dissipation_ok,
     monitor_phi,
 )
@@ -210,24 +209,13 @@ def test_criterion_07_l2_envelope_exponent_and_band(reference):
 
 
 def test_criterion_08_compensated_profile_errors_decay(reference, reference_profile):
+    # the verdict's own series and fits: error_series, then check_profile_error
     traj, _, _ = reference
-    b = REF_PARAMS.b
-    ts, e2s, einfs = [], [], []
-    for snap in traj.snapshots:
-        t = snap.t / (1.0 - b * snap.t)
-        if t < 1.0:
-            continue
-        e2, einf = error_metric(to_u_frame(snap, b), reference_profile)
-        ts.append(t)
-        e2s.append(e2)
-        einfs.append(einf)
-    ts, e2s, einfs = map(np.array, (ts, e2s, einfs))
+    ts, e2s, einfs = error_series(traj, reference_profile)
+    chk = check_profile_error(ts, e2s, einfs)
     last = ts >= ts[-1] / 10.0
     assert last.sum() >= 8
-    slopes = (
-        fit_power_law(ts[last], e2s[last]).exponent,
-        fit_power_law(ts[last], einfs[last]).exponent,
-    )
+    slopes = (chk["slope_l2"], chk["slope_sup"])
     print(f"{last.sum()} points in the last decade, slopes {slopes}")
     for series in (e2s[last], einfs[last]):
         assert np.all(series[1:] <= 1.05 * series[:-1])

@@ -323,6 +323,25 @@ def test_free_gaussian_simulate_matches_oracle(tmp_path):
     assert report["snapshots"] == 5
 
 
+@pytest.mark.parametrize("N,alpha,M", [(1, 2.0, 64), (2, 1.0, 32)])
+def test_simulate_at_n_alpha_two_in_oracle_mode(tmp_path, N, alpha, M):
+    # N alpha = 2 makes the gauge exponent 0: the coefficient integrates to a logarithm
+    doc = {
+        "phys": {"N": N, "alpha": alpha, "lam": [1.0, 0.0], "b": 20.0},
+        "grid": {"L": 30.0, "M": M, "boundary_tol": 1e-2},
+        "solver": {"frame": "v", "dt0": 2e-3, "c_adapt": 0.2, "horizon_floor": 1e-2,
+                   "snapshot_count": 9},
+        "data": {"c": 1.0, "n": 5},
+    }
+    cfg = write_config(tmp_path / "q0.json", doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "norms.csv") as fh:
+        l2 = [float(r["l2"]) for r in csv.DictReader(fh)]
+    assert len(l2) > 10
+    assert abs(l2[-1] / l2[0] - 1.0) < 1e-12  # Im lam = 0 conserves mass
+
+
 def test_env_var_output_root(tmp_path, monkeypatch):
     g = Grid.line(20.0, 128)
     x = g.axes()[0]
@@ -784,8 +803,15 @@ def test_verify_deterministic(tmp_path, pass_run):
     cfg = write_config(tmp_path / "cfg.json", PASS_CONFIG)
     out2 = tmp_path / "out2"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out2)]) == 0
-    for name in ("verdict.json", "bridge.csv", "error_metric.csv", "norms.csv"):
-        assert (out2 / name).read_bytes() == (pass_run / name).read_bytes()
+
+    def files(root):
+        # every artifact, snapshots and profile/ included; the plot-data tests add plots/
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+                if p.is_file() and p.relative_to(root).parts[0] != "plots"}
+
+    rerun, first = files(out2), files(pass_run)
+    assert sorted(rerun) == sorted(first)
+    assert rerun == first
 
 
 # --- plot-data ---

@@ -24,6 +24,7 @@ from dnlslab.diagnostics import (
     RateFit,
     SnapshotMonitor,
     check_l2_envelope,
+    check_profile_error,
     check_sup_limit,
     emit_report,
     fit_power_law,
@@ -177,6 +178,39 @@ def test_l2_envelope_on_exact_series():
     # constant compensated series: the band degenerates
     assert rep["band_ratio"] == pytest.approx(1.0, abs=1e-12)
     assert rep["empirical_a"] == pytest.approx(7.0)
+
+
+def test_profile_error_on_an_exact_law():
+    t = np.geomspace(1.0, 1e4, 41)  # 11 samples in the last decade
+    rep = check_profile_error(t, 3.0 * t**-2.0, 0.5 * t**-2.0)
+    assert list(rep) == ["slope_l2", "slope_sup"]
+    assert rep["slope_l2"] == pytest.approx(-2.0, abs=1e-12)
+    assert rep["slope_sup"] == pytest.approx(-2.0, abs=1e-12)
+    # only the last decade is fitted: a steeper law before t_max/10 moves no slope
+    err = np.where(t >= 1e3, t**-2.0, 1e9 * t**-5.0)
+    assert check_profile_error(t, err, err)["slope_l2"] == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_profile_error_without_a_sample_past_t_one():
+    empty = np.array([])
+    assert check_profile_error(empty, empty, empty) == {"slope_l2": None, "slope_sup": None}
+
+
+def test_profile_error_with_seven_samples_in_the_last_decade():
+    t = np.geomspace(1.0, 1e4, 25)  # 7 samples in [1e3, 1e4]
+    assert np.count_nonzero(t >= 1e3) == 7
+    rep = check_profile_error(t, t**-2.0, t**-2.0)
+    assert rep == {"slope_l2": None, "slope_sup": None}
+
+
+def test_profile_error_with_a_vanishing_sup_error():
+    # the profile's own snapshot can match it exactly: only that fit fails
+    t = np.geomspace(1.0, 1e4, 41)
+    sup = t**-2.0
+    sup[-1] = 0.0
+    rep = check_profile_error(t, t**-2.0, sup)
+    assert rep["slope_l2"] == pytest.approx(-2.0, abs=1e-12)
+    assert rep["slope_sup"] is None
 
 
 # --- monitors ---

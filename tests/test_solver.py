@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from dnlslab import solver
 from dnlslab.field import Field, Grid, build_initial_data, l2_norm
@@ -137,6 +137,15 @@ def test_coefficient_integral_b_zero_reduces_to_tau():
     assert coefficient_integral(0.2, 0.37, PhysParams(2, 0.9, -1j, 0.0)) == 0.37
 
 
+@pytest.mark.parametrize("N,alpha", [(1, 2.0), (2, 1.0)])
+def test_coefficient_integral_at_n_alpha_two_is_the_logarithm(N, alpha):
+    # q = 0: the integrand is 1/(1 - b s), and the power-law form divides by 2 - N alpha
+    p = PhysParams(N, alpha, 1.0 + 0j, 20.0)
+    for t, tau in ((0.0, 5e-4), (0.01, 1e-3), (0.03, 2e-3), (0.049, 9e-4)):
+        exact, _ = quad(lambda s: 1.0 / (1.0 - p.b * s), t, t + tau, epsabs=0.0, epsrel=1e-13)
+        assert coefficient_integral(t, tau, p) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
 def test_nonlinear_v_b_zero_matches_u():
     w0 = 0.8 + 0.6j
     f = Field(Grid.line(1.0, 2), np.full(2, w0, dtype=complex), "v", 0.0)
@@ -237,6 +246,13 @@ def test_run_frame_mismatch():
     f = Field(g, np.exp(-g.axes()[0] ** 2).astype(complex), "u", 0.0)
     with pytest.raises(ValueError, match="frame"):
         run(f, SolverConfig(frame="v"), REF)
+
+
+def test_run_dimension_mismatch():
+    # N = 1 physics on a 2-D grid would scale every formula by the wrong N
+    g = Grid.box(30.0, 32, 2, boundary_tol=1e-2)
+    with pytest.raises(ValueError, match="dimension 2 != N = 1"):
+        run(build_initial_data(g, 1.0, 5), SolverConfig(frame="v", snapshot_count=5), REF)
 
 
 def test_run_rejects_t_end_past_horizon():

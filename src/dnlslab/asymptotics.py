@@ -90,7 +90,9 @@ def balance_correction(t: float, moda: np.ndarray, mod0a: np.ndarray,
                        params: PhysParams) -> np.ndarray:
     """The correction at time t from |v|^alpha (``moda``) and |v0|^alpha (``mod0a``)."""
     bracket = (1.0 - params.b * t) ** -params.gauge_exponent - 1.0
-    return mod0a / moda - 1.0 - params.balance_coefficient * mod0a * bracket
+    f = mod0a / moda - 1.0
+    drift = params.balance_coefficient * mod0a
+    return np.subtract(f, np.multiply(drift, bracket, out=drift), out=f)
 
 
 def correction_field(snap: Field, mod0a: np.ndarray, params: PhysParams) -> Field:

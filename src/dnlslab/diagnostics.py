@@ -47,8 +47,8 @@ REPORT_SCHEMA = 2
 # M = 256 0.77-0.84x, and 1-D M = 2048 1.1-1.6x.  So 2-D grids from 128^2
 # up use the threads.
 THREAD_FLOOR = 128 * 128
-# Only two threads were measured.  Each keeps a ladder workspace (4.5 MiB at
-# 256^2, plus up to 2.1 MiB a row), and every `sweep --jobs K` worker process runs
+# Only two threads were measured.  Each keeps a ladder workspace (3.5 MiB at
+# 256^2, plus up to 2.0 MiB a row), and every `sweep --jobs K` worker process runs
 # its own monitor, so the cap bounds both peak RSS and the thread count.  On
 # the same 2 CPUs, 4-point 2-D sweeps on 2 workers took no longer with the
 # worker monitors on two threads than on one (10 alternating pairs, medians:
@@ -57,9 +57,9 @@ MAX_THREADS = 2
 # Rows SnapshotMonitor lets run ahead of its caller.  Each holds its snapshot
 # until the row is done, so without a cap a solve that outruns the threads
 # holds a growing share of the schedule.  verify-theorem on the ref2d config
-# at M = 384, peak RSS in-process on the same 2 CPUs: 129 MiB at 49 snapshots
-# and 181 MiB at 97 uncapped, 106.8 MiB at both with this cap; M = 256 at
-# 49 snapshots, 75 against 66 MiB.
+# at M = 384, peak RSS in-process on the same 2 CPUs: 131.5 MiB at 49 snapshots
+# and 179 MiB at 97 uncapped, 98.9 and 97.9 MiB with this cap; M = 256 at
+# 49 snapshots, 73.8 against 60.5 MiB.
 ROWS_IN_FLIGHT = 2 * MAX_THREADS
 
 
@@ -321,7 +321,8 @@ class SnapshotMonitor:
             sig = exps.sigma_j(sum(beta))
             now1 = max(now1, g**sig * float(np.max(np.multiply(weight, mod_d, out=scratch))))
             now4 = max(now4, g**sig * float(np.max(np.divide(mod_d, mod, out=scratch))))
-        now3 = g ** (p.gauge_exponent / p.alpha) / float(np.min(weight * mod))
+        low = float(np.min(np.multiply(weight, mod, out=scratch)))
+        now3 = g ** (p.gauge_exponent / p.alpha) / low
         return now1, now3, now4, f_sup, decays
 
     def _balance(self, t: float, mod: np.ndarray) -> tuple[float, bool]:
@@ -329,9 +330,11 @@ class SnapshotMonitor:
         # its temporaries are gone before the derivative ladder starts
         p = self._params
         moda = mod**p.alpha
-        f_sup = float(np.max(np.abs(balance_correction(t, moda, self._mod0a, p))))
-        cap = (1.0 + p.sup_limit) * np.minimum(self._bound.result()[1], p.b * horizon_gauge(t, p))
-        return f_sup, not np.any(moda > cap * (1.0 + 1e-12))
+        f = balance_correction(t, moda, self._mod0a, p)
+        f_sup = float(np.max(np.abs(f, out=f)))
+        cap = np.minimum(self._bound.result()[1], p.b * horizon_gauge(t, p), out=f)
+        cap *= 1.0 + p.sup_limit
+        return f_sup, not np.any(moda > np.multiply(cap, 1.0 + 1e-12, out=cap))
 
     def report(self) -> MonitorReport:
         """The monitors over every snapshot fed so far.

@@ -274,13 +274,13 @@ def _apply_symbol(spec: np.ndarray, beta: tuple[int, ...], grid: Grid) -> np.nda
 class LadderWorkspace(threading.local):
     """The arrays the derivative ladder of one grid writes into, call after call.
 
-    Per axis a spectrum and a partial derivative, and a real modulus (4.5 MiB
-    at 256^2); each thread that uses it gets its own.  ``scratch``, a real
-    array over the last partial, is free while a yielded modulus is current.
+    A spectrum, a partial derivative per axis, and a real modulus (3.5 MiB at
+    256^2); each thread that uses it gets its own.  ``scratch``, a real array
+    over the last partial, is free while a yielded modulus is current.
     """
 
     def __init__(self, grid: Grid):
-        self.spectra = [np.empty(grid.shape, dtype=complex) for _ in range(grid.dim)]
+        self.spectrum = np.empty(grid.shape, dtype=complex)
         self.partials = [np.empty(grid.shape, dtype=complex) for _ in range(grid.dim)]
         self.modulus = np.empty(grid.shape)
         self.scratch = np.ndarray(grid.shape, buffer=self.partials[-1])
@@ -294,20 +294,23 @@ def derivative_moduli(f: Field, orders, workspace: LadderWorkspace | None = None
     order 4 that is 5 single-axis passes in 1-D and 19 in 2-D, all written into
     ``workspace`` (built if none is given).  A yielded modulus is a view the
     next yield overwrites: use it before advancing.  Pairs come grouped by their
-    leading components, which for :func:`derivative_orders` is the listed order.
-    Unlike :func:`spectral_derivative` there are no order or boundary checks.
+    leading components, zeros first: for :func:`derivative_orders`, the listed
+    order.  Unlike :func:`spectral_derivative` there are no order or boundary checks.
     """
     return _ladder(f.values, list(orders), 0, f.grid, workspace or LadderWorkspace(f.grid))
 
 
 def _ladder(part: np.ndarray, orders: list, ax: int, grid: Grid, ws: LadderWorkspace):
-    # ``part`` carries the derivatives along the axes before ``ax``
+    # ``part`` carries the derivatives along the axes before ``ax``; its spectrum is
+    # taken once the zero order is done with it, on axis 1 into axis 0's partial
     k = grid.wavenumbers()[ax]
-    spec = np.fft.fft(part, axis=ax, out=ws.spectra[ax]) if any(o[ax] for o in orders) else None
-    for b in dict.fromkeys(beta[ax] for beta in orders):
+    spec = None
+    for b in sorted(dict.fromkeys(beta[ax] for beta in orders), key=bool):
         if b == 0:
             d = part
         else:
+            if spec is None:
+                spec = np.fft.fft(part, axis=ax, out=ws.partials[ax - 1] if ax else ws.spectrum)
             d = np.multiply(spec, _axis_symbol(k, b, ax, grid.dim), out=ws.partials[ax])
             np.fft.ifft(d, axis=ax, out=d)
         rest = [beta for beta in orders if beta[ax] == b]

@@ -116,28 +116,33 @@ def linear_substep(f: Field, tau: float) -> Field:
     return f.with_values(np.fft.ifftn(_free_multiplier(f.grid, tau) * spec))
 
 
-def _nonlinear_update(w: np.ndarray, tau_eff: float, lam: complex, alpha: float) -> np.ndarray:
-    # exact flow of i w_t = lam |w|^alpha w over effective time tau_eff;
-    # written so w = 0 needs no special case and nothing is divided by |w|
+def _nonlinear_update(w: np.ndarray, tau_eff: float, lam: complex, alpha: float, out=None):
+    # exact flow of i w_t = lam |w|^alpha w over effective time tau_eff, into out (w
+    # itself, else new); w = 0 needs no special case and nothing is divided by |w|
     damp = -lam.imag
     if damp < 0:
         raise ValueError("Im(lambda) must be <= 0")
     mod_a = np.abs(w) ** alpha
     if damp == 0.0:
-        return w * np.exp(-1j * lam.real * tau_eff * mod_a)
-    kappa = alpha * damp * tau_eff * mod_a
+        rot = -1j * lam.real * tau_eff * mod_a
+        return np.multiply(np.exp(rot, out=rot), w, out=out)
+    kappa = np.multiply(alpha * damp * tau_eff, mod_a, out=mod_a)
     scale = (1.0 + kappa) ** (-1.0 / alpha)
     if lam.real == 0.0:
-        return w * scale
-    phase = -(lam.real / (alpha * damp)) * np.log1p(kappa)
-    return w * scale * np.exp(1j * phase)
+        return np.multiply(w, scale, out=out)
+    rot = 1j * np.multiply(-(lam.real / (alpha * damp)), np.log1p(kappa, out=kappa), out=kappa)
+    out = np.multiply(w, scale, out=out)
+    return np.multiply(out, np.exp(rot, out=rot), out=out)
 
 
-def nonlinear_substep_u(f: Field, tau: float, lam: complex, alpha: float) -> Field:
-    """Exact pointwise solution of i w_t = lam |w|^alpha w for time tau >= 0."""
+def nonlinear_substep_u(f: Field, tau: float, lam: complex, alpha: float, out=None) -> Field:
+    """Exact pointwise solution of i w_t = lam |w|^alpha w for time tau >= 0.
+
+    Its values are new, or ``out`` when given, which may be ``f.values``.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return f.with_values(_nonlinear_update(f.values, tau, lam, alpha))
+    return f.with_values(_nonlinear_update(f.values, tau, lam, alpha, out))
 
 
 def coefficient_integral(t: float, tau: float, params: PhysParams) -> float:
@@ -158,14 +163,15 @@ def coefficient_integral(t: float, tau: float, params: PhysParams) -> float:
     return (2.0 / (b * (2.0 - params.N * params.alpha))) * (tail**-q - head**-q)
 
 
-def nonlinear_substep_v(f: Field, t: float, tau: float, params: PhysParams) -> Field:
+def nonlinear_substep_v(f: Field, t: float, tau: float, params: PhysParams, out=None) -> Field:
     """Exact nonlinear flow in the rescaled frame across [t, t + tau].
 
     The time-dependent coefficient is integrated in closed form, so this
-    substep is exact however close the interval sits to the horizon.
+    substep is exact however close the interval sits to the horizon.  Its
+    values go where ``nonlinear_substep_u``'s do.
     """
     tau_eff = coefficient_integral(t, tau, params)
-    return f.with_values(_nonlinear_update(f.values, tau_eff, params.lam, params.alpha))
+    return f.with_values(_nonlinear_update(f.values, tau_eff, params.lam, params.alpha, out))
 
 
 def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysParams) -> Field:
@@ -183,13 +189,11 @@ def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysPa
     # higher (2-CPU Xeon, numpy 2.4)
     w = half * spec
     g = f.with_values(np.fft.ifftn(w, out=w))
-    if params.lam != 0:
-        if cfg.frame == "u":
-            g = nonlinear_substep_u(g, dt, params.lam, params.alpha)
-        else:
-            g = nonlinear_substep_v(g, t, dt, params)
-    # g's values are this step's own array either way
-    spec = np.multiply(half, np.fft.fftn(g.values, out=g.values), out=g.values)
+    if params.lam != 0 and cfg.frame == "u":  # in place: w is this step's own array
+        nonlinear_substep_u(g, dt, params.lam, params.alpha, w)
+    elif params.lam != 0:
+        nonlinear_substep_v(g, t, dt, params, w)
+    spec = np.multiply(half, np.fft.fftn(w, out=w), out=w)
     return Field(f.grid, np.fft.ifftn(spec, out=np.empty_like(spec)), f.frame, t + dt, spec)
 
 
@@ -233,14 +237,12 @@ def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float) -> np.nd
 
 
 def _records(f: Field, weight: np.ndarray | None) -> tuple[float, ...]:
-    # l2, sup and, with a weight, weighted sup and inf of a state from one
-    # |v| pass; the same arithmetic as l2_norm, sup_norm and weighted_inf
+    # l2, sup and, with a weight, weighted sup and inf of a state from one |v|,
+    # squared in place last; the same arithmetic as l2_norm, sup_norm and weighted_inf
     mod = np.abs(f.values)
-    norms = (float(np.sqrt(f.grid.cell_volume * np.sum(mod**2))), float(np.max(mod)))
-    if weight is None:
-        return norms
-    weighted = weight * mod
-    return (*norms, float(np.max(weighted)), float(np.min(weighted)))
+    weighted = () if weight is None else (float(np.max(w := weight * mod)), float(np.min(w)))
+    sup = float(np.max(mod))
+    return float(np.sqrt(f.grid.cell_volume * np.sum(np.square(mod, out=mod)))), sup, *weighted
 
 
 def steps(

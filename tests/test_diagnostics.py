@@ -355,7 +355,9 @@ def test_threaded_monitor_saves_each_snapshot_and_caps_rows_in_flight(monkeypatc
 def test_monitor_row_after_the_first_holds_under_three_grid_arrays(monkeypatch):
     # the first row builds the thread's ladder workspace; later rows write
     # into it, so a row holds |v| and the balance temporaries, not the ~50
-    # arrays a ladder with fresh buffers makes
+    # arrays a ladder with fresh buffers makes.  The balance is computed in
+    # place: |v|, |v|^alpha and two real arrays, 2.00 grid arrays at most,
+    # where new arrays for each operation peaked at 2.50
     g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(2, 0.8, -1j, 20.0)
@@ -374,7 +376,7 @@ def test_monitor_row_after_the_first_holds_under_three_grid_arrays(monkeypatch):
             tracemalloc.stop()
     assert rep.times.tolist() == [0.0, 0.01]
     print(f"row peak {peak / v0.values.nbytes:.2f} grid arrays")
-    assert peak < 3 * v0.values.nbytes
+    assert peak < 2.1 * v0.values.nbytes
 
 
 def test_second_report_computes_no_row(monkeypatch):

@@ -267,6 +267,34 @@ def test_reused_workspace_gives_fresh_moduli_bitwise(dim, M):
             assert reused[beta].tobytes() == fresh[beta].tobytes() == expect[beta].tobytes()
 
 
+@pytest.mark.parametrize("dim,M", [(1, 128), (2, 32)])
+@pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
+def test_ladder_only_reads_a_read_only_snapshot(dim, M, reverse):
+    # a snapshot's values are never written: the ladder reads them and puts
+    # every spectrum and partial into its workspace, in any order of orders
+    grid = Grid.box(30.0, M, dim, boundary_tol=1e-2)
+    v0 = build_initial_data(grid, 1.0, 5)
+    snap = Field(grid, 0.7 * v0.values * np.exp(0.2j * sum(grid.meshes())), "v", 0.01)
+    snap.values.flags.writeable = False
+    orders = derivative_orders(dim, 4)[::-1 if reverse else 1]
+    expect = _fresh_moduli(snap, orders)
+    got = {beta: mod.tobytes() for beta, mod in derivative_moduli(snap, orders)}
+    assert sorted(got) == sorted(orders)
+    assert all(got[beta] == expect[beta].tobytes() for beta in orders)
+
+
+@pytest.mark.parametrize("dim,complex_arrays", [(1, 2), (2, 3)])
+def test_ladder_workspace_holds_a_spectrum_the_partials_and_a_modulus(dim, complex_arrays):
+    # the second axis's spectrum goes into the first axis's partial
+    grid = Grid.box(30.0, 64, dim)
+    ws = LadderWorkspace(grid)
+    owned = [a for v in vars(ws).values() for a in (v if isinstance(v, list) else [v])
+             if isinstance(a, np.ndarray) and a.base is None]
+    points = 64**dim
+    assert sorted(a.dtype.kind for a in owned) == ["c"] * complex_arrays + ["f"]
+    assert sum(a.nbytes for a in owned) == (16 * complex_arrays + 8) * points
+
+
 def test_one_workspace_on_many_threads_gives_each_its_own_arrays():
     # more threads than CPUs, switching often: arrays shared between threads
     # would overwrite one thread's modulus before it is copied

@@ -1,5 +1,7 @@
 """Splitting integrator: exact substeps, convergence order, run bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -408,3 +410,84 @@ def test_run_takes_every_step_through_strang_step(monkeypatch):
     assert len(carried) == len(traj.times) - 1 > 10 and all(carried)
     # snapshots are taken without the spectrum
     assert all(snap.spectrum is None for snap in traj.snapshots)
+
+
+def _warm_2d_state(lam):
+    # a 2-D state carrying its spectrum, and the half-step multiplier cached
+    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
+    p = PhysParams(2, 0.8, lam, 20.0)
+    cfg = SolverConfig(frame="v")
+    f = strang_step(build_initial_data(g, 1.0, 5), 0.0, 1e-3, cfg, p)
+    return strang_step(f, 1e-3, 1e-3, cfg, p), cfg, p
+
+
+def _update_by_formula(w, tau, lam, alpha):
+    # the exact nonlinear flow in its closed form, one new array per operation.
+    # A complex product rounds by its operand order; for Im(lambda) = 0 the
+    # phase factor comes first, the order numpy's temporary elision gives
+    # w * exp(...) on arrays from 256 KiB
+    damp = -lam.imag
+    mod_a = np.abs(w) ** alpha
+    if damp == 0.0:
+        return np.exp(-1j * lam.real * tau * mod_a) * w
+    kappa = alpha * damp * tau * mod_a
+    scale = (1.0 + kappa) ** (-1.0 / alpha)
+    if lam.real == 0.0:
+        return w * scale
+    return w * scale * np.exp(1j * (-(lam.real / (alpha * damp)) * np.log1p(kappa)))
+
+
+@pytest.mark.parametrize("frame", ["u", "v"])
+@pytest.mark.parametrize("lam", [-1j, 2 - 1j, 1.0], ids=["damped", "phase", "real"])
+def test_in_place_nonlinear_substep_is_the_out_of_place_update_bitwise(frame, lam):
+    # the real lambda is an oracle-mode run: strang_step takes it as it is
+    f, cfg, p = _warm_2d_state(lam)
+    cfg = SolverConfig(frame=frame, t_end=1.0) if frame == "u" else cfg
+    t, dt = 2e-3, 1e-3
+    # the step's transforms as strang_step writes them, around a new array
+    half = _free_multiplier(f.grid, 0.5 * dt)
+    w = half * f.spectrum
+    np.fft.ifftn(w, out=w)
+    tau = dt if frame == "u" else coefficient_integral(t, dt, p)
+    g = solver._nonlinear_update(w, tau, p.lam, p.alpha)
+    assert not np.shares_memory(g, w)
+    assert g.tobytes() == _update_by_formula(w, tau, p.lam, p.alpha).tobytes()
+    spec = np.multiply(half, np.fft.fftn(g, out=g), out=g)
+    out = strang_step(f, t, dt, cfg, p)
+    assert out.spectrum.tobytes() == spec.tobytes()
+    assert out.values.tobytes() == np.fft.ifftn(spec, out=np.empty_like(spec)).tobytes()
+
+
+@pytest.mark.parametrize("lam", [-1j, 2 - 1j, 1.0], ids=["damped", "phase", "real"])
+def test_substeps_leave_a_read_only_input_as_it_is(lam):
+    g = Grid.box(30.0, 32, 2, boundary_tol=1e-2)
+    v0 = build_initial_data(g, 1.0, 5)
+    p = PhysParams(2, 0.8, lam, 20.0)
+    frozen = Field(g, v0.values.copy(), "v", 0.01)
+    frozen.values.flags.writeable = False
+    before = frozen.values.tobytes()
+    for substep in (lambda f: nonlinear_substep_u(f, 0.01, p.lam, p.alpha),
+                    lambda f: nonlinear_substep_v(f, 0.01, 0.01, p),
+                    lambda f: linear_substep(f, 0.01)):
+        sub = substep(frozen)
+        assert not np.shares_memory(sub.values, frozen.values)
+        assert sub.values.tobytes() == substep(v0).values.tobytes()
+    assert frozen.values.tobytes() == before
+
+
+@pytest.mark.parametrize("lam,fresh,bound", [(-1j, 4.01, 2.6), (2 - 1j, 6.00, 3.6)],
+                         ids=["damped", "phase"])
+def test_warmed_2d_step_holds_few_grid_arrays(lam, fresh, bound):
+    # the nonlinear substep writes into the step's own array, so one step
+    # allocates that array, the next state's values and the substep's real
+    # temporaries; a new array per operation peaked at ``fresh`` grid arrays
+    f, cfg, p = _warm_2d_state(lam)
+    tracemalloc.start()
+    try:
+        out = strang_step(f, 2e-3, 1e-3, cfg, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.t == 3e-3
+    print(f"step peak {peak / f.values.nbytes:.2f} grid arrays (fresh arrays: {fresh})")
+    assert peak < bound * f.values.nbytes

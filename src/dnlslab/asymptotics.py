@@ -173,7 +173,10 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
         log.warning("terminal correction sup %.3f exceeds 1/4; b may be too small", f0_sup)
     amp_mod = (mod0a / (1.0 + f0)) ** (1.0 / p.alpha)
     psi_a = _psi_pow_alpha(v_last.t, f0, mod0a, p)
-    phase = np.angle(v_last.values * np.exp(1j * _drift(psi_a, p)))
+    # out= fixes the operand order: with a temporary second operand numpy
+    # reuses it from 256 KiB up and computes rot * values, off in the last bits
+    rot = np.exp(1j * _drift(psi_a, p))
+    phase = np.angle(np.multiply(v_last.values, rot, out=rot))
     meta = {
         "final_time": v_last.t,
         "final_gauge": 1.0 - p.b * v_last.t,
@@ -206,7 +209,8 @@ def predicted_field_v(s: float, profile: ProfileData) -> Field:
     psi_a = _psi_pow_alpha(s, profile.correction, profile.reference_power, p)
     vals = profile.amplitude * _envelope(psi_a, profile)
     if p.lam.real != 0.0:  # the drift is identically zero otherwise
-        vals = vals * np.exp(-1j * _drift(psi_a, p))
+        rot = np.exp(-1j * _drift(psi_a, p))  # out=, as in finalize_profile
+        vals = np.multiply(vals, rot, out=rot)
     return Field(profile.reference.grid, vals, "v", s)
 
 

@@ -38,7 +38,9 @@ class BoundaryDecayError(ValueError):
 def _per_grid(build):
     """Cache a geometry method's arrays on the grid, per argument, read-only.
 
-    The cache sits outside the dataclass fields, so equality, hashing and
+    Only the arrays a run reads again after setup are cached; the rest of the
+    geometry is built per call and dropped with its caller's temporaries.  The
+    cache sits outside the dataclass fields, so equality, hashing and
     ``replace`` ignore it; a scaled grid builds its own.
     """
 
@@ -116,27 +118,21 @@ class Grid:
             for L, M in zip(self.extents, self.points)
         ]
 
-    @_per_grid
     def meshes(self) -> tuple[np.ndarray, ...]:
         if self.dim == 1:
             return tuple(self.axes())
         return tuple(np.meshgrid(*self.axes(), indexing="ij"))
 
-    @_per_grid
     def radius_sq(self) -> np.ndarray:
-        r2 = 0.0
-        for x in self.meshes():
-            r2 = r2 + x**2
-        return r2
+        return sum(np.ix_(*(x**2 for x in self.axes())))
 
-    @_per_grid
     def bracket(self) -> np.ndarray:
         """The weight <x> = (1 + |x|^2)^(1/2); equals 1 at the origin."""
         return np.sqrt(1.0 + self.radius_sq())
 
     @_per_grid
     def bracket_pow(self, p: float) -> np.ndarray:
-        """The weight <x>^p."""
+        """The weight <x>^p; cached, as the records and monitors read <x>^n each step and row."""
         return self.bracket() ** p
 
     @_per_grid
@@ -146,13 +142,8 @@ class Grid:
             for L, M in zip(self.extents, self.points)
         )
 
-    @_per_grid
     def wavenumber_sq(self) -> np.ndarray:
-        ks = self.wavenumbers()
-        if self.dim == 1:
-            return ks[0] ** 2
-        kx, ky = np.meshgrid(*ks, indexing="ij")
-        return kx**2 + ky**2
+        return sum(np.ix_(*(k**2 for k in self.wavenumbers())))
 
     @_per_grid
     def wavenumber_levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -335,11 +326,7 @@ def weighted_inf(f: Field, p: float) -> tuple[float, tuple[float, ...]]:
     vals = f.grid.bracket_pow(p) * np.abs(f.values)
     flat = int(np.argmin(vals))
     idx = np.unravel_index(flat, vals.shape)
-    meshes = f.grid.meshes()
-    if f.grid.dim == 1:
-        loc = (float(meshes[0][idx]),)
-    else:
-        loc = tuple(float(m[idx]) for m in meshes)
+    loc = tuple(float(x[i]) for x, i in zip(f.grid.axes(), idx))
     return float(vals[idx]), loc
 
 
@@ -386,7 +373,7 @@ def build_initial_data(grid: Grid, c: complex, n: int, bump=None) -> Field:
     """
     if c == 0:
         raise ValueError("leading coefficient c must be nonzero")
-    base = complex(c) * grid.bracket_pow(float(-n))
+    base = complex(c) * grid.bracket() ** float(-n)
     if bump is not None:
         base = base + np.asarray(bump(*grid.meshes()), dtype=complex)
     v0 = Field(grid, np.asarray(base, dtype=complex), "v", 0.0)

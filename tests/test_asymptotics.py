@@ -5,6 +5,7 @@ import pytest
 
 from dnlslab.asymptotics import (
     ExtractionError,
+    ProfileData,
     correction_algebraic,
     crossover_time,
     error_metric,
@@ -295,3 +296,19 @@ def test_predicted_field_v_matches_components(ref_profile):
                               ref_profile.reference, rotated, ref_profile.meta)
     manual2 = prof2.amplitude * modulus_envelope(s, prof2) * np.exp(-1j * phase_drift(s, prof2))
     assert predicted_field_v(s, prof2).values.tobytes() == manual2.tobytes()
+
+
+def test_predicted_field_v_multiplies_in_the_stated_order_on_a_large_grid():
+    # from 256 KiB up numpy may reuse a temporary operand, which computed the
+    # rotation times the values; at 128^2 with lam = 2 - i that moved the last
+    # bit of about a quarter of the points
+    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
+    v0 = build_initial_data(g, 1.0, 5)
+    x, y = g.meshes()
+    amplitude = v0.values * np.exp(0.3j * x - 0.1j * y)
+    prof = ProfileData(0.05 * np.cos(x) * np.exp(-(x**2 + y**2) / 50.0), amplitude, v0,
+                       PhysParams(2, 0.8, 2.0 - 1.0j, 20.0), {})
+    s = 0.03
+    vals = prof.amplitude * modulus_envelope(s, prof)
+    expected = np.multiply(vals, np.exp(-1j * phase_drift(s, prof)))
+    assert predicted_field_v(s, prof).values.tobytes() == expected.tobytes()

@@ -493,6 +493,18 @@ THREADED_CONFIG = {
 }
 
 
+def test_a_monitored_run_leaves_only_the_reread_geometry_on_its_grid(tmp_path):
+    # setup builds |x|^2, <x>, |k|^2 and the data's and decay tail's powers;
+    # what stays cached is what the steps, records and rows read again
+    doc = json.loads(json.dumps(THREADED_CONFIG))
+    doc["solver"]["snapshot_count"] = 5
+    rc = build_run(doc, "c.json", json.dumps(doc), tmp_path / "out")
+    traj, report = cli._simulate(rc, doc, field.DEFAULT_MAX_ORDER)
+    assert len(traj.snapshots) == 5 and report.times.size == 5
+    assert set(rc.initial.grid.__dict__["_geometry"]) == {
+        ("bracket_pow", 5), ("wavenumbers",), ("wavenumber_levels",)}
+
+
 def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
     pools, submitted, fed, at_run_end, kept = [], [], [], [], []
 

@@ -105,6 +105,32 @@ def test_fit_window_outside_range():
         fit_power_law(t, t, window=(100.0, 200.0))
 
 
+def _lstsq_fit(t, v):
+    # the fit as a least-squares solve, the reference for the closed form
+    lt, lv = np.log(t), np.log(v)
+    design = np.column_stack([lt, np.ones_like(lt)])
+    coef, *_ = np.linalg.lstsq(design, lv, rcond=None)
+    resid = lv - design @ coef
+    return coef[0], np.exp(coef[1]), np.sqrt(np.mean(resid**2))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_fit_matches_a_least_squares_solve(noise):
+    rng = np.random.default_rng(3)
+    t = np.geomspace(1.2e3, 1.0e4, 37)
+    v = 4.3 * t**-0.45 * np.exp(noise * rng.standard_normal(t.size))
+    fit = fit_power_law(t, v)
+    exponent, prefactor, residual = _lstsq_fit(t, v)
+    assert fit.exponent == pytest.approx(exponent, rel=1e-12)
+    assert fit.prefactor == pytest.approx(prefactor, rel=1e-12)
+    assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
+
+
+def test_fit_rejects_a_single_time():
+    with pytest.raises(ValueError, match="two distinct times"):
+        fit_power_law(np.full(10, 3.0), np.geomspace(1.0, 2.0, 10))
+
+
 def test_ratefit_invariants():
     with pytest.raises(ValueError, match="window"):
         RateFit(1.0, 1.0, (2.0, 2.0), 0.0, 10)

@@ -1,6 +1,7 @@
 """Grid, spectral derivative, weighted norm, and snapshot round-trip tests."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -139,6 +140,61 @@ def test_weighted_inf_location_at_far_edge():
     f = Field(g, g.bracket() ** -5.0 + 0j, "v", 0.0)
     _, loc = weighted_inf(f, 3)
     assert loc[0] == -30.0
+
+
+GEOMETRY_GRIDS = [Grid.line(30.0, 64), Grid.line(30.0, 64).scaled(1.37),
+                  Grid.box(30.0, 32, 2), Grid((30.0, 12.5), (32, 16)).scaled(2.9)]
+
+
+def _meshgrid_geometry(g):
+    # |x|^2 and |k|^2 as sums over np.meshgrid's full meshes, the formulas the
+    # broadcast per-axis squares must reproduce bit for bit
+    meshes = g.axes() if g.dim == 1 else np.meshgrid(*g.axes(), indexing="ij")
+    r2 = 0.0
+    for x in meshes:
+        r2 = r2 + x**2
+    ks = g.wavenumbers()
+    if g.dim == 1:
+        return r2, ks[0] ** 2
+    kx, ky = np.meshgrid(*ks, indexing="ij")
+    return r2, kx**2 + ky**2
+
+
+@pytest.mark.parametrize("g", GEOMETRY_GRIDS)
+def test_geometry_equals_the_meshgrid_formulas_bitwise(g):
+    r2, k2 = _meshgrid_geometry(g)
+    bracket = np.sqrt(1.0 + r2)
+    for got, want in [(g.radius_sq(), r2), (g.wavenumber_sq(), k2), (g.bracket(), bracket),
+                      *((g.bracket_pow(p), bracket**p) for p in (5, -5.0, -4.0, 2.5))]:
+        assert got.shape == g.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("g", GEOMETRY_GRIDS)
+def test_weighted_inf_location_is_the_mesh_point(g):
+    vals = np.random.default_rng(11).uniform(0.5, 2.0, g.shape) + 0j
+    low, loc = weighted_inf(Field(g, vals, "v", 0.0), 3)
+    weighted = g.bracket_pow(3) * np.abs(vals)
+    idx = np.unravel_index(int(np.argmin(weighted)), g.shape)
+    assert low == weighted[idx]
+    assert loc == tuple(float(m[idx]) for m in g.meshes())
+
+
+def test_initial_data_keeps_only_the_data_and_its_weight():
+    # of the geometry only <x>^n, which the records and monitors read again,
+    # stays on the grid: v0 and <x>^5 are 1.5 MiB at 256^2, where caching the
+    # meshes, |x|^2, <x> and <x>^-5 too kept 4.0 MiB
+    g = Grid.box(30.0, 256, 2, boundary_tol=1e-3)
+    tracemalloc.start()
+    try:
+        v0 = build_initial_data(g, 1.0, 5)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    print(f"kept {kept / 2**20:.2f} MiB")
+    assert kept <= 1.6 * 2**20
+    assert list(g.__dict__["_geometry"]) == [("bracket_pow", 5)]
+    assert v0.values.nbytes == 2**20
 
 
 @pytest.mark.parametrize("p,q", [(0, 1), (1, 3), (2, 5)])

@@ -111,7 +111,7 @@ def build_run(doc: dict, path, text: str, out_override=None,
       grid:      {L, M, boundary_tol?}            (optional with snapshot data)
       solver:    {frame, dt0?, c_adapt?, horizon_floor?, t_end?, snapshot_count?}
       data:      {c?, n?, bump?: [{amp|"random", center, width, scale?}, ...],
-                  snapshot?: path}
+                  snapshot?: series base path, index?: field of the series (0)}
       exponents: {strict?, n?, fallback_sigma?}   (optional; defaults to the
                   relaxed set at the data weight with the strict-window rate)
       out:       directory (optional; --out flag and DNLSLAB_OUT override)
@@ -202,8 +202,10 @@ def build_run(doc: dict, path, text: str, out_override=None,
 
     if snapshot is not None:
         try:
-            initial = load_field(snapshot)
-        except ValueError as e:  # an unknown sidecar schema, a payload off the grid
+            initial = load_field(snapshot, read("data", "index", int, 0))
+        except IndexError as e:
+            err("index", str(e))
+        except (TypeError, ValueError) as e:  # an unknown or malformed sidecar, a short payload
             err("snapshot", str(e))
         if initial.grid.dim != N:
             err("snapshot", f"snapshot grid dimension {initial.grid.dim} does not match N = {N}")

@@ -14,7 +14,7 @@ import json
 import os
 from collections.abc import Callable
 from concurrent.futures import Future, wait
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .params import ExponentSet, PhysParams
 from .solver import MASS_SLACK, Trajectory
 
 MIN_FIT_SAMPLES = 8
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 # Grid points from which SnapshotMonitor computes its rows on one thread per
 # CPU, up to MAX_THREADS; numpy's FFT releases the GIL.  Two threads against one
 # on 2 CPUs (Xeon, Python 3.11, numpy 2.4; 49 snapshots, medians of 10
@@ -215,7 +215,6 @@ class MonitorReport:
     f_within_quarter: bool
     decay_pointwise: bool
     label: str = "truncated"
-    extras: dict = dc_field(default_factory=dict)
 
     def as_dict(self) -> dict:
         items = ((f.name, getattr(self, f.name)) for f in fields(self))
@@ -352,9 +351,9 @@ class SnapshotMonitor:
             if not self._bound.done():
                 self._bound.set_result(self._data_bound())
             if self._save is not None:
-                # in one burst before the rows: saving after each row made a
-                # 1-D M = 2048 verify's median wall time 0.02 s longer and its
-                # peak RSS 0.1 MiB higher (2-CPU Xeon, 6-10 alternating runs)
+                # in one burst before the rows, so all are on disk when a row
+                # raises; saving after each row measured the same (2-CPU Xeon, 5
+                # pairs: 1-D M = 2048 verify 0.166 against 0.169 s, 33.20 MiB)
                 for i, snap in enumerate(self._fed, len(self._rows)):
                     self._save(snap, i)
             # each row fed since the last report, once, computed here
@@ -467,7 +466,6 @@ def emit_report(
         "params": traj.params.to_dict(),
         "snapshots": len(traj.snapshot_times),
         "monitor": monitor.as_dict() if monitor is not None else None,
-        "fits": {},
         "checks": checks or {},
         "profile": profile_meta,
     }

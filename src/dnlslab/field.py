@@ -1,30 +1,28 @@
-"""Uniform periodic grids, complex fields, spectral derivatives, weighted norms.
+"""Complex fields on a grid, spectral derivatives, weighted norms, stored series.
 
-The continuum problem lives on R^N; we truncate to a periodic box [-L, L)^N
-chosen large enough that the data and its dispersive tail are negligible at
-the boundary.  Derivatives are Fourier-collocation (exact for band-limited
-data), quadrature is the rectangle rule (= trapezoid on a periodic grid).
-
-Supports N = 1 and N = 2.
+Derivatives are Fourier-collocation (exact for band-limited data),
+quadrature is the rectangle rule (= trapezoid on a periodic grid).  The grid
+itself is :class:`dnlslab.grid.Grid`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
+import os
 import shutil
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
-DEFAULT_BOUNDARY_TOL = 1e-8
+from .grid import DEFAULT_BOUNDARY_TOL, Grid
+
 DEFAULT_MAX_ORDER = 4
 
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 
 
 class DerivativeOrderError(ValueError):
@@ -33,134 +31,6 @@ class DerivativeOrderError(ValueError):
 
 class BoundaryDecayError(ValueError):
     """Field is not negligible at the box boundary; the domain is too small."""
-
-
-def _per_grid(build):
-    """Cache a geometry method's arrays on the grid, per argument, read-only.
-
-    Only the arrays a run reads again after setup are cached; the rest of the
-    geometry is built per call and dropped with its caller's temporaries.  The
-    cache sits outside the dataclass fields, so equality, hashing and
-    ``replace`` ignore it; a scaled grid builds its own.
-    """
-
-    @functools.wraps(build)
-    def cached(self, *args):
-        cache = self.__dict__.setdefault("_geometry", {})
-        key = (build.__name__, *args)
-        if key not in cache:
-            value = build(self, *args)
-            for arr in value if isinstance(value, tuple) else (value,):
-                arr.flags.writeable = False
-            cache[key] = value
-        return cache[key]
-
-    return cached
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform periodic grid on [-L0, L0) x ... with per-axis point counts.
-
-    Parameters
-    ----------
-    extents : tuple of float
-        Half-extent of each axis.
-    points : tuple of int
-        Points per axis; must be even so the Nyquist mode is unambiguous.
-    boundary_tol : float
-        Relative magnitude allowed at the box boundary before spectral
-        derivatives refuse the field.
-    """
-
-    extents: tuple[float, ...]
-    points: tuple[int, ...]
-    boundary_tol: float = DEFAULT_BOUNDARY_TOL
-
-    def __post_init__(self):
-        if len(self.extents) != len(self.points):
-            raise ValueError("extents and points must have equal length")
-        if self.dim not in (1, 2):
-            raise ValueError("only 1 and 2 spatial dimensions are supported")
-        for L, M in zip(self.extents, self.points):
-            if L <= 0:
-                raise ValueError("half-extent must be positive")
-            if M < 2 or M % 2:
-                raise ValueError("point count must be a positive even integer")
-
-    @classmethod
-    def line(cls, L: float, M: int, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> "Grid":
-        return cls((float(L),), (int(M),), boundary_tol)
-
-    @classmethod
-    def box(cls, L, M, dim: int, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> "Grid":
-        return cls((float(L),) * dim, (int(M),) * dim, boundary_tol)
-
-    @property
-    def dim(self) -> int:
-        return len(self.extents)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.points
-
-    @property
-    def spacings(self) -> tuple[float, ...]:
-        return tuple(2 * L / M for L, M in zip(self.extents, self.points))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
-
-    def axes(self) -> list[np.ndarray]:
-        return [
-            -L + (2 * L / M) * np.arange(M)
-            for L, M in zip(self.extents, self.points)
-        ]
-
-    def meshes(self) -> tuple[np.ndarray, ...]:
-        if self.dim == 1:
-            return tuple(self.axes())
-        return tuple(np.meshgrid(*self.axes(), indexing="ij"))
-
-    def radius_sq(self) -> np.ndarray:
-        return sum(np.ix_(*(x**2 for x in self.axes())))
-
-    def bracket(self) -> np.ndarray:
-        """The weight <x> = (1 + |x|^2)^(1/2); equals 1 at the origin."""
-        return np.sqrt(1.0 + self.radius_sq())
-
-    @_per_grid
-    def bracket_pow(self, p: float) -> np.ndarray:
-        """The weight <x>^p; cached, as the records and monitors read <x>^n each step and row."""
-        return self.bracket() ** p
-
-    @_per_grid
-    def wavenumbers(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            2 * np.pi * np.fft.fftfreq(M, d=2 * L / M)
-            for L, M in zip(self.extents, self.points)
-        )
-
-    def wavenumber_sq(self) -> np.ndarray:
-        return sum(np.ix_(*(k**2 for k in self.wavenumbers())))
-
-    @_per_grid
-    def wavenumber_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct values of |k|^2, and per point the index of its own.
-
-        A radial multiplier evaluated on the levels and gathered through the
-        index equals the one evaluated on ``wavenumber_sq`` bit for bit, at a
-        fraction of the cost: a 256^2 grid has 7,446 levels.
-        """
-        levels, index = np.unique(self.wavenumber_sq(), return_inverse=True)
-        return levels, index.reshape(self.shape)
-
-    def scaled(self, factor: float) -> "Grid":
-        """Grid with every coordinate multiplied by ``factor`` (same points)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return replace(self, extents=tuple(L * factor for L in self.extents))
 
 
 @dataclass(frozen=True)
@@ -204,21 +74,14 @@ def _normalize_order(beta, dim: int) -> tuple[int, ...]:
 def boundary_magnitude(f: Field) -> float:
     """Largest |value| on the outermost cell shell of the box."""
     v = f.values
-    edge = 0.0
-    for ax in range(v.ndim):
-        first = np.take(v, 0, axis=ax)
-        last = np.take(v, -1, axis=ax)
-        edge = max(edge, float(np.max(np.abs(first))), float(np.max(np.abs(last))))
-    return edge
+    return max(0.0, *(float(np.max(np.abs(np.take(v, end, axis=ax))))
+                      for ax in range(v.ndim) for end in (0, -1)))
 
 
-def check_boundary_decay(f: Field, tol: float | None = None) -> None:
-    tol = f.grid.boundary_tol if tol is None else tol
-    peak = float(np.max(np.abs(f.values)))
-    if peak == 0.0:
-        return
-    edge = boundary_magnitude(f)
-    if edge > tol * peak:
+def check_boundary_decay(f: Field) -> None:
+    tol = f.grid.boundary_tol
+    peak, edge = float(np.max(np.abs(f.values))), boundary_magnitude(f)
+    if peak > 0.0 and edge > tol * peak:
         raise BoundaryDecayError(
             f"boundary magnitude {edge:.3e} exceeds {tol:.1e} x peak {peak:.3e}; "
             "domain too small for spectral differentiation"
@@ -244,7 +107,11 @@ def spectral_derivative(
         return f.with_values(f.values.copy())
     if check:
         check_boundary_decay(f)
-    return f.with_values(np.fft.ifftn(_apply_symbol(np.fft.fftn(f.values), beta, f.grid)))
+    spec = np.fft.fftn(f.values)
+    for ax, (b, k) in enumerate(zip(beta, f.grid.wavenumbers())):
+        if b:  # multiply by (ik)^b one axis at a time
+            spec = spec * _axis_symbol(k, b, ax, f.grid.dim)
+    return f.with_values(np.fft.ifftn(spec))
 
 
 def _axis_symbol(k: np.ndarray, b: int, ax: int, dim: int) -> np.ndarray:
@@ -252,14 +119,6 @@ def _axis_symbol(k: np.ndarray, b: int, ax: int, dim: int) -> np.ndarray:
     shape = [1] * dim
     shape[ax] = k.size
     return (1j * k.reshape(shape)) ** b
-
-
-def _apply_symbol(spec: np.ndarray, beta: tuple[int, ...], grid: Grid) -> np.ndarray:
-    # multiply by (ik)^beta one axis at a time
-    for ax, (b, k) in enumerate(zip(beta, grid.wavenumbers())):
-        if b:
-            spec = spec * _axis_symbol(k, b, ax, grid.dim)
-    return spec
 
 
 class LadderWorkspace(threading.local):
@@ -324,8 +183,7 @@ def l2_norm(f: Field) -> float:
 def weighted_inf(f: Field, p: float) -> tuple[float, tuple[float, ...]]:
     """inf over the grid of <x>^p |f(x)|, with the location where it is attained."""
     vals = f.grid.bracket_pow(p) * np.abs(f.values)
-    flat = int(np.argmin(vals))
-    idx = np.unravel_index(flat, vals.shape)
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
     loc = tuple(float(x[i]) for x, i in zip(f.grid.axes(), idx))
     return float(vals[idx]), loc
 
@@ -334,11 +192,7 @@ def derivative_orders(dim: int, max_order: int) -> list[tuple[int, ...]]:
     """Every multi-index beta with |beta| <= max_order, in a fixed order."""
     if dim == 1:
         return [(j,) for j in range(max_order + 1)]
-    return [
-        (i, j)
-        for i in range(max_order + 1)
-        for j in range(max_order + 1 - i)
-    ]
+    return [(i, j) for i in range(max_order + 1) for j in range(max_order + 1 - i)]
 
 
 def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER, workspace=None) -> float:
@@ -384,63 +238,65 @@ def build_initial_data(grid: Grid, c: complex, n: int, bump=None) -> Field:
     return v0
 
 
-def save_field(f: Field, path_base) -> tuple[Path, Path]:
-    """Write a field snapshot: raw values plus a JSON descriptor.
+def _write_sidecar(base: Path, f: Field, times: list) -> Path:
+    meta = {"schema_version": SNAPSHOT_SCHEMA, "extents": list(f.grid.extents),
+            "points": list(f.grid.points), "boundary_tol": f.grid.boundary_tol,
+            "frame": f.frame, "times": times}
+    base.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    return base.with_suffix(".json")
 
-    Binary layout: little-endian complex128 ("<c16"), that is float64 (re, im)
-    per sample, row-major over the grid.  The descriptor carries the grid
-    extents and point counts, the frame tag, and the time stamp.
+
+def save_field(f: Field, path_base) -> tuple[Path, Path]:
+    """Write a field as a series of one: raw values plus a JSON descriptor.
+
+    A series is ``<base>.bin``, k fields back to back (field i at byte offset
+    i * 16 * points), each little-endian complex128 ("<c16"), row-major over
+    the grid; its descriptor ``<base>.json`` carries the grid extents and
+    point counts, the frame tag, and the k time stamps ``times``.
     """
     base = Path(path_base)
-    bin_path = base.with_suffix(".bin")
-    meta_path = base.with_suffix(".json")
     base.parent.mkdir(parents=True, exist_ok=True)
-    np.ascontiguousarray(f.values, dtype="<c16").tofile(bin_path)
-    meta = {
-        "schema_version": SNAPSHOT_SCHEMA,
-        "extents": list(f.grid.extents),
-        "points": list(f.grid.points),
-        "boundary_tol": f.grid.boundary_tol,
-        "frame": f.frame,
-        "time": f.t,
-    }
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    return bin_path, meta_path
+    np.ascontiguousarray(f.values, dtype="<c16").tofile(base.with_suffix(".bin"))
+    return base.with_suffix(".bin"), _write_sidecar(base, f, [f.t])
 
 
-def load_field(path_base) -> Field:
+def load_field(path_base, index: int = 0) -> Field:
+    """Field ``index`` of the series at ``path_base``; IndexError where it has none."""
     base = Path(path_base)
     meta = json.loads(base.with_suffix(".json").read_text())
     if meta.get("schema_version") != SNAPSHOT_SCHEMA:
         raise ValueError(f"unsupported snapshot schema {meta.get('schema_version')}")
-    missing = [key for key in ("time", "frame", "extents", "points") if key not in meta]
+    missing = [key for key in ("times", "frame", "extents", "points") if key not in meta]
     if missing:
         raise ValueError(f"snapshot sidecar lacks {', '.join(map(repr, missing))}")
-    grid = Grid(
-        tuple(float(L) for L in meta["extents"]),
-        tuple(int(M) for M in meta["points"]),
-        float(meta.get("boundary_tol", DEFAULT_BOUNDARY_TOL)),
-    )
-    raw = np.fromfile(base.with_suffix(".bin"), dtype="<c16")
-    if raw.size != np.prod(grid.shape):
-        raise ValueError("snapshot payload does not match grid size")
-    return Field(grid, raw.reshape(grid.shape), meta["frame"], float(meta["time"]))
+    grid = Grid(tuple(float(L) for L in meta["extents"]), tuple(int(M) for M in meta["points"]),
+                float(meta.get("boundary_tol", DEFAULT_BOUNDARY_TOL)))
+    times, size = meta["times"], int(np.prod(grid.shape))
+    if not isinstance(times, list):
+        raise ValueError(f"snapshot sidecar 'times' must be a list, not {json.dumps(times)}")
+    if not 0 <= index < len(times):
+        raise IndexError(f"snapshot index {index} is outside the series' {len(times)} fields")
+    if base.with_suffix(".bin").stat().st_size != 16 * size * len(times):
+        raise ValueError(f"snapshot payload does not match grid size x {len(times)} fields")
+    raw = np.fromfile(base.with_suffix(".bin"), "<c16", size, offset=16 * size * index)
+    return Field(grid, raw.reshape(grid.shape), meta["frame"], float(times[index]))
 
 
 class SnapshotStore(Sequence):
-    """A run's snapshots on disk, ``snap_{i:04d}.{bin,json}`` in ``directory``.
+    """A run's snapshots on disk: the series ``series.{bin,json}`` in ``directory``.
 
     ``run`` appends to it as to a list.  It keeps in memory only the times,
     the first field and the latest; each snapshot reaches disk when ``save``
     is called for it, once whatever reads it in memory is done with it.  Any
-    other index is read back from its ``.bin`` on the first field's grid and
-    frame, one array per read.
+    other index is read back from the series on the first field's grid and
+    frame, one array per read.  ``publish`` writes the sidecar.
     """
 
-    def __init__(self, directory):
+    def __init__(self, directory, fd: int):
         self.directory = Path(directory)
         self.times: list[float] = []
         self._first = self._last = None
+        self._fd = fd  # series.bin, open for writing
 
     @classmethod
     @contextlib.contextmanager
@@ -448,24 +304,27 @@ class SnapshotStore(Sequence):
         """A store in ``.NAME.partial/snapshots`` beside a run's directory ``out``.
 
         The run writes its other files into the staging directory too
-        (``directory.parent``); ``publish`` moves them all into ``out``.  The
-        staging directory goes on the way out, published or not, and one that
-        a killed run left goes on the way in.
+        (``directory.parent``); ``publish`` moves them all into ``out``.  On
+        the way out the series file is closed and the staging directory goes,
+        published or not; one that a killed run left goes on the way in.
         """
         stage = out.parent / f".{out.name}.partial"
         shutil.rmtree(stage, ignore_errors=True)
         (stage / "snapshots").mkdir(parents=True)
         try:
-            yield cls(stage / "snapshots")
+            with open(stage / "snapshots" / "series.bin", "wb", buffering=0) as fh:
+                yield cls(stage / "snapshots", fh.fileno())
         finally:
             shutil.rmtree(stage, ignore_errors=True)
 
     def publish(self, out: Path) -> None:
-        """Move a ``staged`` store's files into ``out``, where it reads from then on.
+        """Write the sidecar and move a ``staged`` store's files into ``out``.
 
         Each staged entry replaces its namesake in ``out``, ``snapshots/`` as
-        a whole; every other file in ``out`` stays.
+        a whole; every other file in ``out`` stays.  The store reads from
+        ``out`` from then on.
         """
+        _write_sidecar(self.directory / "series", self._first, self.times)
         out.mkdir(parents=True, exist_ok=True)
         for entry in self.directory.parent.iterdir():
             target = out / entry.name
@@ -481,21 +340,23 @@ class SnapshotStore(Sequence):
         self._last = f
 
     def save(self, f: Field, i: int = -1) -> None:
-        """Write ``f`` as snapshot i, by default the latest appended."""
-        save_field(f, self.directory / f"snap_{i % len(self.times):04d}")
+        """Write ``f`` as snapshot i, by default the latest appended: one positional
+        write of its own buffer, so no copy and no file offset the threads share."""
+        values = np.ascontiguousarray(f.values, dtype="<c16")
+        data, offset = memoryview(values).cast("B"), (i % len(self.times)) * values.nbytes
+        while data:  # a write cut short leaves the rest; the next one raises what stopped it
+            written = os.pwrite(self._fd, data, offset)
+            data, offset = data[written:], offset + written
 
     def __len__(self) -> int:
         return len(self.times)
 
     def __getitem__(self, i: int) -> Field:
-        n = len(self.times)
-        if not -n <= i < n:
-            raise IndexError("snapshot index out of range")
-        i %= n
+        i = range(len(self.times))[i]  # IndexError outside; a negative i counts from the end
         if i == 0:
             return self._first
-        if i == n - 1:
+        if i == len(self.times) - 1:
             return self._last
-        first = self._first
-        raw = np.fromfile(self.directory / f"snap_{i:04d}.bin", dtype="<c16")
+        first, size = self._first, self._first.values.size
+        raw = np.fromfile(self.directory / "series.bin", "<c16", size, offset=16 * size * i)
         return Field(first.grid, raw.reshape(first.grid.shape), first.frame, self.times[i])

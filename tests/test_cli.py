@@ -49,6 +49,12 @@ def anchor(cfg, key):
     return f"{cfg}:{line}:"
 
 
+def series_times(out):
+    """A run's snapshot times; loading field 0 checks that the payload holds every one."""
+    load_field(out / "snapshots" / "series")
+    return json.loads((out / "snapshots" / "series.json").read_text())["times"]
+
+
 @pytest.fixture(scope="module")
 def pass_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("verify_pass")
@@ -116,16 +122,40 @@ def _short_payload(base):
     base.with_suffix(".bin").write_bytes(raw[:-16])  # one sample short of the grid
 
 
-def _no_time(base):
+def _schema_1(base):
+    # the sidecar of one snapshot file as it was before series: a single "time"
     meta = json.loads(base.with_suffix(".json").read_text())
-    del meta["time"]
+    del meta["times"]
+    base.with_suffix(".json").write_text(json.dumps({**meta, "schema_version": 1, "time": 0.0}))
+
+
+def _short_of_three_fields(base):
+    # the sidecar lists three fields, the payload holds two
+    meta = json.loads(base.with_suffix(".json").read_text())
+    base.with_suffix(".json").write_text(json.dumps({**meta, "times": [0.0, 0.01, 0.02]}))
+    base.with_suffix(".bin").write_bytes(2 * base.with_suffix(".bin").read_bytes())
+
+
+def _times_not_a_list(base):
+    meta = json.loads(base.with_suffix(".json").read_text())
+    base.with_suffix(".json").write_text(json.dumps({**meta, "times": 0.0}))
+
+
+def _extents_not_a_list(base):
+    meta = json.loads(base.with_suffix(".json").read_text())
+    base.with_suffix(".json").write_text(json.dumps({**meta, "extents": 30.0}))
+
+
+def _no_times(base):
+    meta = json.loads(base.with_suffix(".json").read_text())
+    del meta["times"]
     base.with_suffix(".json").write_text(json.dumps(meta))
 
 
 def _u_frame_later(base):
     # a later u-frame state: only at t = 0 is it also the v-frame state
     meta = json.loads(base.with_suffix(".json").read_text())
-    base.with_suffix(".json").write_text(json.dumps({**meta, "frame": "u", "time": 0.01}))
+    base.with_suffix(".json").write_text(json.dumps({**meta, "frame": "u", "times": [0.01]}))
 
 
 def _relabelled_2d(base):
@@ -137,9 +167,14 @@ def _relabelled_2d(base):
 
 @pytest.mark.parametrize("spoil,message", [(_schema_99, "unsupported snapshot schema 99"),
                                            (_short_payload, "does not match grid size"),
-                                           (_no_time, "snapshot sidecar lacks 'time'"),
+                                           (_no_times, "snapshot sidecar lacks 'times'"),
                                            (_u_frame_later, "cannot start a v-frame run"),
-                                           (_relabelled_2d, "dimension 2 does not match N = 1")])
+                                           (_relabelled_2d, "dimension 2 does not match N = 1"),
+                                           (_schema_1, "unsupported snapshot schema 1"),
+                                           (_short_of_three_fields,
+                                            "does not match grid size x 3 fields"),
+                                           (_times_not_a_list, "'times' must be a list, not 0.0"),
+                                           (_extents_not_a_list, "object is not iterable")])
 def test_unreadable_snapshot_data_exit_2(tmp_path, capsys, spoil, message):
     g = Grid.line(30.0, 64)
     save_field(Field(g, g.bracket() ** -5.0 + 0j, "v", 0.0), tmp_path / "v0")
@@ -154,6 +189,22 @@ def test_unreadable_snapshot_data_exit_2(tmp_path, capsys, spoil, message):
     assert anchor(cfg, "snapshot") in err and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("index", [1, -1])
+def test_snapshot_index_out_of_range_exit_2(tmp_path, capsys, index):
+    g = Grid.line(30.0, 64)
+    save_field(Field(g, g.bracket() ** -5.0 + 0j, "v", 0.0), tmp_path / "v0")
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    del doc["grid"]
+    doc["data"] = {"n": 5, "snapshot": str(tmp_path / "v0"), "index": index}
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, "index") in err
+    assert f"snapshot index {index} is outside the series' 1 fields" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("section,key,value,anchored", [
@@ -313,7 +364,7 @@ def test_free_gaussian_simulate_matches_oracle(tmp_path):
     assert len(rows) >= 200
     assert abs(float(rows[0]["l2"]) - float(rows[-1]["l2"])) < 1e-12  # free flow conserves mass
 
-    f = load_field(out / "snapshots" / "snap_0004")
+    f = load_field(out / "snapshots" / "series", 4)
     beta = 1.0 + 4.0j * f.t
     exact = np.exp(-(x**2) / beta) / np.sqrt(beta)
     assert np.max(np.abs(f.values - exact)) < 1e-9
@@ -321,6 +372,35 @@ def test_free_gaussian_simulate_matches_oracle(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["monitor"] is None
     assert report["snapshots"] == 5
+
+
+def test_restart_from_a_series_index(tmp_path):
+    # the free flow is exact: a run restarted from snapshot 2 of a series
+    # ends where the run it came from ended
+    g = Grid.line(20.0, 256)
+    x = g.axes()[0]
+    save_field(Field(g, np.exp(-(x**2)).astype(complex), "u", 0.0), tmp_path / "gauss0")
+    doc = {
+        "phys": {"N": 1, "alpha": 1.0, "lam": [0.0, 0.0], "b": 0.0},
+        "solver": {"frame": "u", "dt0": 0.005, "t_end": 1.0, "snapshot_count": 5},
+        "data": {"snapshot": str(tmp_path / "gauss0")},
+    }
+    first = tmp_path / "first"
+    assert main(["simulate", "--config", str(write_config(tmp_path / "a.json", doc)),
+                 "--out", str(first)]) == 0
+    doc["data"] = {"snapshot": str(first / "snapshots" / "series"), "index": 2}
+    doc["solver"]["snapshot_count"] = 3
+    again = tmp_path / "again"
+    assert main(["simulate", "--config", str(write_config(tmp_path / "b.json", doc)),
+                 "--out", str(again)]) == 0
+    restarted = series_times(again)
+    assert len(restarted) == 3 and restarted[0] == series_times(first)[2] and restarted[-1] == 1.0
+    start = load_field(again / "snapshots" / "series")
+    assert start.values.tobytes() == load_field(first / "snapshots" / "series", 2).values.tobytes()
+    end, expected = (load_field(out / "snapshots" / "series", 2 if out is again else 4)
+                     for out in (again, first))
+    assert end.t == expected.t == 1.0
+    assert np.max(np.abs(end.values - expected.values)) < 1e-12
 
 
 @pytest.mark.parametrize("N,alpha,M", [(1, 2.0, 64), (2, 1.0, 32)])
@@ -383,8 +463,12 @@ def test_verify_artifacts_on_disk(pass_run):
     with open(pass_run / "error_metric.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) >= 8
-    snaps = sorted((pass_run / "snapshots").glob("snap_*.bin"))
-    assert len(snaps) == 49
+    assert sorted(p.name for p in (pass_run / "snapshots").iterdir()) == [
+        "series.bin", "series.json"]
+    assert len(json.loads((pass_run / "snapshots" / "series.json").read_text())["times"]) == 49
+    # the profile's reference state is the run's initial snapshot, field 0 of the series
+    payload = (pass_run / "snapshots" / "series.bin").read_bytes()
+    assert payload[:len(payload) // 49] == (pass_run / "profile" / "reference.bin").read_bytes()
 
 
 def test_tiny_b_classified_not_failed(tmp_path):
@@ -601,9 +685,7 @@ def test_solver_error_beside_a_busy_monitor_exits_3(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
-def test_vanishing_modulus_beside_the_solve_exits_3_after_the_run(tmp_path, monkeypatch,
-                                                                   capsys):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def _vanishing_modulus(monkeypatch):
     check = diagnostics.nonvanishing_modulus
 
     def vanishing(snap):
@@ -612,15 +694,21 @@ def test_vanishing_modulus_beside_the_solve_exits_3_after_the_run(tmp_path, monk
         return check(snap)
 
     monkeypatch.setattr(diagnostics, "nonvanishing_modulus", vanishing)
+
+
+def test_vanishing_modulus_beside_the_solve_exits_3_after_the_run(tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _vanishing_modulus(monkeypatch)
     cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     # the first snapshot after the initial one, reported once the run is dumped
-    first = json.loads((out / "snapshots" / "snap_0001.json").read_text())["time"]
-    assert f"numerical failure: modulus vanishes on the grid at t = {first:.6g}\n" in err
+    times = series_times(out)
+    assert f"numerical failure: modulus vanishes on the grid at t = {times[1]:.6g}\n" in err
     assert "Traceback" not in err
-    assert (out / "norms.csv").exists() and len(list((out / "snapshots").glob("*.bin"))) == 17
+    assert (out / "norms.csv").exists() and len(times) == 17
     assert not (out / "profile").exists() and not (out / "bridge.csv").exists()
 
 
@@ -628,20 +716,13 @@ def test_vanishing_modulus_after_a_serial_run_exits_3_with_the_run_on_disk(tmp_p
                                                                         monkeypatch, capsys):
     # one CPU: report() saves every snapshot before it computes a row
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    check = diagnostics.nonvanishing_modulus
-
-    def vanishing(snap):
-        if snap.t > 0:
-            raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:.6g}")
-        return check(snap)
-
-    monkeypatch.setattr(diagnostics, "nonvanishing_modulus", vanishing)
+    _vanishing_modulus(monkeypatch)
     cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "numerical failure: modulus vanishes" in err and "Traceback" not in err
-    assert (out / "norms.csv").exists() and len(list((out / "snapshots").glob("*.bin"))) == 17
+    assert (out / "norms.csv").exists() and len(series_times(out)) == 17
     assert not (out / "report.json").exists() and not (out / "bridge.csv").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out"]
 
@@ -673,15 +754,30 @@ def test_threaded_verify_memory_does_not_grow_with_the_schedule(tmp_path, monkey
         rc = build_run(doc, "c.json", json.dumps(doc))
         library = solver.run(rc.initial, rc.solver, rc.params, exps=rc.exps)
         assert isinstance(library.snapshots, list) and len(library.snapshots) == count
-        assert sorted(p.name for p in (out / "snapshots").glob("*.bin")) == [
-            f"snap_{i:04d}.bin" for i in range(count)]
-        for i, snap in enumerate(library.snapshots):
-            payload = (out / "snapshots" / f"snap_{i:04d}.bin").read_bytes()
-            assert payload == snap.values.astype("<c16").tobytes(), i
+        assert series_times(out) == [snap.t for snap in library.snapshots]
+        payload = (out / "snapshots" / "series.bin").read_bytes()
+        assert payload == b"".join(snap.values.astype("<c16").tobytes()
+                                   for snap in library.snapshots)
     snapshot_bytes = 16 * THREADED_CONFIG["grid"]["M"] ** 2
     print(f"peaks {peaks[17] / 2**20:.2f} and {peaks[33] / 2**20:.2f} MiB; "
           f"one snapshot {snapshot_bytes / 2**20:.2f} MiB")
     assert abs(peaks[33] - peaks[17]) < 4 * snapshot_bytes
+
+
+def test_threaded_verify_writes_the_same_files_at_any_schedule(tmp_path, monkeypatch):
+    # a run's snapshots are one series: the file count does not follow the schedule
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    listed = {}
+    for count in (17, 33):
+        doc = json.loads(json.dumps(THREADED_CONFIG))
+        doc["solver"]["snapshot_count"] = count
+        cfg = write_config(tmp_path / f"{count}.json", doc)
+        out = tmp_path / f"out{count}"
+        assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0
+        listed[count] = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert len(series_times(out)) == count
+    assert listed[17] == listed[33]
+    assert len(listed[17]) <= 16
 
 
 def fail_after_six_snapshots(monkeypatch):
@@ -771,8 +867,8 @@ def test_rerun_into_an_existing_out(tmp_path, monkeypatch, capsys):
     (out / "snapshots" / "stray.txt").write_text("dropped\n")
     second = write_config(tmp_path / "second.json", short_decade_config(9))
     assert main(["verify-theorem", "--config", str(second), "--out", str(out)]) == 0
-    assert sorted(p.name for p in (out / "snapshots").iterdir()) == sorted(
-        f"snap_{i:04d}.{ext}" for i in range(9) for ext in ("bin", "json"))
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["series.bin", "series.json"]
+    assert len(series_times(out)) == 9
     assert (out / "notes.txt").read_text() == "kept\n"
     assert json.loads((out / "run_config.json").read_text())["solver"]["snapshot_count"] == 9
     assert json.loads((out / "report.json").read_text())["snapshots"] == 9
@@ -786,15 +882,16 @@ def test_rerun_into_an_existing_out(tmp_path, monkeypatch, capsys):
 
 def test_failed_snapshot_write_on_a_monitor_thread_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    save, writers = field.save_field, []
+    pwrite, writers = os.pwrite, []
+    snapshot_bytes = 16 * THREADED_CONFIG["grid"]["M"] ** 2
 
-    def failing_save(f, path_base):
+    def failing_pwrite(fd, data, offset):
         writers.append(threading.current_thread())
-        if path_base.name == "snap_0005":
+        if offset == 5 * snapshot_bytes:  # the write of snapshot 5
             raise OSError(28, "No space left on device")
-        return save(f, path_base)
+        return pwrite(fd, data, offset)
 
-    monkeypatch.setattr(field, "save_field", failing_save)
+    monkeypatch.setattr(os, "pwrite", failing_pwrite)
     cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
     out = tmp_path / "out"
     codes = []
@@ -809,6 +906,29 @@ def test_failed_snapshot_write_on_a_monitor_thread_exits_4(tmp_path, monkeypatch
     # the snapshots were written beside the solve, not by it
     assert len(writers) >= 6 and verify not in writers
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def _failing_write(monkeypatch):
+    pwrite = os.pwrite
+
+    def failing_pwrite(fd, data, offset):
+        if offset == 5 * 16 * 64:  # snapshot 5 of an M = 64 line
+            raise OSError(28, "No space left on device")
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", failing_pwrite)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
+@pytest.mark.parametrize("spoil,code", [(fail_after_six_snapshots, 3), (_vanishing_modulus, 3),
+                                        (_failing_write, 4)])
+def test_no_file_left_open_by_a_failed_run(tmp_path, monkeypatch, capsys, spoil, code):
+    cfg = write_config(tmp_path / "c.json", short_decade_config(17))  # 1-D, M = 64
+    spoil(monkeypatch)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_deterministic(tmp_path, pass_run):
@@ -860,7 +980,7 @@ def test_plot_data_on_snapshot_run(pass_run, tmp_path):
     # run repeats pass_run, so its plot tables must match byte for byte
     doc = json.loads(json.dumps(PASS_CONFIG))
     del doc["grid"]
-    doc["data"] = {"snapshot": str(pass_run / "snapshots" / "snap_0000")}
+    doc["data"] = {"snapshot": str(pass_run / "snapshots" / "series")}
     doc["exponents"] = {"strict": False, "n": 5, "fallback_sigma": True}
     cfg = write_config(tmp_path / "c.json", doc)
     out = tmp_path / "out"

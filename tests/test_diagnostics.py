@@ -493,11 +493,11 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
     assert rows[0][:4] == ["t", "gauge", "l2", "linf"]
 
     doc = json.loads(jp.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["params"] == traj.params.to_dict()
     assert doc["monitor"]["psi"] == rep.psi.tolist()
     assert doc["monitor"]["max_order"] == 4
-    assert doc["fits"] == {}
+    assert "fits" not in doc and "extras" not in doc["monitor"]
     assert doc["checks"]["sup_limit"]["target_u"] == 0.5
     assert doc["profile"]["final_gauge"] == 1e-4
     # serialization is stable: a second pass reproduces the document

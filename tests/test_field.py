@@ -261,23 +261,30 @@ def test_snapshot_store_keeps_the_ends_and_reads_the_rest_back(tmp_path):
     rng = np.random.default_rng(3)
     fields = [Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape), "v", t)
               for t in (0.0, 0.01, 0.02, 0.04)]
-    store = SnapshotStore(tmp_path)
-    for i, f in enumerate(fields):
-        store.append(f)
-        if i % 2:
-            store.save(f, i)  # an explicit index
-        else:
-            store.save(f)  # the latest
+    out = tmp_path / "out"
+    with SnapshotStore.staged(out) as store:
+        for i, f in enumerate(fields):
+            store.append(f)
+            if i % 2:
+                store.save(f, i)  # an explicit index
+            else:
+                store.save(f)  # the latest
+        assert not (store.directory / "series.json").exists()  # written once, by publish
+        store.publish(out)
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["series.bin", "series.json"]
     assert len(store) == 4 and store.times == [0.0, 0.01, 0.02, 0.04]
     assert store[0] is fields[0] and store[-1] is store[3] is fields[3]
     for i, f in enumerate(store):
         assert f.grid == g and f.frame == "v" and f.t == fields[i].t
         assert f.values.tobytes() == fields[i].values.tobytes()
-        assert load_field(tmp_path / f"snap_{i:04d}").values.tobytes() == f.values.tobytes()
+        stored = load_field(out / "snapshots" / "series", i)
+        assert stored.t == f.t and stored.values.tobytes() == f.values.tobytes()
     with pytest.raises(IndexError):
         store[4]
     with pytest.raises(IndexError):
         store[-5]
+    with pytest.raises(IndexError, match="index 4 is outside the series' 4 fields"):
+        load_field(out / "snapshots" / "series", 4)
 
 
 def test_snapshot_payload_mismatch(tmp_path):

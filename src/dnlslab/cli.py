@@ -100,8 +100,6 @@ def decide(checks: dict, monitors: dict) -> tuple[str, list[dict]]:
 
 def _write_norms(out: Path, traj) -> None:
     cols = {"t": traj.times, "dt": traj.dts, "l2": traj.l2, "linf": traj.linf}
-    if traj.wsup is not None:
-        cols.update(wsup=traj.wsup, winf=traj.winf)
     write_csv(out / "norms.csv", list(cols), zip(*(c.tolist() for c in cols.values())))
 
 
@@ -115,12 +113,10 @@ def _simulate(rc: RunConfig, doc: dict, max_order: int):
 
     A rescaled-frame run with an exponent set is monitored: each snapshot
     goes to a ``SnapshotMonitor`` as the solver takes it, and is saved once
-    its row is done.  Where the monitor runs on threads its rows overlap the
-    solve, and a solver error cancels those not started; elsewhere
-    ``report()`` computes them once the run is dumped.  Any other run saves
-    each snapshot as the solver takes it, and its report is None.  The dump
-    (config echo, norms, snapshots) is staged and reaches ``rc.out`` once
-    every snapshot is saved, so a solver or I/O error leaves no ``rc.out``.
+    its row is done; a solver error cancels the rows not started.  Any other
+    run saves each snapshot as the solver takes it, and its report is None.
+    The dump (config echo, norms, snapshots) is staged and reaches ``rc.out``
+    once every snapshot is saved, so a solver or I/O error leaves no ``rc.out``.
     A vanishing modulus raises ExtractionError once the dump is there,
     before anything else is written.
     """
@@ -128,7 +124,7 @@ def _simulate(rc: RunConfig, doc: dict, max_order: int):
     with SnapshotStore.staged(rc.out) as store, (
             SnapshotMonitor(rc.initial, rc.exps, rc.params, max_order, save=store.save)
             if monitored else contextlib.nullcontext()) as monitor:
-        traj = run(rc.initial, rc.solver, rc.params, exps=rc.exps,
+        traj = run(rc.initial, rc.solver, rc.params,
                    on_snapshot=monitor if monitored else store.save, snapshots=store)
         _echo_config(store.directory.parent, doc)
         _write_norms(store.directory.parent, traj)

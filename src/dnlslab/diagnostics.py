@@ -228,26 +228,34 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _now(fn, *args) -> Future:
+    # fn(*args) run on the calling thread, its result or error in a done future
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as e:
+        future.set_exception(e)
+    return future
+
+
 class SnapshotMonitor:
     """The weighted running-sup monitors of a rescaled-frame run, fed snapshot by snapshot.
 
     Call the monitor with each snapshot in schedule order, the initial state
-    first (``run``'s ``on_snapshot`` does), then take ``report()``.  On a
-    grid of at least ``THREAD_FLOOR`` points, with more than one CPU, each
-    snapshot's row starts on a pool of one thread per CPU, at most
-    ``MAX_THREADS``, as soon as the snapshot arrives, so the rows overlap
-    whatever the caller does next.  Otherwise ``report()`` computes the rows
-    fed since the last report on the calling thread, so their arrays never
-    sit beside a running solve's.  Either way each row is computed once and
-    the running maxima are reduced in snapshot order, so the report is the
-    same bit for bit.  A feed waits for the oldest pending row while
-    ``ROWS_IN_FLIGHT`` rows are pending, so the threads hold at most that
-    many snapshots.  With ``save``, snapshot i goes to ``save(snap, i)`` once
-    its row is done, whether or not the row raised, on the row's thread; the
-    monitor then holds it no longer.  Without threads, ``report()`` saves the
-    snapshots fed since the last report before it computes their rows.  Use
-    it as a context manager: leaving the block cancels the rows that have
-    not started, so a failing run does not wait for them.
+    first (``run``'s ``on_snapshot`` does), then take ``report()``.  Each
+    snapshot's row starts when the snapshot arrives: on a grid of at least
+    ``THREAD_FLOOR`` points, with more than one CPU, on a pool of one thread
+    per CPU, at most ``MAX_THREADS``, so the rows overlap whatever the caller
+    does next; otherwise on the calling thread before the feed returns.
+    Either way each row is computed once and the running maxima are reduced
+    in snapshot order, so the report is the same bit for bit.  A feed waits
+    for the oldest pending row while ``ROWS_IN_FLIGHT`` rows are pending, so
+    the threads hold at most that many snapshots.  With ``save``, snapshot i
+    goes to ``save(snap, i)`` once its row is done, whether or not the row
+    raised, on the row's thread; the monitor then holds it no longer.  A
+    row's error waits for ``report()``, and later snapshots are still fed and
+    saved.  Use it as a context manager: leaving the block cancels the rows
+    that have not started, so a failing run does not wait for them.
     """
 
     def __init__(self, v0: Field, exps: ExponentSet, params: PhysParams,
@@ -259,17 +267,16 @@ class SnapshotMonitor:
         self._weight = v0.grid.bracket_pow(exps.n)
         self._mod0a = None
         self._times: list[float] = []
-        self._rows: list[tuple] = []  # the rows report() has collected, in snapshot order
-        self._fed = []  # the rest: each one's future on the threads, else its snapshot
-        self._pool = None
-        self._bound = Future()  # the data constant and the decay tail
+        self._fed: list[Future] = []  # each snapshot's row, in snapshot order
+        self._pool, self._submit = None, _now
         workers = min(_cpu_count(), MAX_THREADS) if np.prod(v0.grid.shape) >= THREAD_FLOOR else 1
         if workers > 1:
             # imported here, so a process that never threads never loads it
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(max_workers=workers)
-            self._bound = self._pool.submit(self._data_bound)
+            self._submit = self._pool.submit
+        self._bound = self._submit(self._data_bound)  # the data constant and the decay tail
 
     def __enter__(self) -> "SnapshotMonitor":
         return self
@@ -284,13 +291,10 @@ class SnapshotMonitor:
             self._mod0a = np.abs(snap.values) ** self._params.alpha
         i = len(self._times)
         self._times.append(snap.t)
-        if self._pool is None:
-            self._fed.append(snap)
-            return
         pending = [row for row in self._fed if not row.done()]
         if len(pending) >= ROWS_IN_FLIGHT:
             wait(pending[:1])
-        self._fed.append(self._pool.submit(self._row_then_save, i, snap))
+        self._fed.append(self._submit(self._row_then_save, i, snap))
 
     @functools.cached_property
     def _workspace(self) -> LadderWorkspace:
@@ -344,27 +348,11 @@ class SnapshotMonitor:
 
         Raises the first error of the data constant, then of the rows in
         snapshot order: ``ExtractionError`` for the first snapshot whose
-        modulus vanishes.  Every snapshot fed is saved first, and on the
-        threads every row is done.
+        modulus vanishes.  Every row and save is done first.
         """
-        if self._pool is None:
-            if not self._bound.done():
-                self._bound.set_result(self._data_bound())
-            if self._save is not None:
-                # in one burst before the rows, so all are on disk when a row
-                # raises; saving after each row measured the same (2-CPU Xeon, 5
-                # pairs: 1-D M = 2048 verify 0.166 against 0.169 s, 33.20 MiB)
-                for i, snap in enumerate(self._fed, len(self._rows)):
-                    self._save(snap, i)
-            # each row fed since the last report, once, computed here
-            collect = self._row
-        else:
-            wait(self._fed)  # so that no row or save is running when one raises
-            collect = Future.result
+        wait(self._fed)  # so that no row or save is running when one raises
         K = self._bound.result()[0]
-        self._rows += [collect(item) for item in self._fed]
-        self._fed.clear()
-        now1, now3, now4, f_sup, decays = zip(*self._rows)
+        now1, now3, now4, f_sup, decays = zip(*(row.result() for row in self._fed))
         phi = np.maximum.accumulate([now1, now3, now4], axis=1)  # the running maxima
         psi, f_sup = phi.max(axis=0), np.array(f_sup)
         return MonitorReport(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import Field, Grid, boundary_magnitude
-from .params import ExponentSet, PhysParams, validate_phys
+from .params import PhysParams, validate_phys
 
 log = logging.getLogger(__name__)
 
@@ -90,8 +90,6 @@ class Trajectory:
     dts: np.ndarray
     l2: np.ndarray
     linf: np.ndarray
-    wsup: np.ndarray | None
-    winf: np.ndarray | None
     snapshots: Sequence[Field]
     snapshot_times: np.ndarray
     snapshot_steps: np.ndarray
@@ -236,13 +234,12 @@ def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float) -> np.nd
     return times
 
 
-def _records(f: Field, weight: np.ndarray | None) -> tuple[float, ...]:
-    # l2, sup and, with a weight, weighted sup and inf of a state from one |v|,
-    # squared in place last; the same arithmetic as l2_norm, sup_norm and weighted_inf
+def _records(f: Field) -> tuple[float, float]:
+    # l2 and sup of a state from one |v|, squared in place last; the same
+    # arithmetic as l2_norm and sup_norm
     mod = np.abs(f.values)
-    weighted = () if weight is None else (float(np.max(w := weight * mod)), float(np.min(w)))
     sup = float(np.max(mod))
-    return float(np.sqrt(f.grid.cell_volume * np.sum(np.square(mod, out=mod)))), sup, *weighted
+    return float(np.sqrt(f.grid.cell_volume * np.sum(np.square(mod, out=mod)))), sup
 
 
 def steps(
@@ -301,7 +298,6 @@ def run(
     f0: Field,
     cfg: SolverConfig,
     params: PhysParams,
-    exps: ExponentSet | None = None,
     on_snapshot: Callable[[Field], object] | None = None,
     snapshots: MutableSequence[Field] | None = None,
 ) -> Trajectory:
@@ -319,9 +315,6 @@ def run(
         violations (lambda = 0 oracle runs, alpha outside the mass-subcritical
         window) are logged and allowed so linear and conservative references
         can reuse the stepper.
-    exps : ExponentSet, optional
-        When given, per-step weighted sup/inf records with weight <x>^n are
-        kept alongside the plain norms.
     on_snapshot : callable, optional
         Called with each snapshot as it is taken, once it is appended to
         ``snapshots``, so a consumer can start on it while the run goes on.
@@ -343,12 +336,11 @@ def run(
         If the field stops being finite or the mass record increases beyond
         roundoff (dissipation must be monotone for Im(lambda) <= 0).
     """
-    weight = None if exps is None else f0.grid.bracket_pow(exps.n)
     snapshots = [] if snapshots is None else snapshots
     times, dts, records, snapshot_times, snapshot_steps = [], [], [], [], []
     for f, dt, snapshot in steps(f0, cfg, params):
         if dt > 0.0 or not records:  # a dust landing brings no new state
-            rec = _records(f, weight)
+            rec = _records(f)
             # a NaN or inf anywhere makes the sum of squares non-finite
             if not np.isfinite(rec[0]):
                 raise UnstableSolutionError(f"non-finite values at t = {f.t:.6g}")
@@ -377,16 +369,14 @@ def run(
         log.warning("final state boundary ratio %.2e; box may be too small", edge / peak)
     log.info("run done: %d steps, %d snapshots", len(times) - 1, len(snapshots))
 
-    columns = [np.array(col) for col in zip(*records)]
+    l2, linf = (np.array(col) for col in zip(*records))
     return Trajectory(
         frame=cfg.frame,
         params=params,
         times=np.array(times),
         dts=np.array(dts),
-        l2=columns[0],
-        linf=columns[1],
-        wsup=columns[2] if weight is not None else None,
-        winf=columns[3] if weight is not None else None,
+        l2=l2,
+        linf=linf,
         snapshots=snapshots,
         snapshot_times=np.array(snapshot_times),
         snapshot_steps=np.array(snapshot_steps),

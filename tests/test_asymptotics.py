@@ -99,7 +99,7 @@ def pure_nonlinear_trajectory():
         t = t_next
     times = np.array([s.t for s in snaps])
     return Trajectory("v", REF, times, np.diff(times, prepend=0.0),
-                      np.ones_like(times), np.ones_like(times), None, None,
+                      np.ones_like(times), np.ones_like(times),
                       snaps, times, np.arange(len(times)))
 
 

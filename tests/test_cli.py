@@ -510,14 +510,14 @@ def test_short_last_decade_is_a_failed_check(tmp_path, snapshots):
     assert verdict["verdict"] != "pass"
 
 
-# 2-D, 64^2 points, 65 snapshots: below THREAD_FLOOR, so report() computes the
-# monitor rows after the dump
+# 2-D, 64^2 points, 65 snapshots: below THREAD_FLOOR, so the monitor rows run
+# on the solve's thread as each snapshot is taken
 VERIFY_2D_M, VERIFY_2D_SNAPSHOTS = 64, 65
 
 
 @pytest.fixture(scope="module")
 def verify_2d(tmp_path_factory):
-    """A 2-D verify run, and the traced peak of everything after its simulation."""
+    """A 2-D verify run, and the traced peak of everything from the start of its solve."""
     root = tmp_path_factory.mktemp("verify_2d")
     doc = {
         "phys": {"N": 2, "alpha": 0.8, "lam": [0.0, -1.0], "b": 20.0},
@@ -526,17 +526,16 @@ def verify_2d(tmp_path_factory):
                    "horizon_floor": 1e-2, "snapshot_count": VERIFY_2D_SNAPSHOTS},
         "data": {"c": 1.0, "n": 5},
     }
-    # traced from the end of the solve, so the serial monitor rows count
+    # traced from the start of the solve, where the serial monitor rows run
     solve = cli.run
 
-    def solve_then_trace(*args, **kwargs):
-        done = solve(*args, **kwargs)
+    def trace_then_solve(*args, **kwargs):
         tracemalloc.start()
-        return done
+        return solve(*args, **kwargs)
 
     cfg = write_config(root / "c.json", doc)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run", solve_then_trace)
+        mp.setattr(cli, "run", trace_then_solve)
         try:
             code = main(["verify-theorem", "--config", str(cfg), "--out", str(root / "o")])
             peak = tracemalloc.get_traced_memory()[1]
@@ -546,11 +545,11 @@ def verify_2d(tmp_path_factory):
 
 
 def test_verify_post_processing_holds_no_correction_series(verify_2d):
-    # everything after the simulation: monitor rows, profile, bridge, errors, report
+    # the solve with its monitor rows, then profile, bridge, errors, report
     code, _, peak = verify_2d
     assert code == 0
     correction_bytes = 8 * VERIFY_2D_M**2  # one real field per snapshot
-    print(f"post-processing peak {peak / 1024:.0f} KiB; a correction series would be "
+    print(f"peak from the solve on {peak / 1024:.0f} KiB; a correction series would be "
           f"{VERIFY_2D_SNAPSHOTS * correction_bytes / 1024:.0f} KiB")
     assert peak < VERIFY_2D_SNAPSHOTS * correction_bytes
 
@@ -626,7 +625,7 @@ def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_simulate", keep)
     monkeypatch.setattr(diagnostics, "monitor_phi", library_route)
     cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
-    # two CPUs: the rows run on a pool; one CPU: no pool, report() computes them
+    # two CPUs: the rows run on a pool; one CPU: no pool, each feed computes its row
     for cpus in ({0, 1}, {0}):
         for log in (pools, submitted, fed, at_run_end, kept):
             log.clear()
@@ -714,7 +713,8 @@ def test_vanishing_modulus_beside_the_solve_exits_3_after_the_run(tmp_path, monk
 
 def test_vanishing_modulus_after_a_serial_run_exits_3_with_the_run_on_disk(tmp_path,
                                                                         monkeypatch, capsys):
-    # one CPU: report() saves every snapshot before it computes a row
+    # one CPU: each feed computes its row, whose error waits for report(), and
+    # saves its snapshot, so every snapshot is on disk when the error surfaces
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     _vanishing_modulus(monkeypatch)
     cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
@@ -743,25 +743,27 @@ def traced_verify(tmp_path, doc):
 
 def test_threaded_verify_memory_does_not_grow_with_the_schedule(tmp_path, monkeypatch):
     # snapshots go to disk once their rows are done, and come back one at a
-    # time: doubling the schedule adds no snapshot arrays to the peak
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    peaks = {}
-    for count in (17, 33):
-        doc = json.loads(json.dumps(THREADED_CONFIG))
-        doc["solver"]["snapshot_count"] = count
-        code, out, peaks[count] = traced_verify(tmp_path / str(count), doc)
-        assert code == 0
-        rc = build_run(doc, "c.json", json.dumps(doc))
-        library = solver.run(rc.initial, rc.solver, rc.params, exps=rc.exps)
-        assert isinstance(library.snapshots, list) and len(library.snapshots) == count
-        assert series_times(out) == [snap.t for snap in library.snapshots]
-        payload = (out / "snapshots" / "series.bin").read_bytes()
-        assert payload == b"".join(snap.values.astype("<c16").tobytes()
-                                   for snap in library.snapshots)
+    # time: doubling the schedule adds no snapshot arrays to the peak, with
+    # the rows on a pool (two CPUs) or on the solve's thread (one CPU)
     snapshot_bytes = 16 * THREADED_CONFIG["grid"]["M"] ** 2
-    print(f"peaks {peaks[17] / 2**20:.2f} and {peaks[33] / 2**20:.2f} MiB; "
-          f"one snapshot {snapshot_bytes / 2**20:.2f} MiB")
-    assert abs(peaks[33] - peaks[17]) < 4 * snapshot_bytes
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        peaks = {}
+        for count in (17, 33):
+            doc = json.loads(json.dumps(THREADED_CONFIG))
+            doc["solver"]["snapshot_count"] = count
+            code, out, peaks[count] = traced_verify(tmp_path / f"{len(cpus)}_{count}", doc)
+            assert code == 0
+            rc = build_run(doc, "c.json", json.dumps(doc))
+            library = solver.run(rc.initial, rc.solver, rc.params)
+            assert isinstance(library.snapshots, list) and len(library.snapshots) == count
+            assert series_times(out) == [snap.t for snap in library.snapshots]
+            payload = (out / "snapshots" / "series.bin").read_bytes()
+            assert payload == b"".join(snap.values.astype("<c16").tobytes()
+                                       for snap in library.snapshots)
+        print(f"{len(cpus)} CPU(s): peaks {peaks[17] / 2**20:.2f} and "
+              f"{peaks[33] / 2**20:.2f} MiB; one snapshot {snapshot_bytes / 2**20:.2f} MiB")
+        assert abs(peaks[33] - peaks[17]) < 4 * snapshot_bytes, cpus
 
 
 def test_threaded_verify_writes_the_same_files_at_any_schedule(tmp_path, monkeypatch):
@@ -798,7 +800,8 @@ def fail_after_six_snapshots(monkeypatch):
 
 
 def test_serial_solver_error_leaves_no_out(tmp_path, monkeypatch, capsys):
-    # 1-D: the monitor rows wait for report(), so only the solve was running
+    # 1-D: each monitor row runs on the solve's thread as its snapshot is fed,
+    # so nothing else was running when the solve raised
     fail_after_six_snapshots(monkeypatch)
     cfg = write_config(tmp_path / "c.json", short_decade_config(17))
     out = tmp_path / "out"

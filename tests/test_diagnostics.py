@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnlslab.asymptotics import correction_algebraic, horizon_gauge
+from dnlslab.asymptotics import ExtractionError, correction_algebraic, horizon_gauge
 from dnlslab.conformal import NormSeries, norm_bridge
 from dnlslab.diagnostics import (
     MAX_THREADS,
@@ -390,23 +390,22 @@ def test_monitor_row_after_the_first_holds_under_three_grid_arrays(monkeypatch):
     exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
     later = Field(g, 0.7 * v0.values * np.exp(0.2j * sum(g.meshes())), "v", 0.01)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    with SnapshotMonitor(v0, exps, p) as monitor:  # rows on this thread
+    with SnapshotMonitor(v0, exps, p) as monitor:  # rows on this thread, as each is fed
         monitor(v0)
-        monitor.report()
-        monitor(later)
         tracemalloc.start()
         try:
-            rep = monitor.report()  # the new row only: row 0 was kept
+            monitor(later)  # the new row only: row 0 is done
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        rep = monitor.report()
     assert rep.times.tolist() == [0.0, 0.01]
     print(f"row peak {peak / v0.values.nbytes:.2f} grid arrays")
     assert peak < 2.1 * v0.values.nbytes
 
 
 def test_second_report_computes_no_row(monkeypatch):
-    # below THREAD_FLOOR report() computes each fed row once and keeps it
+    # below THREAD_FLOOR each row is computed once, as its snapshot is fed
     g = Grid.line(30.0, 256, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(1, 1.0, -1j, 20.0)
@@ -426,6 +425,33 @@ def test_second_report_computes_no_row(monkeypatch):
         second = monitor.report()
     assert rows == [0.0, 0.01]
     assert second.as_dict() == first.as_dict()
+
+
+def test_serial_monitor_saves_each_snapshot_as_it_is_fed(monkeypatch):
+    # on one thread a feed computes the row and saves the snapshot before it
+    # returns; a row's error waits for report(), and later snapshots are
+    # still fed and saved
+    g = Grid.line(30.0, 256, boundary_tol=1e-3)
+    v0 = build_initial_data(g, 1.0, 5)
+    p = PhysParams(1, 1.0, -1j, 20.0)
+    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    row = SnapshotMonitor._row
+
+    def failing_row(self, snap):
+        if snap.t == 0.001:
+            raise ExtractionError("modulus vanishes on the grid at t = 0.001")
+        return row(self, snap)
+
+    monkeypatch.setattr(SnapshotMonitor, "_row", failing_row)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    saved = []
+    with SnapshotMonitor(v0, exps, p, save=lambda snap, i: saved.append((i, snap.t))) as monitor:
+        for k in range(4):
+            monitor(v0.with_values(v0.values, t=0.001 * k))
+            assert saved == [(j, 0.001 * j) for j in range(k + 1)]
+        with pytest.raises(ExtractionError, match="t = 0.001"):
+            monitor.report()
+    assert saved == [(k, 0.001 * k) for k in range(4)]
 
 
 def test_monitor_phi_leaves_no_reference_cycle(clean_setup, monkeypatch):
@@ -450,8 +476,7 @@ def test_monitor_phi_leaves_no_reference_cycle(clean_setup, monkeypatch):
 def test_monitor_rejects_wrong_frame(clean_setup):
     traj, v0, exps = clean_setup
     bad = type(traj)("u", traj.params, traj.times, traj.dts, traj.l2,
-                     traj.linf, None, None, traj.snapshots,
-                     traj.snapshot_times, traj.snapshot_steps)
+                     traj.linf, traj.snapshots, traj.snapshot_times, traj.snapshot_steps)
     with pytest.raises(ValueError, match="rescaled-frame"):
         monitor_phi(bad, v0, exps)
 
@@ -459,7 +484,7 @@ def test_monitor_rejects_wrong_frame(clean_setup):
 def test_monitor_needs_snapshots(clean_setup):
     traj, v0, exps = clean_setup
     bare = type(traj)("v", traj.params, traj.times, traj.dts, traj.l2,
-                      traj.linf, None, None, [], np.array([]), np.array([], dtype=int))
+                      traj.linf, [], np.array([]), np.array([], dtype=int))
     with pytest.raises(ValueError, match="no snapshots"):
         monitor_phi(bare, v0, exps)
 
@@ -471,8 +496,7 @@ def test_mass_dissipation_check(clean_setup):
     assert worst <= 1e-12
     doctored = type(traj)(traj.frame, traj.params, traj.times, traj.dts,
                           np.linspace(1.0, 2.0, len(traj.times)), traj.linf,
-                          None, None, traj.snapshots,
-                          traj.snapshot_times, traj.snapshot_steps)
+                          traj.snapshots, traj.snapshot_times, traj.snapshot_steps)
     ok2, worst2 = mass_dissipation_ok(doctored)
     assert not ok2 and worst2 > 0
 
@@ -510,6 +534,6 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
 def test_emit_report_requires_snapshots(tmp_path, clean_setup):
     traj, _, _ = clean_setup
     bare = type(traj)("v", traj.params, traj.times, traj.dts, traj.l2,
-                      traj.linf, None, None, [], np.array([]), np.array([], dtype=int))
+                      traj.linf, [], np.array([]), np.array([], dtype=int))
     with pytest.raises(ValueError, match="no snapshots"):
         emit_report(tmp_path, bare)

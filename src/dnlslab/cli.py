@@ -24,22 +24,16 @@ from .asymptotics import (
     CORRECTION_BOUND,
     ExtractionError,
     crossover_time,
-    error_series,
-    finalize_profile,
     load_profile,
     modulus_envelope,
     save_profile,
 )
 from .config import ConfigError, RunConfig, build_run, find_line, load_config, out_root
-from .conformal import norm_bridge
 from .diagnostics import (
     SnapshotMonitor,
-    check_l2_envelope,
-    check_profile_error,
-    check_sup_limit,
     emit_report,
     l2_envelope_exponent,
-    mass_dissipation_ok,
+    verify_checks,
     write_csv,
 )
 from .field import DEFAULT_MAX_ORDER, SnapshotStore
@@ -108,32 +102,32 @@ def _echo_config(out: Path, doc: dict) -> None:
     (out / "run_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
-def _simulate(rc: RunConfig, doc: dict, max_order: int):
+def _simulate(rc: RunConfig, doc: dict, max_order: int, then=None):
     """Run the configured simulation, dump it into ``rc.out``; the trajectory and monitor report.
 
-    A rescaled-frame run with an exponent set is monitored: each snapshot
-    goes to a ``SnapshotMonitor`` as the solver takes it, and is saved once
-    its row is done; a solver error cancels the rows not started.  Any other
-    run saves each snapshot as the solver takes it, and its report is None.
-    The dump (config echo, norms, snapshots) is staged and reaches ``rc.out``
-    once every snapshot is saved, so a solver or I/O error leaves no ``rc.out``.
-    A vanishing modulus raises ExtractionError once the dump is there,
-    before anything else is written.
+    Each snapshot is saved as the solver takes it.  A rescaled-frame run
+    with an exponent set is monitored: each snapshot goes to a
+    ``SnapshotMonitor`` too, and a solver error cancels the rows not
+    started.  Any other run's report is None.  The dump (config echo,
+    norms, snapshots) is staged and reaches ``rc.out`` once the run is over,
+    so a solver or I/O error leaves no ``rc.out``.  Then ``then(traj)``
+    runs, beside the monitor's last rows, and the report is taken: a
+    vanishing modulus raises ExtractionError, ahead of any error of ``then``.
     """
     monitored = rc.solver.frame == "v" and rc.exps is not None  # exps exist only for Im(lam) < 0
     with SnapshotStore.staged(rc.out) as store, (
-            SnapshotMonitor(rc.initial, rc.exps, rc.params, max_order, save=store.save)
+            SnapshotMonitor(rc.initial, rc.exps, rc.params, max_order, store, store.save)
             if monitored else contextlib.nullcontext()) as monitor:
         traj = run(rc.initial, rc.solver, rc.params,
                    on_snapshot=monitor if monitored else store.save, snapshots=store)
         _echo_config(store.directory.parent, doc)
         _write_norms(store.directory.parent, traj)
-        try:
-            report = monitor.report() if monitored else None
-        except ExtractionError:
-            store.publish(rc.out)  # the run itself is whole
-            raise
         store.publish(rc.out)
+        try:
+            if then is not None:
+                then(traj)
+        finally:
+            report = monitor.report() if monitored else None
         return traj, report
 
 
@@ -147,7 +141,13 @@ def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
 
 
 def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -> dict:
-    """simulate -> monitors -> profile -> bridge -> checks -> verdict; writes all artifacts."""
+    """simulate -> monitors -> profile -> bridge -> checks -> verdict; writes all artifacts.
+
+    The run is published first.  Its profile, bridge series, checks and error
+    series are computed while the monitor finishes its rows, and written once
+    the monitor's report is in: a vanishing modulus exits 3 before any of
+    them exists.
+    """
     rc = build_run(doc, cfg_path, text, out_override, max_order)
     if rc.solver.frame != "v" or rc.params.lam.imag >= 0:
         raise ConfigError(cfg_path, find_line(text, "frame"),
@@ -156,44 +156,17 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
         raise ConfigError(cfg_path, find_line(text, "data"),
                           'theorem verification needs a weight order: data "n" '
                           'or an "exponents" section')
-    # a vanishing modulus exits 3 before any profile or bridge artifact
-    traj, monitor = _simulate(rc, doc, max_order)
+    done = []  # verify_checks' result, computed beside the monitor's last rows
+    traj, monitor = _simulate(rc, doc, max_order,
+                              lambda traj: done.append(verify_checks(traj, rc.exps.n)))
+    profile, series, errors, checks = done[0]
     out = rc.out
-    profile = None
-    extraction_error = None
-    try:
-        profile = finalize_profile(traj)
+    if profile is not None:
         save_profile(profile, out / "profile")
-    except ExtractionError as e:
-        # far below the regime the horizon limit does not exist; classify,
-        # do not crash
-        extraction_error = str(e)
-
-    series = norm_bridge(traj)
-    write_csv(out / "bridge.csv", ["s", "t", "l2", "linf"],
-              zip(series.s.tolist(), series.t.tolist(), series.l2.tolist(), series.linf.tolist()))
-
-    sup_check = check_sup_limit(series, rc.params)
-    try:
-        l2_check = check_l2_envelope(series, rc.params, rc.exps.n)
-    except ValueError as e:  # too few samples in the last decade to fit
-        l2_check = {"error": str(e)}
-
-    if profile is None:
-        profile_check = {"slope_l2": None, "slope_sup": None, "error": extraction_error}
-    else:
-        errors = error_series(traj, profile)
         write_csv(out / "error_metric.csv", ["t", "err_l2_compensated", "err_sup_compensated"],
                   zip(*(e.tolist() for e in errors)))
-        profile_check = check_profile_error(*errors)
-
-    mass_ok, mass_worst = mass_dissipation_ok(traj)
-    checks = {
-        "sup_limit": sup_check,
-        "l2_envelope": l2_check,
-        "profile_error": profile_check,
-        "mass_dissipation": {"ok": mass_ok, "worst_growth": mass_worst},
-    }
+    write_csv(out / "bridge.csv", ["s", "t", "l2", "linf"],
+              zip(series.s.tolist(), series.t.tolist(), series.l2.tolist(), series.linf.tolist()))
     monitors = {
         "f_max": float(np.max(monitor.f_sup)),
         "f_within_quarter": monitor.f_within_quarter,
@@ -216,7 +189,7 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
             "strict_reference": {k: getattr(strict_ref, k) for k in ("k", "n", "m", "J")},
         },
         "profile_meta": profile.meta if profile is not None
-        else {"extraction_error": extraction_error},
+        else {"extraction_error": checks["profile_error"]["error"]},
     }
     (out / "verdict.json").write_text(json.dumps(doc_out, indent=2, sort_keys=True) + "\n")
     emit_report(out, traj, monitor=monitor, checks=checks,

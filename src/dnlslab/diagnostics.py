@@ -12,7 +12,7 @@ import csv
 import functools
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import Future, wait
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -21,11 +21,14 @@ import numpy as np
 
 from .asymptotics import (
     CORRECTION_BOUND,
+    ExtractionError,
     balance_correction,
+    error_series,
+    finalize_profile,
     horizon_gauge,
     nonvanishing_modulus,
 )
-from .conformal import NormSeries
+from .conformal import NormSeries, norm_bridge
 from .field import (
     DEFAULT_MAX_ORDER,
     Field,
@@ -40,27 +43,16 @@ from .solver import MASS_SLACK, Trajectory
 
 MIN_FIT_SAMPLES = 8
 REPORT_SCHEMA = 3
-# Grid points from which SnapshotMonitor computes its rows on one thread per
-# CPU, up to MAX_THREADS; numpy's FFT releases the GIL.  Two threads against one
-# on 2 CPUs (Xeon, Python 3.11, numpy 2.4; 49 snapshots, medians of 10
-# alternating rounds): 2-D M = 64 took 1.3-1.4x as long, M = 128 0.85-0.95x,
-# M = 256 0.77-0.84x, and 1-D M = 2048 1.1-1.6x.  So 2-D grids from 128^2
-# up use the threads.
+# Grid points from which SnapshotMonitor computes its rows on one thread beside
+# the caller; numpy's FFT releases the GIL.  verify-theorem with that thread
+# against without, on 2 CPUs (Xeon, Python 3.11, numpy 2.4; the ref2d config,
+# 49 snapshots, medians of 10 alternating rounds): 2-D M = 64 took 1.07x as
+# long, M = 128 0.77x, M = 256 0.61x, and the 1-D ref1d config (M = 2048)
+# 1.09x.  So 2-D grids from 128^2 up use the thread.  Each monitor has one,
+# also in every `sweep --jobs K` worker process: 4-point 2-D sweeps on 2
+# workers took as long with it as without (10 alternating pairs, medians:
+# M = 128 0.57 against 0.54 s, M = 256 2.01 against 2.00 s).
 THREAD_FLOOR = 128 * 128
-# Only two threads were measured.  Each keeps a ladder workspace (3.5 MiB at
-# 256^2, plus up to 2.0 MiB a row), and every `sweep --jobs K` worker process runs
-# its own monitor, so the cap bounds both peak RSS and the thread count.  On
-# the same 2 CPUs, 4-point 2-D sweeps on 2 workers took no longer with the
-# worker monitors on two threads than on one (10 alternating pairs, medians:
-# M = 128 1.40 against 1.49 s, M = 256 5.56 against 5.86 s).
-MAX_THREADS = 2
-# Rows SnapshotMonitor lets run ahead of its caller.  Each holds its snapshot
-# until the row is done, so without a cap a solve that outruns the threads
-# holds a growing share of the schedule.  verify-theorem on the ref2d config
-# at M = 384, peak RSS in-process on the same 2 CPUs: 118-119 MiB at 49
-# snapshots and 156-159 MiB at 97 uncapped, 88-89 MiB at both with this cap;
-# M = 256 at 49 snapshots, 66-75 against 57.0 MiB.
-ROWS_IN_FLIGHT = 2 * MAX_THREADS
 
 
 @dataclass(frozen=True)
@@ -242,41 +234,41 @@ class SnapshotMonitor:
     """The weighted running-sup monitors of a rescaled-frame run, fed snapshot by snapshot.
 
     Call the monitor with each snapshot in schedule order, the initial state
-    first (``run``'s ``on_snapshot`` does), then take ``report()``.  Each
-    snapshot's row starts when the snapshot arrives: on a grid of at least
-    ``THREAD_FLOOR`` points, with more than one CPU, on a pool of one thread
-    per CPU, at most ``MAX_THREADS``, so the rows overlap whatever the caller
-    does next; otherwise on the calling thread before the feed returns.
-    Either way each row is computed once and the running maxima are reduced
-    in snapshot order, so the report is the same bit for bit.  A feed waits
-    for the oldest pending row while ``ROWS_IN_FLIGHT`` rows are pending, so
-    the threads hold at most that many snapshots.  With ``save``, snapshot i
-    goes to ``save(snap, i)`` once its row is done, whether or not the row
-    raised, on the row's thread; the monitor then holds it no longer.  A
-    row's error waits for ``report()``, and later snapshots are still fed and
-    saved.  Use it as a context manager: leaving the block cancels the rows
-    that have not started, so a failing run does not wait for them.
+    first (``run``'s ``on_snapshot`` does), then take ``report()``.  With
+    ``save``, snapshot i goes to ``save(snap, i)`` as it is fed, on the
+    calling thread, and a failed save raises there.  Each row is then
+    computed on the calling thread before the feed returns, except on a grid
+    of at least ``THREAD_FLOOR`` points, with more than one CPU and the
+    sequence ``snapshots`` the fed snapshots are appended to: there the row
+    is queued for one thread, holding only its index, and reads
+    ``snapshots[i]`` when it starts, so a feed never waits.  ``report()``
+    computes every queued row that thread has not started on the calling
+    thread, beside it.  Either way each row is computed once and the running
+    maxima are reduced in snapshot order, so the report is the same bit for
+    bit.  A row's error waits for ``report()``, and later snapshots are
+    still fed and saved.  Use it as a context manager: leaving the block
+    cancels the rows that have not started, so a failing run does not wait
+    for them.
     """
 
     def __init__(self, v0: Field, exps: ExponentSet, params: PhysParams,
-                 max_order: int = DEFAULT_MAX_ORDER,
+                 max_order: int = DEFAULT_MAX_ORDER, snapshots: Sequence[Field] | None = None,
                  save: Callable[[Field, int], object] | None = None):
         self._v0, self._exps, self._params, self._max_order = v0, exps, params, max_order
-        self._save = save
+        self._snapshots, self._save = snapshots, save
         self._orders = derivative_orders(v0.grid.dim, max_order)
         self._weight = v0.grid.bracket_pow(exps.n)
         self._mod0a = None
         self._times: list[float] = []
         self._fed: list[Future] = []  # each snapshot's row, in snapshot order
-        self._pool, self._submit = None, _now
-        workers = min(_cpu_count(), MAX_THREADS) if np.prod(v0.grid.shape) >= THREAD_FLOOR else 1
-        if workers > 1:
+        self._pool, submit = None, _now
+        if snapshots is not None and np.prod(v0.grid.shape) >= THREAD_FLOOR and _cpu_count() > 1:
             # imported here, so a process that never threads never loads it
             from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-            self._submit = self._pool.submit
-        self._bound = self._submit(self._data_bound)  # the data constant and the decay tail
+            self._pool = ThreadPoolExecutor(max_workers=1)
+            submit = self._pool.submit
+        self._bound = submit(self._data_bound)  # the data constant and the decay tail
 
     def __enter__(self) -> "SnapshotMonitor":
         return self
@@ -290,11 +282,11 @@ class SnapshotMonitor:
         if self._mod0a is None:
             self._mod0a = np.abs(snap.values) ** self._params.alpha
         i = len(self._times)
+        if self._save is not None:
+            self._save(snap, i)
         self._times.append(snap.t)
-        pending = [row for row in self._fed if not row.done()]
-        if len(pending) >= ROWS_IN_FLIGHT:
-            wait(pending[:1])
-        self._fed.append(self._submit(self._row_then_save, i, snap))
+        self._fed.append(_now(self._row, snap) if self._pool is None
+                         else self._pool.submit(self._queued_row, i))
 
     @functools.cached_property
     def _workspace(self) -> LadderWorkspace:
@@ -307,12 +299,8 @@ class SnapshotMonitor:
         K = data_bound(self._v0, n, self._max_order, self._workspace)
         return K, 2.0 * K**p.alpha * self._v0.grid.bracket() ** (-n * p.alpha)
 
-    def _row_then_save(self, i: int, snap: Field) -> tuple:
-        try:
-            return self._row(snap)
-        finally:
-            if self._save is not None:
-                self._save(snap, i)
+    def _queued_row(self, i: int) -> tuple:
+        return self._row(self._snapshots[i])
 
     def _row(self, snap: Field) -> tuple[float, float, float, float, bool]:
         # reads only its argument, the arrays fixed before the first row and
@@ -346,11 +334,15 @@ class SnapshotMonitor:
     def report(self) -> MonitorReport:
         """The monitors over every snapshot fed so far.
 
-        Raises the first error of the data constant, then of the rows in
-        snapshot order: ``ExtractionError`` for the first snapshot whose
-        modulus vanishes.  Every row and save is done first.
+        Computes each queued row that no thread has started on the calling
+        thread.  Raises the first error of the data constant, then of the rows
+        in snapshot order: ``ExtractionError`` for the first snapshot whose
+        modulus vanishes.  Every row is done first.
         """
-        wait(self._fed)  # so that no row or save is running when one raises
+        for i, row in enumerate(self._fed):
+            if row.cancel():  # not started: its thread is busy with earlier rows
+                self._fed[i] = _now(self._queued_row, i)
+        wait(self._fed)  # so that no row is running when one raises
         K = self._bound.result()[0]
         now1, now3, now4, f_sup, decays = zip(*(row.result() for row in self._fed))
         phi = np.maximum.accumulate([now1, now3, now4], axis=1)  # the running maxima
@@ -397,7 +389,7 @@ def monitor_phi(
         raise ValueError("monitors are defined on rescaled-frame trajectories")
     if not traj.snapshots:
         raise ValueError("no snapshots")
-    with SnapshotMonitor(v0, exps, traj.params, max_order) as monitor:
+    with SnapshotMonitor(v0, exps, traj.params, max_order, traj.snapshots) as monitor:
         for snap in traj.snapshots:
             monitor(snap)
         return monitor.report()
@@ -411,6 +403,37 @@ def mass_dissipation_ok(traj: Trajectory) -> tuple[bool, float]:
     growth = (l2[1:] - l2[:-1]) / np.where(l2[:-1] > 0, l2[:-1], 1.0)
     worst = float(np.max(growth))
     return bool(np.all(growth <= MASS_SLACK)), worst
+
+
+def verify_checks(traj: Trajectory, n: int) -> tuple:
+    """A run's profile, bridge series, profile-error series and the verdict's checks.
+
+    The profile and error series are None where the profile cannot be
+    extracted; the profile check then carries the error.
+    """
+    profile = errors = None
+    try:
+        profile = finalize_profile(traj)
+    except ExtractionError as e:
+        # far below the regime the horizon limit does not exist; classify,
+        # do not crash
+        profile_check = {"slope_l2": None, "slope_sup": None, "error": str(e)}
+    else:
+        errors = error_series(traj, profile)
+        profile_check = check_profile_error(*errors)
+    series = norm_bridge(traj)
+    try:
+        l2_check = check_l2_envelope(series, traj.params, n)
+    except ValueError as e:  # too few samples in the last decade to fit
+        l2_check = {"error": str(e)}
+    mass_ok, mass_worst = mass_dissipation_ok(traj)
+    checks = {
+        "sup_limit": check_sup_limit(series, traj.params),
+        "l2_envelope": l2_check,
+        "profile_error": profile_check,
+        "mass_dissipation": {"ok": mass_ok, "worst_growth": mass_worst},
+    }
+    return profile, series, errors, checks
 
 
 def write_csv(path: Path, header, rows) -> None:

@@ -287,16 +287,17 @@ class SnapshotStore(Sequence):
 
     ``run`` appends to it as to a list.  It keeps in memory only the times,
     the first field and the latest; each snapshot reaches disk when ``save``
-    is called for it, once whatever reads it in memory is done with it.  Any
-    other index is read back from the series on the first field's grid and
-    frame, one array per read.  ``publish`` writes the sidecar.
+    is called for it.  Any other index is read back from the series on the
+    first field's grid and frame, one array per read: while the store is
+    open, from the open file, so a read beside ``publish`` finds it.
+    ``publish`` writes the sidecar.
     """
 
-    def __init__(self, directory, fd: int):
+    def __init__(self, directory, file):
         self.directory = Path(directory)
         self.times: list[float] = []
-        self._first = self._last = None
-        self._fd = fd  # series.bin, open for writing
+        self._first, self._last = None, (-1, None)  # the latest field, with its index
+        self._file = file  # series.bin, open for reading and writing
 
     @classmethod
     @contextlib.contextmanager
@@ -306,14 +307,15 @@ class SnapshotStore(Sequence):
         The run writes its other files into the staging directory too
         (``directory.parent``); ``publish`` moves them all into ``out``.  On
         the way out the series file is closed and the staging directory goes,
-        published or not; one that a killed run left goes on the way in.
+        published or not; one that a killed run left goes on the way in.  A
+        closed store reads from the published series.
         """
         stage = out.parent / f".{out.name}.partial"
         shutil.rmtree(stage, ignore_errors=True)
         (stage / "snapshots").mkdir(parents=True)
         try:
-            with open(stage / "snapshots" / "series.bin", "wb", buffering=0) as fh:
-                yield cls(stage / "snapshots", fh.fileno())
+            with open(stage / "snapshots" / "series.bin", "w+b", buffering=0) as fh:
+                yield cls(stage / "snapshots", fh)
         finally:
             shutil.rmtree(stage, ignore_errors=True)
 
@@ -336,16 +338,18 @@ class SnapshotStore(Sequence):
     def append(self, f: Field) -> None:
         if not self.times:
             self._first = f
+        # index and field in one attribute, so a read on another thread never
+        # pairs one snapshot's index with the next one's field
+        self._last = (len(self.times), f)
         self.times.append(f.t)
-        self._last = f
 
     def save(self, f: Field, i: int = -1) -> None:
         """Write ``f`` as snapshot i, by default the latest appended: one positional
-        write of its own buffer, so no copy and no file offset the threads share."""
+        write of its own buffer, so no copy and no file offset shared with the reads."""
         values = np.ascontiguousarray(f.values, dtype="<c16")
         data, offset = memoryview(values).cast("B"), (i % len(self.times)) * values.nbytes
         while data:  # a write cut short leaves the rest; the next one raises what stopped it
-            written = os.pwrite(self._fd, data, offset)
+            written = os.pwrite(self._file.fileno(), data, offset)
             data, offset = data[written:], offset + written
 
     def __len__(self) -> int:
@@ -353,10 +357,15 @@ class SnapshotStore(Sequence):
 
     def __getitem__(self, i: int) -> Field:
         i = range(len(self.times))[i]  # IndexError outside; a negative i counts from the end
+        last_i, last = self._last
+        if i == last_i:
+            return last
         if i == 0:
             return self._first
-        if i == len(self.times) - 1:
-            return self._last
         first, size = self._first, self._first.values.size
-        raw = np.fromfile(self.directory / "series.bin", "<c16", size, offset=16 * size * i)
+        if self._file.closed:
+            raw = np.fromfile(self.directory / "series.bin", "<c16", size, offset=16 * size * i)
+        else:  # wherever publish has moved the file; no file offset the threads share
+            raw = np.empty(size, "<c16")
+            os.preadv(self._file.fileno(), [raw], 16 * size * i)
         return Field(first.grid, raw.reshape(first.grid.shape), first.frame, self.times[i])

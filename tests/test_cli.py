@@ -708,7 +708,10 @@ def test_vanishing_modulus_beside_the_solve_exits_3_after_the_run(tmp_path, monk
     assert f"numerical failure: modulus vanishes on the grid at t = {times[1]:.6g}\n" in err
     assert "Traceback" not in err
     assert (out / "norms.csv").exists() and len(times) == 17
-    assert not (out / "profile").exists() and not (out / "bridge.csv").exists()
+    # the profile, bridge and error series were computed beside the monitor's
+    # rows, and are written only once its report is in
+    for name in ("profile", "bridge.csv", "error_metric.csv", "verdict.json"):
+        assert not (out / name).exists(), name
 
 
 def test_vanishing_modulus_after_a_serial_run_exits_3_with_the_run_on_disk(tmp_path,
@@ -883,7 +886,9 @@ def test_rerun_into_an_existing_out(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.json", "out", "second.json"]
 
 
-def test_failed_snapshot_write_on_a_monitor_thread_exits_4(tmp_path, monkeypatch, capsys):
+def test_failed_snapshot_write_at_the_feed_exits_4(tmp_path, monkeypatch, capsys):
+    # a threaded monitor run: each snapshot is written as it is fed, on the
+    # solve's thread, so the failed write stops the run at once
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pwrite, writers = os.pwrite, []
     snapshot_bytes = 16 * THREADED_CONFIG["grid"]["M"] ** 2
@@ -906,8 +911,8 @@ def test_failed_snapshot_write_on_a_monitor_thread_exits_4(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert "i/o failure: [Errno 28] No space left on device" in err
     assert "Traceback" not in err
-    # the snapshots were written beside the solve, not by it
-    assert len(writers) >= 6 and verify not in writers
+    # snapshots 0 to 5 were written by the solve, and none after the failure
+    assert writers == [verify] * 6
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
@@ -928,10 +933,20 @@ def _failing_write(monkeypatch):
 def test_no_file_left_open_by_a_failed_run(tmp_path, monkeypatch, capsys, spoil, code):
     cfg = write_config(tmp_path / "c.json", short_decade_config(17))  # 1-D, M = 64
     spoil(monkeypatch)
+    preadv, readers = os.preadv, set()
+
+    def recorded_preadv(fd, buffers, offset):
+        readers.add(fd)
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", recorded_preadv)
     before = sorted(os.listdir("/proc/self/fd"))
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert "Traceback" not in capsys.readouterr().err
+    # the error series read the snapshots back through the open series file
+    # before the monitor's error surfaced; that file is closed too
+    assert len(readers) == (spoil is _vanishing_modulus)
 
 
 def test_verify_deterministic(tmp_path, pass_run):

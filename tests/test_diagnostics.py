@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import gc
 import json
 import os
+import threading
 import time
 import tracemalloc
 import weakref
@@ -17,8 +19,6 @@ from hypothesis import strategies as st
 from dnlslab.asymptotics import ExtractionError, correction_algebraic, horizon_gauge
 from dnlslab.conformal import NormSeries, norm_bridge
 from dnlslab.diagnostics import (
-    MAX_THREADS,
-    ROWS_IN_FLIGHT,
     THREAD_FLOOR,
     MonitorReport,
     RateFit,
@@ -35,6 +35,7 @@ from dnlslab.diagnostics import (
 from dnlslab.field import (
     Field,
     Grid,
+    SnapshotStore,
     build_initial_data,
     data_bound,
     derivative_orders,
@@ -341,41 +342,105 @@ def test_threaded_monitor_equals_serial_bitwise(monkeypatch):
     assert pools == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     threaded = monitor_phi(traj, v0, exps)
-    assert pools == [2]
+    assert pools == [1]
     for key in ("times", "phi1", "phi3", "phi4", "psi", "f_sup"):
         assert getattr(threaded, key).tobytes() == getattr(serial, key).tobytes(), key
     assert threaded.as_dict() == serial.as_dict()
-    # more CPUs than MAX_THREADS: the pool stays at the cap
+    # more CPUs: still one thread beside the caller
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    capped = monitor_phi(traj, v0, exps)
-    assert pools == [2, MAX_THREADS]
-    assert capped.as_dict() == serial.as_dict()
+    wide = monitor_phi(traj, v0, exps)
+    assert pools == [1, 1]
+    assert wide.as_dict() == serial.as_dict()
 
 
-def test_threaded_monitor_saves_each_snapshot_and_caps_rows_in_flight(monkeypatch):
-    # a feed waits while ROWS_IN_FLIGHT rows are pending, so a caller that
-    # outruns the threads holds at most that many snapshots in them
+def test_threaded_feed_never_waits_and_keeps_no_queued_snapshot(tmp_path, monkeypatch):
+    # a feed saves its snapshot and queues the row with only its index; the
+    # row reads the snapshot back from the series when it starts.  So feeds
+    # return at once however slow the rows, and a fed snapshot outlives its
+    # feed only where the series keeps it: the first and the latest
     g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(2, 0.8, -1j, 20.0)
     exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
-    row = SnapshotMonitor._row
+    row, row_s = SnapshotMonitor._row, 0.02
 
     def slow_row(self, snap):
-        time.sleep(0.02)
+        time.sleep(row_s)
         return row(self, snap)
 
     monkeypatch.setattr(SnapshotMonitor, "_row", slow_row)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    saved, unsaved = [], []
-    with SnapshotMonitor(v0, exps, p, save=lambda snap, i: saved.append((i, snap.t))) as monitor:
+    values = [(1.0 - 0.02 * k) * v0.values for k in range(12)]
+    fed, feeding = [], 0.0
+    with SnapshotStore.staged(tmp_path / "run") as store, \
+            SnapshotMonitor(v0, exps, p, snapshots=store, save=store.save) as monitor:
         for k in range(12):
-            monitor(v0.with_values(v0.values, t=0.001 * k))
-            unsaved.append(k + 1 - len(saved))
+            snap = v0.with_values(values[k], t=0.001 * k)
+            store.append(snap)
+            start = time.perf_counter()
+            monitor(snap)
+            feeding += time.perf_counter() - start
+            fed.append(weakref.ref(snap))
+        del snap
+        alive = [k for k, ref in enumerate(fed) if ref() is not None]
         rep = monitor.report()
-    assert max(unsaved) == ROWS_IN_FLIGHT
-    assert sorted(saved) == [(k, 0.001 * k) for k in range(12)]
+        stored = [store[k].values.tobytes() for k in range(12)]
+    print(f"12 feeds took {feeding * 1e3:.2f} ms; one row takes over {row_s * 1e3:.0f} ms")
+    assert feeding < row_s
+    assert alive == [0, 11]
+    assert stored == [v.tobytes() for v in values]
     assert rep.times.tolist() == [0.001 * k for k in range(12)]
+
+
+def test_report_computes_the_rows_no_thread_started_on_the_caller(monkeypatch):
+    # the pool thread is held on row 0; report() cancels the rows queued
+    # behind it and computes them on the calling thread, and the report is
+    # the serial one bit for bit.  On the library route each queued row reads
+    # its snapshot back as traj.snapshots[i]
+    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
+    v0 = build_initial_data(g, 1.0, 5)
+    p = PhysParams(2, 0.8, -1j, 20.0)
+    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2,
+                       snapshot_count=9)
+    traj = run(v0, cfg, p)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = monitor_phi(traj, v0, exps)
+    reads, threads, caller = [], {}, threading.current_thread()
+    held, release = threading.Event(), threading.Event()
+
+    class ReadList(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    row, report = SnapshotMonitor._row, SnapshotMonitor.report
+
+    def recorded_row(self, snap):
+        threads[snap.t] = threading.current_thread()
+        if threads[snap.t] is caller:
+            release.set()  # the caller has taken a row: let the pool thread go on
+        elif not held.is_set():  # the pool thread's first row waits for that
+            held.set()
+            release.wait(timeout=10)
+        return row(self, snap)
+
+    def report_once_held(self):
+        assert held.wait(timeout=10)  # the pool thread is on row 0
+        return report(self)
+
+    monkeypatch.setattr(SnapshotMonitor, "_row", recorded_row)
+    monkeypatch.setattr(SnapshotMonitor, "report", report_once_held)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threaded = monitor_phi(dataclasses.replace(traj, snapshots=ReadList(traj.snapshots)),
+                           v0, exps)
+    times = traj.snapshot_times.tolist()
+    assert sorted(threads) == times and sorted(reads) == list(range(len(times)))
+    assert threads[times[0]] is not caller and threads[times[1]] is caller
+    print(f"rows on the caller: {sum(t is caller for t in threads.values())} of {len(times)}")
+    for key in ("times", "phi1", "phi3", "phi4", "psi", "f_sup"):
+        assert getattr(threaded, key).tobytes() == getattr(serial, key).tobytes(), key
+    assert threaded.as_dict() == serial.as_dict()
 
 
 def test_monitor_row_after_the_first_holds_under_three_grid_arrays(monkeypatch):
@@ -428,7 +493,7 @@ def test_second_report_computes_no_row(monkeypatch):
 
 
 def test_serial_monitor_saves_each_snapshot_as_it_is_fed(monkeypatch):
-    # on one thread a feed computes the row and saves the snapshot before it
+    # on one thread a feed saves the snapshot and computes the row before it
     # returns; a row's error waits for report(), and later snapshots are
     # still fed and saved
     g = Grid.line(30.0, 256, boundary_tol=1e-3)

@@ -1,6 +1,7 @@
 """Grid, spectral derivative, weighted norm, and snapshot round-trip tests."""
 
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -285,6 +286,43 @@ def test_snapshot_store_keeps_the_ends_and_reads_the_rest_back(tmp_path):
         store[-5]
     with pytest.raises(IndexError, match="index 4 is outside the series' 4 fields"):
         load_field(out / "snapshots" / "series", 4)
+
+
+def test_snapshot_store_reads_beside_its_appends_get_their_own_field(tmp_path):
+    # a monitor thread reads snapshot i back while the solve appends i + 1:
+    # whatever the interleaving, store[i] is snapshot i, in memory or on disk
+    g = Grid.line(8.0, 16)
+    fields = [Field(g, np.full(16, k, dtype=complex), "v", 0.001 * k) for k in range(3000)]
+    saved, wrong, done = [0], [], threading.Event()
+
+    def reader():
+        while not done.is_set():
+            i = saved[-1]
+            f = store[i]
+            if f.t != fields[i].t or f.values[0] != i:
+                wrong.append((i, f.t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with SnapshotStore.staged(tmp_path / "out") as store:
+            store.append(fields[0])
+            store.save(fields[0])
+            readers = [threading.Thread(target=reader) for _ in range(4)]
+            for r in readers:
+                r.start()
+            for k, f in enumerate(fields[1:], 1):
+                store.append(f)
+                store.save(f)
+                saved.append(k)
+            done.set()
+            for r in readers:
+                r.join(timeout=30)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(r.is_alive() for r in readers)
+    assert wrong == []
 
 
 def test_snapshot_payload_mismatch(tmp_path):

@@ -353,6 +353,18 @@ def test_free_multiplier_cache_is_never_stale():
         check(wide, tau)
 
 
+def test_run_keeps_no_free_multiplier():
+    # what runs after the solve (monitor rows, post-processing) does not sit
+    # beside the step's multipliers
+    g = Grid.line(30.0, 256, boundary_tol=1e-3)
+    p = PhysParams(1, 1.0, -1j, 20.0)
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=5)
+    seen = []
+    run(build_initial_data(g, 1.0, 5), cfg, p,
+        on_snapshot=lambda snap: seen.append(_free_multiplier.cache_info().currsize))
+    assert max(seen) > 0 and _free_multiplier.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("grid", [Grid.line(30.0, 2048), Grid.line(20.0, 512),
                                   Grid.box(30.0, 256, 2), Grid.box(20.0, 64, 2)],
                          ids=["1d-2048", "1d-512", "2d-256", "2d-64"])

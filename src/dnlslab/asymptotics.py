@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import physical_time, rescaled_time, to_u_frame
+from .conformal import _chirp, physical_time, rescaled_time, to_u_frame
 from .field import Field, l2_norm, load_field, save_field
 from .params import PhysParams
 from .solver import Trajectory
@@ -252,6 +252,7 @@ def error_series(traj: Trajectory, profile: ProfileData) -> tuple[np.ndarray, ..
     b = traj.params.b
     rows = [(t, *error_metric(to_u_frame(traj.snapshots[i], b), profile))
             for i, s in enumerate(traj.snapshot_times) if (t := physical_time(s, b)) >= 1.0]
+    _chirp.cache_clear()  # no later stage reads the lens' last chirp (1 MiB at 256^2)
     return tuple(np.array(rows, dtype=float).reshape(-1, 3).T)
 
 

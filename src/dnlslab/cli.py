@@ -9,7 +9,6 @@ Config files are JSON with explicit fields (no positional physics), see
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import itertools
@@ -36,12 +35,12 @@ from .diagnostics import (
     verify_checks,
     write_csv,
 )
-from .field import DEFAULT_MAX_ORDER, SnapshotStore
+from .field import SnapshotStore
 from .params import synthesize_exponents
 from .solver import MASS_SLACK, NumericalError, run
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 2, 3, 4
-VERDICT_SCHEMA = 2
+VERDICT_SCHEMA = 3
 # The verdict's gates: (check, quantity, bound), each holding while value <= bound.
 GATES = (
     ("sup_limit", "deviation_u", 0.05),
@@ -102,53 +101,45 @@ def _echo_config(out: Path, doc: dict) -> None:
     (out / "run_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
-def _simulate(rc: RunConfig, doc: dict, max_order: int, then=None):
+def _simulate(rc: RunConfig, doc: dict):
     """Run the configured simulation, dump it into ``rc.out``; the trajectory and monitor report.
 
     Each snapshot is saved as the solver takes it.  A rescaled-frame run
     with an exponent set is monitored: each snapshot goes to a
-    ``SnapshotMonitor`` too, and a solver error cancels the rows not
-    started.  Any other run's report is None.  The dump (config echo,
-    norms, snapshots) is staged and reaches ``rc.out`` once the run is over,
-    so a solver or I/O error leaves no ``rc.out``.  Then ``then(traj)``
-    runs, beside the monitor's last rows, and the report is taken: a
-    vanishing modulus raises ExtractionError, ahead of any error of ``then``.
+    ``SnapshotMonitor`` too, which computes its row there.  Any other run's
+    report is None.  The dump (config echo, norms, snapshots) is staged and
+    reaches ``rc.out`` once the run is over, so a solver or I/O error leaves
+    no ``rc.out``.  Then the report is taken: a vanishing modulus raises
+    ExtractionError.
     """
     monitored = rc.solver.frame == "v" and rc.exps is not None  # exps exist only for Im(lam) < 0
-    with SnapshotStore.staged(rc.out) as store, (
-            SnapshotMonitor(rc.initial, rc.exps, rc.params, max_order, store, store.save)
-            if monitored else contextlib.nullcontext()) as monitor:
+    with SnapshotStore.staged(rc.out) as store:
+        monitor = SnapshotMonitor(rc.initial, rc.exps, rc.params, store.save) if monitored else None
         traj = run(rc.initial, rc.solver, rc.params,
                    on_snapshot=monitor if monitored else store.save, snapshots=store)
         _echo_config(store.directory.parent, doc)
         _write_norms(store.directory.parent, traj)
         store.publish(rc.out)
-        try:
-            if then is not None:
-                then(traj)
-        finally:
-            report = monitor.report() if monitored else None
-        return traj, report
+    return traj, monitor.report() if monitored else None
 
 
-def cmd_simulate(cfg_path, out_override, max_order: int) -> int:
+def cmd_simulate(cfg_path, out_override) -> int:
     doc, text = load_config(cfg_path)
-    rc = build_run(doc, cfg_path, text, out_override, max_order)
-    traj, monitor = _simulate(rc, doc, max_order)
+    rc = build_run(doc, cfg_path, text, out_override)
+    traj, monitor = _simulate(rc, doc)
     emit_report(rc.out, traj, monitor=monitor)
     print(f"simulate: {len(traj.times) - 1} steps, artifacts in {rc.out}")
     return EXIT_OK
 
 
-def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -> dict:
+def run_pipeline(doc: dict, text: str, cfg_path, out_override) -> dict:
     """simulate -> monitors -> profile -> bridge -> checks -> verdict; writes all artifacts.
 
     The run is published first.  Its profile, bridge series, checks and error
-    series are computed while the monitor finishes its rows, and written once
-    the monitor's report is in: a vanishing modulus exits 3 before any of
-    them exists.
+    series are computed once the monitor's report is in: a vanishing modulus
+    exits 3 before any of them exists.
     """
-    rc = build_run(doc, cfg_path, text, out_override, max_order)
+    rc = build_run(doc, cfg_path, text, out_override)
     if rc.solver.frame != "v" or rc.params.lam.imag >= 0:
         raise ConfigError(cfg_path, find_line(text, "frame"),
                           "theorem verification needs a rescaled-frame dissipative run")
@@ -156,10 +147,8 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
         raise ConfigError(cfg_path, find_line(text, "data"),
                           'theorem verification needs a weight order: data "n" '
                           'or an "exponents" section')
-    done = []  # verify_checks' result, computed beside the monitor's last rows
-    traj, monitor = _simulate(rc, doc, max_order,
-                              lambda traj: done.append(verify_checks(traj, rc.exps.n)))
-    profile, series, errors, checks = done[0]
+    traj, monitor = _simulate(rc, doc)
+    profile, series, errors, checks = verify_checks(traj, rc.exps.n)
     out = rc.out
     if profile is not None:
         save_profile(profile, out / "profile")
@@ -197,9 +186,9 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override, max_order: int) -
     return doc_out
 
 
-def cmd_verify_theorem(cfg_path, out_override, max_order: int) -> int:
+def cmd_verify_theorem(cfg_path, out_override) -> int:
     doc, text = load_config(cfg_path)
-    result = run_pipeline(doc, text, cfg_path, out_override, max_order)
+    result = run_pipeline(doc, text, cfg_path, out_override)
     print(f"verdict: {result['verdict']}")
     return EXIT_OK
 
@@ -234,7 +223,7 @@ def _render_sweep(base: dict, combo: dict) -> dict:
 
 
 def _sweep_worker(task):
-    index, doc, out_dir, max_order = task
+    index, doc, out_dir = task
     row = {
         "run": f"run_{index:03d}",
         "alpha": doc["phys"]["alpha"],
@@ -245,8 +234,7 @@ def _sweep_worker(task):
     }
     try:
         text = json.dumps(doc, indent=2)
-        result = run_pipeline(doc, text, f"<sweep:{index}>",
-                              Path(out_dir) / row["run"], max_order)
+        result = run_pipeline(doc, text, f"<sweep:{index}>", Path(out_dir) / row["run"])
         # a key an errored check lacks reads None, an empty cell
         row.update({col: functools.reduce(lambda d, k: (d or {}).get(k), path.split("."), result)
                     for col, path in SWEEP_RESULTS}, status="ok")
@@ -255,7 +243,7 @@ def _sweep_worker(task):
     return index, row
 
 
-def cmd_sweep(cfg_path, out_override, jobs: int, max_order: int) -> int:
+def cmd_sweep(cfg_path, out_override, jobs: int) -> int:
     doc, text = load_config(cfg_path)
     if "base" not in doc or "grid" not in doc:
         raise ConfigError(cfg_path, 1, 'sweep config needs "base" and "grid" sections')
@@ -268,8 +256,7 @@ def cmd_sweep(cfg_path, out_override, jobs: int, max_order: int) -> int:
 
     out = out_root(out_override, doc) / "sweep"
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(i, _render_sweep(base, combo), str(out), max_order)
-             for i, combo in enumerate(combos)]
+    tasks = [(i, _render_sweep(base, combo), str(out)) for i, combo in enumerate(combos)]
     if jobs <= 1:
         results = [_sweep_worker(t) for t in tasks]
     else:
@@ -351,7 +338,6 @@ def main(argv=None) -> int:
     run_args = argparse.ArgumentParser(add_help=False)
     run_args.add_argument("--config", required=True)
     run_args.add_argument("--out", default=None)
-    run_args.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
 
     sub.add_parser("simulate", parents=[run_args],
                    help="run one simulation and dump artifacts")
@@ -366,11 +352,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, args.max_order)
+            return cmd_simulate(args.config, args.out)
         if args.command == "verify-theorem":
-            return cmd_verify_theorem(args.config, args.out, args.max_order)
+            return cmd_verify_theorem(args.config, args.out)
         if args.command == "sweep":
-            return cmd_sweep(args.config, args.out, args.jobs, args.max_order)
+            return cmd_sweep(args.config, args.out, args.jobs)
         if args.command == "plot-data":
             return cmd_plot_data(args.run_dir, args.out)
     except ConfigError as e:

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import (DEFAULT_BOUNDARY_TOL, DEFAULT_MAX_ORDER, BoundaryDecayError, Field, Grid,
-                    build_initial_data, load_field)
+from .field import (DEFAULT_BOUNDARY_TOL, BoundaryDecayError, Field, Grid, build_initial_data,
+                    load_field)
 from .params import ExponentSet, PhysParams, synthesize_exponents
 from .solver import SolverConfig, snapshot_schedule
 
@@ -102,8 +102,7 @@ def _bump_builder(bumps, seed: int):
     return bump
 
 
-def build_run(doc: dict, path, text: str, out_override=None,
-              max_order: int = DEFAULT_MAX_ORDER) -> RunConfig:
+def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
     """Validate a parsed config document and assemble the run objects.
 
     Schema (JSON object):
@@ -119,8 +118,7 @@ def build_run(doc: dict, path, text: str, out_override=None,
 
     A null value reads as absent, and one not of its kind is a ConfigError at
     its key.  ``snapshot_schedule`` alone judges the solver section; its
-    errors anchor at "solver".  ``max_order``, the monitors' derivative
-    order (``--max-order``), must lie in [0, J] of the exponent set.
+    errors anchor at "solver".
     """
 
     def err(key, msg):
@@ -194,11 +192,6 @@ def build_run(doc: dict, path, text: str, out_override=None,
                 err("exponents" if "exponents" in doc else "data", str(e))
             if data_n is not None and exps.n != data_n:
                 err("exponents", f"exponent weight n = {exps.n} does not match data n = {data_n}")
-    if max_order < 0:
-        raise ConfigError(path, 1, f"--max-order {max_order} is negative")
-    if exps is not None and max_order > exps.J:
-        err("exponents" if "exponents" in doc else "data",
-            f"--max-order {max_order} exceeds the exponent set's J = {exps.J}")
 
     if snapshot is not None:
         try:

@@ -40,8 +40,9 @@ def rescaled_time(t, b: float):
 @functools.lru_cache(maxsize=1)
 def _chirp(grid_u: Grid, b: float, scale: float) -> np.ndarray:
     # one entry: the error series moves a snapshot and then its prediction
-    # through the lens.  On a ref2d verify 44 of 66 calls miss: predicted_field
-    # re-derives s from t, and an ulp off in s gives the prediction its own scale
+    # through the lens, and empties the cache as it ends.  On a ref2d verify 44
+    # of 66 calls miss: predicted_field re-derives s from t, and an ulp off in s
+    # gives the prediction its own scale
     chirp = np.exp(1j * b * grid_u.radius_sq() / (4.0 * scale))
     chirp.flags.writeable = False
     return chirp

@@ -9,11 +9,8 @@ structures that ``emit_report`` serializes to JSON plus a per-snapshot CSV.
 from __future__ import annotations
 
 import csv
-import functools
 import json
-import os
-from collections.abc import Callable, Sequence
-from concurrent.futures import Future, wait
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -29,30 +26,12 @@ from .asymptotics import (
     nonvanishing_modulus,
 )
 from .conformal import NormSeries, norm_bridge
-from .field import (
-    DEFAULT_MAX_ORDER,
-    Field,
-    Grid,
-    LadderWorkspace,
-    data_bound,
-    derivative_moduli,
-    derivative_orders,
-)
+from .field import DEFAULT_MAX_ORDER, Field, data_bound
 from .params import ExponentSet, PhysParams
 from .solver import MASS_SLACK, Trajectory
 
 MIN_FIT_SAMPLES = 8
-REPORT_SCHEMA = 3
-# Grid points from which SnapshotMonitor computes its rows on one thread beside
-# the caller; numpy's FFT releases the GIL.  verify-theorem with that thread
-# against without, on 2 CPUs (Xeon, Python 3.11, numpy 2.4; the ref2d config,
-# 49 snapshots, medians of 10 alternating rounds): 2-D M = 64 took 1.07x as
-# long, M = 128 0.77x, M = 256 0.61x, and the 1-D ref1d config (M = 2048)
-# 1.09x.  So 2-D grids from 128^2 up use the thread.  Each monitor has one,
-# also in every `sweep --jobs K` worker process: 4-point 2-D sweeps on 2
-# workers took as long with it as without (10 alternating pairs, medians:
-# M = 128 0.57 against 0.54 s, M = 256 2.01 against 2.00 s).
-THREAD_FLOOR = 128 * 128
+REPORT_SCHEMA = 4
 
 
 @dataclass(frozen=True)
@@ -192,13 +171,14 @@ def check_profile_error(t, err_l2, err_sup) -> dict:
 
 @dataclass
 class MonitorReport:
-    """Truncated weighted running suprema and pointwise-decay classification."""
+    """The weighted modulus floor's running sup and pointwise-decay classification.
+
+    ``data_constant`` is K, read off the order-``max_order`` derivative
+    ladder of the initial data ("truncated": the theorem's norm goes to J).
+    """
 
     times: np.ndarray
-    phi1: np.ndarray
     phi3: np.ndarray
-    phi4: np.ndarray
-    psi: np.ndarray
     f_sup: np.ndarray
     max_order: int
     data_constant: float
@@ -213,172 +193,90 @@ class MonitorReport:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items}
 
 
-def _cpu_count() -> int:
-    # the CPUs this process may run on; os.cpu_count where affinity is unknown
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _now(fn, *args) -> Future:
-    # fn(*args) run on the calling thread, its result or error in a done future
-    future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as e:
-        future.set_exception(e)
-    return future
-
-
 class SnapshotMonitor:
     """The weighted running-sup monitors of a rescaled-frame run, fed snapshot by snapshot.
 
-    Call the monitor with each snapshot in schedule order, the initial state
-    first (``run``'s ``on_snapshot`` does), then take ``report()``.  With
-    ``save``, snapshot i goes to ``save(snap, i)`` as it is fed, on the
-    calling thread, and a failed save raises there.  Each row is then
-    computed on the calling thread before the feed returns, except on a grid
-    of at least ``THREAD_FLOOR`` points, with more than one CPU and the
-    sequence ``snapshots`` the fed snapshots are appended to: there the row
-    is queued for one thread, holding only its index, and reads
-    ``snapshots[i]`` when it starts, so a feed never waits.  ``report()``
-    computes every queued row that thread has not started on the calling
-    thread, beside it.  Either way each row is computed once and the running
-    maxima are reduced in snapshot order, so the report is the same bit for
-    bit.  A row's error waits for ``report()``, and later snapshots are
-    still fed and saved.  Use it as a context manager: leaving the block
-    cancels the rows that have not started, so a failing run does not wait
-    for them.
+    The data constant K is computed once, from the initial data, when the
+    monitor is built.  Call the monitor with each snapshot in schedule order,
+    the initial state first (``run``'s ``on_snapshot`` does), then take
+    ``report()``.  With ``save``, snapshot i goes to ``save(snap, i)`` as it
+    is fed, and a failed save raises there.  Each row is computed before the
+    feed returns; a row's ``ExtractionError`` waits for ``report()``, and
+    later snapshots are still fed and saved.
     """
 
     def __init__(self, v0: Field, exps: ExponentSet, params: PhysParams,
-                 max_order: int = DEFAULT_MAX_ORDER, snapshots: Sequence[Field] | None = None,
                  save: Callable[[Field, int], object] | None = None):
-        self._v0, self._exps, self._params, self._max_order = v0, exps, params, max_order
-        self._snapshots, self._save = snapshots, save
-        self._orders = derivative_orders(v0.grid.dim, max_order)
+        self._params, self._save = params, save
         self._weight = v0.grid.bracket_pow(exps.n)
+        self._K = data_bound(v0, exps.n, DEFAULT_MAX_ORDER)
+        # the tail of the pointwise decay bound
+        self._tail = 2.0 * self._K**params.alpha * v0.grid.bracket() ** (-exps.n * params.alpha)
         self._mod0a = None
         self._times: list[float] = []
-        self._fed: list[Future] = []  # each snapshot's row, in snapshot order
-        self._pool, submit = None, _now
-        if snapshots is not None and np.prod(v0.grid.shape) >= THREAD_FLOOR and _cpu_count() > 1:
-            # imported here, so a process that never threads never loads it
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=1)
-            submit = self._pool.submit
-        self._bound = submit(self._data_bound)  # the data constant and the decay tail
-
-    def __enter__(self) -> "SnapshotMonitor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-        self.__dict__.pop("_workspace", None)  # a monitor kept past its block holds no ladder
+        self._rows: list[tuple[float, float, bool]] = []
+        self._error: ExtractionError | None = None  # the first row's error
 
     def __call__(self, snap: Field) -> None:
         if self._mod0a is None:
             self._mod0a = np.abs(snap.values) ** self._params.alpha
-        i = len(self._times)
         if self._save is not None:
-            self._save(snap, i)
+            self._save(snap, len(self._times))
         self._times.append(snap.t)
-        self._fed.append(_now(self._row, snap) if self._pool is None
-                         else self._pool.submit(self._queued_row, i))
+        try:
+            self._rows.append(self._row(snap))
+        except ExtractionError as e:
+            self._error = self._error or e
 
-    @functools.cached_property
-    def _workspace(self) -> LadderWorkspace:
-        # built on the first thread that needs it, never on an idle one
-        return LadderWorkspace(self._v0.grid)
-
-    def _data_bound(self) -> tuple[float, np.ndarray]:
-        # the data constant K and the tail of the pointwise decay bound
-        p, n = self._params, self._exps.n
-        K = data_bound(self._v0, n, self._max_order, self._workspace)
-        return K, 2.0 * K**p.alpha * self._v0.grid.bracket() ** (-n * p.alpha)
-
-    def _queued_row(self, i: int) -> tuple:
-        return self._row(self._snapshots[i])
-
-    def _row(self, snap: Field) -> tuple[float, float, float, float, bool]:
-        # reads only its argument, the arrays fixed before the first row and
-        # its thread's workspace, each modulus before the ladder advances.  |v|
-        # comes first: it raises where it vanishes, so |v| > 0 below
-        p, exps = self._params, self._exps
+    def _row(self, snap: Field) -> tuple[float, float, bool]:
+        # |v| comes first: it raises where it vanishes, so |v| > 0 below
+        p = self._params
         mod = nonvanishing_modulus(snap)
         f_sup, decays = self._balance(snap.t, mod)
-        g = 1.0 - p.b * snap.t
-        scratch, weight = self._workspace.scratch, self._weight
-        now1 = now4 = 0.0
-        for beta, mod_d in derivative_moduli(snap, self._orders, self._workspace):
-            sig = exps.sigma_j(sum(beta))
-            now1 = max(now1, g**sig * float(np.max(np.multiply(weight, mod_d, out=scratch))))
-            now4 = max(now4, g**sig * float(np.max(np.divide(mod_d, mod, out=scratch))))
-        low = float(np.min(np.multiply(weight, mod, out=scratch)))
-        now3 = g ** (p.gauge_exponent / p.alpha) / low
-        return now1, now3, now4, f_sup, decays
+        low = float(np.min(np.multiply(self._weight, mod, out=mod)))
+        return (1.0 - p.b * snap.t) ** (p.gauge_exponent / p.alpha) / low, f_sup, decays
 
     def _balance(self, t: float, mod: np.ndarray) -> tuple[float, bool]:
-        # the correction sup and the pointwise decay check, both from |v|^alpha;
-        # its temporaries are gone before the derivative ladder starts
+        # the correction sup and the pointwise decay check, both from |v|^alpha
         p = self._params
         moda = mod**p.alpha
         f = balance_correction(t, moda, self._mod0a, p)
         f_sup = float(np.max(np.abs(f, out=f)))
-        cap = np.minimum(self._bound.result()[1], p.b * horizon_gauge(t, p), out=f)
+        cap = np.minimum(self._tail, p.b * horizon_gauge(t, p), out=f)
         cap *= 1.0 + p.sup_limit
         return f_sup, not np.any(moda > np.multiply(cap, 1.0 + 1e-12, out=cap))
 
     def report(self) -> MonitorReport:
         """The monitors over every snapshot fed so far.
 
-        Computes each queued row that no thread has started on the calling
-        thread.  Raises the first error of the data constant, then of the rows
-        in snapshot order: ``ExtractionError`` for the first snapshot whose
-        modulus vanishes.  Every row is done first.
+        Raises ``ExtractionError`` for the first snapshot whose modulus vanishes.
         """
-        for i, row in enumerate(self._fed):
-            if row.cancel():  # not started: its thread is busy with earlier rows
-                self._fed[i] = _now(self._queued_row, i)
-        wait(self._fed)  # so that no row is running when one raises
-        K = self._bound.result()[0]
-        now1, now3, now4, f_sup, decays = zip(*(row.result() for row in self._fed))
-        phi = np.maximum.accumulate([now1, now3, now4], axis=1)  # the running maxima
-        psi, f_sup = phi.max(axis=0), np.array(f_sup)
+        if self._error is not None:
+            raise self._error
+        now3, f_sup, decays = zip(*self._rows)
+        phi3, f_sup = np.maximum.accumulate(now3), np.array(f_sup)  # the running sup
         return MonitorReport(
             times=np.array(self._times),
-            phi1=phi[0],
-            phi3=phi[1],
-            phi4=phi[2],
-            psi=psi,
+            phi3=phi3,
             f_sup=f_sup,
-            max_order=self._max_order,
-            data_constant=K,
-            psi_bounded=bool(np.isfinite(psi[-1])),
-            psi_ratio=float(psi[-1] / psi[0]),
+            max_order=DEFAULT_MAX_ORDER,
+            data_constant=self._K,
+            psi_bounded=bool(np.isfinite(phi3[-1])),
+            psi_ratio=float(phi3[-1] / phi3[0]),
             f_within_quarter=bool(np.max(f_sup) <= CORRECTION_BOUND),
             decay_pointwise=all(decays),
         )
 
 
-def monitor_phi(
-    traj: Trajectory,
-    v0: Field,
-    exps: ExponentSet,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> MonitorReport:
+def monitor_phi(traj: Trajectory, v0: Field, exps: ExponentSet) -> MonitorReport:
     """Evaluate the weighted running-sup monitors over a rescaled-frame run.
 
-    Per snapshot: the weighted derivative sup ladder (orders <= max_order,
-    compensated by gauge^{sigma_j}), the compensated reciprocal of the
-    weighted modulus floor, the logarithmic-derivative ladder, and the sup
-    of the ``correction_algebraic`` field; their running maxima, and the
-    pointwise two-sided decay check against the constructed-data constant.
-    Flags classify; nothing raises on a broken bound since a coefficient
-    below the regime threshold breaks them legitimately.  A vanishing
-    modulus raises ``ExtractionError`` for the first such snapshot.
+    Per snapshot: the compensated reciprocal of the weighted modulus floor,
+    whose running sup is ``phi3``, and the sup of the ``correction_algebraic``
+    field; and the pointwise two-sided decay check against the data constant
+    K of ``v0``.  Flags classify; nothing raises on a broken bound since a
+    coefficient below the regime threshold breaks them legitimately.  A
+    vanishing modulus raises ``ExtractionError`` for the first such snapshot.
 
     This is the library route: a :class:`SnapshotMonitor` fed the
     trajectory's snapshots after the run.  ``simulate`` and
@@ -389,10 +287,10 @@ def monitor_phi(
         raise ValueError("monitors are defined on rescaled-frame trajectories")
     if not traj.snapshots:
         raise ValueError("no snapshots")
-    with SnapshotMonitor(v0, exps, traj.params, max_order, traj.snapshots) as monitor:
-        for snap in traj.snapshots:
-            monitor(snap)
-        return monitor.report()
+    monitor = SnapshotMonitor(v0, exps, traj.params)
+    for snap in traj.snapshots:
+        monitor(snap)
+    return monitor.report()
 
 
 def mass_dissipation_ok(traj: Trajectory) -> tuple[bool, float]:
@@ -454,7 +352,7 @@ def emit_report(
     """Write report.json (reports) and report.csv (per-snapshot series).
 
     CSV columns: t, gauge (rescaled frame; empty otherwise), l2, linf, then
-    phi1/phi3/phi4/psi/f_sup when a monitor report is attached.  One row per
+    phi3/f_sup when a monitor report is attached.  One row per
     snapshot, from the norms the run recorded at its step: no snapshot is
     read.
     """
@@ -466,8 +364,7 @@ def emit_report(
     gauge = 1.0 - traj.params.b * times if traj.frame == "v" else np.full(times.shape, "")
     cols = {"t": times, "gauge": gauge, "l2": traj.l2[steps], "linf": traj.linf[steps]}
     if monitor is not None:
-        cols.update(phi1=monitor.phi1, phi3=monitor.phi3, phi4=monitor.phi4, psi=monitor.psi,
-                    f_sup=monitor.f_sup)
+        cols.update(phi3=monitor.phi3, f_sup=monitor.f_sup)
     csv_path = out / "report.csv"
     write_csv(csv_path, list(cols), zip(*(c.tolist() for c in cols.values())))
 

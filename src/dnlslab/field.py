@@ -11,7 +11,6 @@ import contextlib
 import json
 import os
 import shutil
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -121,19 +120,17 @@ def _axis_symbol(k: np.ndarray, b: int, ax: int, dim: int) -> np.ndarray:
     return (1j * k.reshape(shape)) ** b
 
 
-class LadderWorkspace(threading.local):
+class LadderWorkspace:
     """The arrays the derivative ladder of one grid writes into, call after call.
 
     A spectrum, a partial derivative per axis, and a real modulus (3.5 MiB at
-    256^2); each thread that uses it gets its own.  ``scratch``, a real array
-    over the last partial, is free while a yielded modulus is current.
+    256^2).
     """
 
     def __init__(self, grid: Grid):
         self.spectrum = np.empty(grid.shape, dtype=complex)
         self.partials = [np.empty(grid.shape, dtype=complex) for _ in range(grid.dim)]
         self.modulus = np.empty(grid.shape)
-        self.scratch = np.ndarray(grid.shape, buffer=self.partials[-1])
 
 
 def derivative_moduli(f: Field, orders, workspace: LadderWorkspace | None = None):
@@ -195,7 +192,7 @@ def derivative_orders(dim: int, max_order: int) -> list[tuple[int, ...]]:
     return [(i, j) for i in range(max_order + 1) for j in range(max_order + 1 - i)]
 
 
-def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER, workspace=None) -> float:
+def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
     """Weighted-norm-plus-margin constant of the initial data.
 
     Sum of sup_{|beta|<=max_order} ||<x>^n D^beta v0||_inf and the reciprocal
@@ -209,7 +206,7 @@ def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER, workspace=
         check_boundary_decay(v0)
     weight = v0.grid.bracket_pow(n)
     worst = 0.0
-    for _, mod in derivative_moduli(v0, derivative_orders(v0.grid.dim, max_order), workspace):
+    for _, mod in derivative_moduli(v0, derivative_orders(v0.grid.dim, max_order)):
         worst = max(worst, float(np.max(weight * mod)))  # before the next modulus
     low, _ = weighted_inf(v0, n)
     if low <= 0:
@@ -287,17 +284,16 @@ class SnapshotStore(Sequence):
 
     ``run`` appends to it as to a list.  It keeps in memory only the times,
     the first field and the latest; each snapshot reaches disk when ``save``
-    is called for it.  Any other index is read back from the series on the
-    first field's grid and frame, one array per read: while the store is
-    open, from the open file, so a read beside ``publish`` finds it.
+    is called for it.  Any other index is read back from ``series.bin`` on
+    the first field's grid and frame, one array per read.
     ``publish`` writes the sidecar.
     """
 
     def __init__(self, directory, file):
         self.directory = Path(directory)
         self.times: list[float] = []
-        self._first, self._last = None, (-1, None)  # the latest field, with its index
-        self._file = file  # series.bin, open for reading and writing
+        self._first = self._last = None
+        self._file = file  # series.bin, open for writing
 
     @classmethod
     @contextlib.contextmanager
@@ -307,14 +303,13 @@ class SnapshotStore(Sequence):
         The run writes its other files into the staging directory too
         (``directory.parent``); ``publish`` moves them all into ``out``.  On
         the way out the series file is closed and the staging directory goes,
-        published or not; one that a killed run left goes on the way in.  A
-        closed store reads from the published series.
+        published or not; one that a killed run left goes on the way in.
         """
         stage = out.parent / f".{out.name}.partial"
         shutil.rmtree(stage, ignore_errors=True)
         (stage / "snapshots").mkdir(parents=True)
         try:
-            with open(stage / "snapshots" / "series.bin", "w+b", buffering=0) as fh:
+            with open(stage / "snapshots" / "series.bin", "wb", buffering=0) as fh:
                 yield cls(stage / "snapshots", fh)
         finally:
             shutil.rmtree(stage, ignore_errors=True)
@@ -338,14 +333,12 @@ class SnapshotStore(Sequence):
     def append(self, f: Field) -> None:
         if not self.times:
             self._first = f
-        # index and field in one attribute, so a read on another thread never
-        # pairs one snapshot's index with the next one's field
-        self._last = (len(self.times), f)
+        self._last = f
         self.times.append(f.t)
 
     def save(self, f: Field, i: int = -1) -> None:
         """Write ``f`` as snapshot i, by default the latest appended: one positional
-        write of its own buffer, so no copy and no file offset shared with the reads."""
+        write of its own buffer, so no copy."""
         values = np.ascontiguousarray(f.values, dtype="<c16")
         data, offset = memoryview(values).cast("B"), (i % len(self.times)) * values.nbytes
         while data:  # a write cut short leaves the rest; the next one raises what stopped it
@@ -357,15 +350,10 @@ class SnapshotStore(Sequence):
 
     def __getitem__(self, i: int) -> Field:
         i = range(len(self.times))[i]  # IndexError outside; a negative i counts from the end
-        last_i, last = self._last
-        if i == last_i:
-            return last
+        if i == len(self.times) - 1:
+            return self._last
         if i == 0:
             return self._first
         first, size = self._first, self._first.values.size
-        if self._file.closed:
-            raw = np.fromfile(self.directory / "series.bin", "<c16", size, offset=16 * size * i)
-        else:  # wherever publish has moved the file; no file offset the threads share
-            raw = np.empty(size, "<c16")
-            os.preadv(self._file.fileno(), [raw], 16 * size * i)
+        raw = np.fromfile(self.directory / "series.bin", "<c16", size, offset=16 * size * i)
         return Field(first.grid, raw.reshape(first.grid.shape), first.frame, self.times[i])

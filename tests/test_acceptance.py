@@ -285,7 +285,7 @@ def test_criterion_10_monitor_flags(reference, regime_companion):
         )
         assert ok
         assert report.decay_pointwise
-        assert np.all(np.isfinite(report.psi))
+        assert np.all(np.isfinite(report.phi3))
         return report, f_max
 
     # below the regime the quarter bound breaks legitimately (a converged ~20);

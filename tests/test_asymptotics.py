@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from dnlslab import conformal
 from dnlslab.asymptotics import (
     ExtractionError,
     ProfileData,
     correction_algebraic,
     crossover_time,
     error_metric,
+    error_series,
     finalize_profile,
     horizon_gauge,
     load_profile,
@@ -272,6 +274,16 @@ def test_error_metric_rejects_early_time(ref_profile):
     u = predicted_field(2.0, ref_profile)
     with pytest.raises(ValueError, match="t >= 1"):
         error_metric(u.with_values(u.values, t=0.5), ref_profile)
+
+
+def test_error_series_leaves_the_chirp_cache_empty(ref_run, ref_profile):
+    # the lens keeps one chirp (1 MiB at 256^2) for the error series' pairs;
+    # nothing after the series reads it, so the series empties the cache
+    conformal.to_u_frame(ref_run.snapshots[-1], REF.b)
+    assert conformal._chirp.cache_info().currsize == 1
+    t, _, _ = error_series(ref_run, ref_profile)
+    assert t.size > 0
+    assert conformal._chirp.cache_info().currsize == 0
 
 
 def test_profile_round_trip(tmp_path, ref_profile):

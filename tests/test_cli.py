@@ -1,6 +1,5 @@
 """End-to-end command-line coverage: configs, verdicts, sweeps, plot tables."""
 
-import concurrent.futures
 import contextlib
 import csv
 import functools
@@ -12,7 +11,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -442,7 +440,7 @@ def test_env_var_output_root(tmp_path, monkeypatch):
 
 def test_verify_pass_verdict(pass_run):
     doc = json.loads((pass_run / "verdict.json").read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["verdict"] == "pass"
     assert doc["reasons"] == []
     assert doc["compliant_regime"] is True
@@ -510,8 +508,8 @@ def test_short_last_decade_is_a_failed_check(tmp_path, snapshots):
     assert verdict["verdict"] != "pass"
 
 
-# 2-D, 64^2 points, 65 snapshots: below THREAD_FLOOR, so the monitor rows run
-# on the solve's thread as each snapshot is taken
+# 2-D, 64^2 points, 65 snapshots; the monitor rows run on the solve's thread
+# as each snapshot is taken
 VERIFY_2D_M, VERIFY_2D_SNAPSHOTS = 64, 65
 
 
@@ -566,8 +564,8 @@ def test_verify_2d_reaches_a_verdict_then_plot_tables(verify_2d):
             assert len(list(csv.DictReader(fh))) > 0, name
 
 
-# 2-D, 128^2 points: at THREAD_FLOOR, so the monitor rows run on a pool
-THREADED_CONFIG = {
+# 2-D, 128^2 points
+CONFIG_2D = {
     "phys": {"N": 2, "alpha": 0.8, "lam": [0.0, -1.0], "b": 20.0},
     "grid": {"L": 30.0, "M": 128, "boundary_tol": 1e-2},
     "solver": {"frame": "v", "dt0": 2e-3, "c_adapt": 0.2,
@@ -579,28 +577,17 @@ THREADED_CONFIG = {
 def test_a_monitored_run_leaves_only_the_reread_geometry_on_its_grid(tmp_path):
     # setup builds |x|^2, <x>, |k|^2 and the data's and decay tail's powers;
     # what stays cached is what the steps, records and rows read again
-    doc = json.loads(json.dumps(THREADED_CONFIG))
+    doc = json.loads(json.dumps(CONFIG_2D))
     doc["solver"]["snapshot_count"] = 5
     rc = build_run(doc, "c.json", json.dumps(doc), tmp_path / "out")
-    traj, report = cli._simulate(rc, doc, field.DEFAULT_MAX_ORDER)
+    traj, report = cli._simulate(rc, doc)
     assert len(traj.snapshots) == 5 and report.times.size == 5
     assert set(rc.initial.grid.__dict__["_geometry"]) == {
         ("bracket_pow", 5), ("wavenumbers",), ("wavenumber_levels",)}
 
 
 def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
-    pools, submitted, fed, at_run_end, kept = [], [], [], [], []
-
-    class CountedPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-        def submit(self, *args, **kwargs):
-            submitted.append(args[0])
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    fed, at_run_end, kept = [], [], []
     solve, simulate, feed = cli.run, cli._simulate, SnapshotMonitor.__call__
 
     def counted_feed(self, snap):
@@ -609,7 +596,7 @@ def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
 
     def counted_solve(*args, **kwargs):
         traj = solve(*args, **kwargs)
-        at_run_end.append((len(submitted), len(fed)))
+        at_run_end.append(len(fed))
         return traj
 
     def keep(rc, *args):
@@ -624,63 +611,48 @@ def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run", counted_solve)
     monkeypatch.setattr(cli, "_simulate", keep)
     monkeypatch.setattr(diagnostics, "monitor_phi", library_route)
-    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
-    # two CPUs: the rows run on a pool; one CPU: no pool, each feed computes its row
-    for cpus in ({0, 1}, {0}):
-        for log in (pools, submitted, fed, at_run_end, kept):
-            log.clear()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        out = tmp_path / f"out{len(cpus)}"
-        assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0
-        rc, traj = kept[0]
-        # every snapshot was fed during the run, and none after it
-        assert at_run_end[0][1] == len(traj.snapshots) == len(fed)
-        if len(cpus) > 1:
-            # the data constant and every row were handed to the pool during the run
-            assert at_run_end[0][0] == 1 + len(traj.snapshots) == len(submitted)
-        else:
-            assert pools == [] and submitted == []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        after = monitor_phi(traj, rc.initial, rc.exps)
-        block = json.loads((out / "report.json").read_text())["monitor"]
-        assert block == json.loads(json.dumps(after.as_dict()))
+    cfg = write_config(tmp_path / "c.json", CONFIG_2D)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0
+    rc, traj = kept[0]
+    # every snapshot was fed during the run, and none after it
+    assert at_run_end == [len(traj.snapshots)] == [len(fed)]
+    after = monitor_phi(traj, rc.initial, rc.exps)
+    block = json.loads((out / "report.json").read_text())["monitor"]
+    assert block == json.loads(json.dumps(after.as_dict()))
 
 
 def test_solver_error_beside_a_busy_monitor_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    fed, started = [], []
+    # each fed snapshot's row is done before the solve goes on, so the
+    # failing step finds no row left to wait for
+    fed, done = [], []
     feed, row, update = SnapshotMonitor.__call__, SnapshotMonitor._row, solver._nonlinear_update
 
     def counted_feed(self, snap):
         fed.append(snap.t)
         feed(self, snap)
 
-    def slow_row(self, snap):
-        started.append(snap.t)
-        time.sleep(0.2)
-        return row(self, snap)
+    def counted_row(self, snap):
+        result = row(self, snap)
+        done.append(snap.t)
+        return result
 
     def failing_update(*args):
         if len(fed) >= 6:
+            assert done == fed
             raise UnstableSolutionError("injected blow-up")
         return update(*args)
 
     monkeypatch.setattr(SnapshotMonitor, "__call__", counted_feed)
-    monkeypatch.setattr(SnapshotMonitor, "_row", slow_row)
+    monkeypatch.setattr(SnapshotMonitor, "_row", counted_row)
     monkeypatch.setattr(solver, "_nonlinear_update", failing_update)
-    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
+    cfg = write_config(tmp_path / "c.json", CONFIG_2D)
     out = tmp_path / "out"
-    codes = []
-    verify = threading.Thread(daemon=True, target=lambda: codes.append(
-        main(["verify-theorem", "--config", str(cfg), "--out", str(out)])))
-    verify.start()
-    verify.join(timeout=60)
-    assert not verify.is_alive() and codes == [3]
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "numerical failure: injected blow-up" in err
     assert "Traceback" not in err
-    # rows that had not started were cancelled, not waited for
-    assert len(fed) == 6 and len(started) < len(fed)
+    assert len(fed) == len(done) == 6
     assert not out.exists()
 
 
@@ -697,9 +669,8 @@ def _vanishing_modulus(monkeypatch):
 
 def test_vanishing_modulus_beside_the_solve_exits_3_after_the_run(tmp_path, monkeypatch,
                                                                    capsys):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _vanishing_modulus(monkeypatch)
-    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
+    cfg = write_config(tmp_path / "c.json", CONFIG_2D)
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -708,19 +679,18 @@ def test_vanishing_modulus_beside_the_solve_exits_3_after_the_run(tmp_path, monk
     assert f"numerical failure: modulus vanishes on the grid at t = {times[1]:.6g}\n" in err
     assert "Traceback" not in err
     assert (out / "norms.csv").exists() and len(times) == 17
-    # the profile, bridge and error series were computed beside the monitor's
-    # rows, and are written only once its report is in
+    # the profile, bridge and error series are computed only once the
+    # monitor's report is in
     for name in ("profile", "bridge.csv", "error_metric.csv", "verdict.json"):
         assert not (out / name).exists(), name
 
 
 def test_vanishing_modulus_after_a_serial_run_exits_3_with_the_run_on_disk(tmp_path,
                                                                         monkeypatch, capsys):
-    # one CPU: each feed computes its row, whose error waits for report(), and
-    # saves its snapshot, so every snapshot is on disk when the error surfaces
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    # each feed computes its row, whose error waits for report(), and saves
+    # its snapshot, so every snapshot is on disk when the error surfaces
     _vanishing_modulus(monkeypatch)
-    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
+    cfg = write_config(tmp_path / "c.json", CONFIG_2D)
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -744,37 +714,33 @@ def traced_verify(tmp_path, doc):
     return code, out, peak
 
 
-def test_threaded_verify_memory_does_not_grow_with_the_schedule(tmp_path, monkeypatch):
-    # snapshots go to disk once their rows are done, and come back one at a
-    # time: doubling the schedule adds no snapshot arrays to the peak, with
-    # the rows on a pool (two CPUs) or on the solve's thread (one CPU)
-    snapshot_bytes = 16 * THREADED_CONFIG["grid"]["M"] ** 2
-    for cpus in ({0, 1}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        peaks = {}
-        for count in (17, 33):
-            doc = json.loads(json.dumps(THREADED_CONFIG))
-            doc["solver"]["snapshot_count"] = count
-            code, out, peaks[count] = traced_verify(tmp_path / f"{len(cpus)}_{count}", doc)
-            assert code == 0
-            rc = build_run(doc, "c.json", json.dumps(doc))
-            library = solver.run(rc.initial, rc.solver, rc.params)
-            assert isinstance(library.snapshots, list) and len(library.snapshots) == count
-            assert series_times(out) == [snap.t for snap in library.snapshots]
-            payload = (out / "snapshots" / "series.bin").read_bytes()
-            assert payload == b"".join(snap.values.astype("<c16").tobytes()
-                                       for snap in library.snapshots)
-        print(f"{len(cpus)} CPU(s): peaks {peaks[17] / 2**20:.2f} and "
-              f"{peaks[33] / 2**20:.2f} MiB; one snapshot {snapshot_bytes / 2**20:.2f} MiB")
-        assert abs(peaks[33] - peaks[17]) < 4 * snapshot_bytes, cpus
+def test_threaded_verify_memory_does_not_grow_with_the_schedule(tmp_path):
+    # snapshots go to disk as their rows are done, and come back one at a
+    # time: doubling the schedule adds no snapshot arrays to the peak
+    snapshot_bytes = 16 * CONFIG_2D["grid"]["M"] ** 2
+    peaks = {}
+    for count in (17, 33):
+        doc = json.loads(json.dumps(CONFIG_2D))
+        doc["solver"]["snapshot_count"] = count
+        code, out, peaks[count] = traced_verify(tmp_path / str(count), doc)
+        assert code == 0
+        rc = build_run(doc, "c.json", json.dumps(doc))
+        library = solver.run(rc.initial, rc.solver, rc.params)
+        assert isinstance(library.snapshots, list) and len(library.snapshots) == count
+        assert series_times(out) == [snap.t for snap in library.snapshots]
+        payload = (out / "snapshots" / "series.bin").read_bytes()
+        assert payload == b"".join(snap.values.astype("<c16").tobytes()
+                                   for snap in library.snapshots)
+    print(f"peaks {peaks[17] / 2**20:.2f} and {peaks[33] / 2**20:.2f} MiB; "
+          f"one snapshot {snapshot_bytes / 2**20:.2f} MiB")
+    assert abs(peaks[33] - peaks[17]) < 4 * snapshot_bytes
 
 
-def test_threaded_verify_writes_the_same_files_at_any_schedule(tmp_path, monkeypatch):
+def test_threaded_verify_writes_the_same_files_at_any_schedule(tmp_path):
     # a run's snapshots are one series: the file count does not follow the schedule
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     listed = {}
     for count in (17, 33):
-        doc = json.loads(json.dumps(THREADED_CONFIG))
+        doc = json.loads(json.dumps(CONFIG_2D))
         doc["solver"]["snapshot_count"] = count
         cfg = write_config(tmp_path / f"{count}.json", doc)
         out = tmp_path / f"out{count}"
@@ -803,8 +769,8 @@ def fail_after_six_snapshots(monkeypatch):
 
 
 def test_serial_solver_error_leaves_no_out(tmp_path, monkeypatch, capsys):
-    # 1-D: each monitor row runs on the solve's thread as its snapshot is fed,
-    # so nothing else was running when the solve raised
+    # each monitor row runs on the solve's thread as its snapshot is fed, so
+    # nothing else was running when the solve raised
     fail_after_six_snapshots(monkeypatch)
     cfg = write_config(tmp_path / "c.json", short_decade_config(17))
     out = tmp_path / "out"
@@ -835,21 +801,6 @@ def test_simulate_solver_error_leaves_no_out(tmp_path, monkeypatch, capsys, fram
     err = capsys.readouterr().err
     assert "numerical failure: injected blow-up" in err and "Traceback" not in err
     assert len(fed) == (6 if frame == "v" else 0)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
-
-
-@pytest.mark.parametrize("command", ["simulate", "verify-theorem"])
-@pytest.mark.parametrize("max_order,message", [
-    (115, "--max-order 115 exceeds the exponent set's J = 114"),
-    (-1, "--max-order -1 is negative"),
-], ids=["above_J", "negative"])
-def test_max_order_out_of_range_exit_2(tmp_path, capsys, command, max_order, message):
-    cfg = write_config(tmp_path / "c.json", short_decade_config(17))  # 1-D, n = 5, M = 64
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out),
-                 "--max-order", str(max_order)]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
@@ -887,11 +838,10 @@ def test_rerun_into_an_existing_out(tmp_path, monkeypatch, capsys):
 
 
 def test_failed_snapshot_write_at_the_feed_exits_4(tmp_path, monkeypatch, capsys):
-    # a threaded monitor run: each snapshot is written as it is fed, on the
-    # solve's thread, so the failed write stops the run at once
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # each snapshot is written as it is fed, on the solve's thread, so the
+    # failed write stops the run at once
     pwrite, writers = os.pwrite, []
-    snapshot_bytes = 16 * THREADED_CONFIG["grid"]["M"] ** 2
+    snapshot_bytes = 16 * CONFIG_2D["grid"]["M"] ** 2
 
     def failing_pwrite(fd, data, offset):
         writers.append(threading.current_thread())
@@ -900,7 +850,7 @@ def test_failed_snapshot_write_at_the_feed_exits_4(tmp_path, monkeypatch, capsys
         return pwrite(fd, data, offset)
 
     monkeypatch.setattr(os, "pwrite", failing_pwrite)
-    cfg = write_config(tmp_path / "c.json", THREADED_CONFIG)
+    cfg = write_config(tmp_path / "c.json", CONFIG_2D)
     out = tmp_path / "out"
     codes = []
     verify = threading.Thread(daemon=True, target=lambda: codes.append(
@@ -933,20 +883,10 @@ def _failing_write(monkeypatch):
 def test_no_file_left_open_by_a_failed_run(tmp_path, monkeypatch, capsys, spoil, code):
     cfg = write_config(tmp_path / "c.json", short_decade_config(17))  # 1-D, M = 64
     spoil(monkeypatch)
-    preadv, readers = os.preadv, set()
-
-    def recorded_preadv(fd, buffers, offset):
-        readers.add(fd)
-        return preadv(fd, buffers, offset)
-
-    monkeypatch.setattr(os, "preadv", recorded_preadv)
     before = sorted(os.listdir("/proc/self/fd"))
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert "Traceback" not in capsys.readouterr().err
-    # the error series read the snapshots back through the open series file
-    # before the monitor's error surfaced; that file is closed too
-    assert len(readers) == (spoil is _vanishing_modulus)
 
 
 def test_verify_deterministic(tmp_path, pass_run):

@@ -1,13 +1,8 @@
 """Power-law fits, decay-limit checks, monitors, and report artifacts."""
 
-import concurrent.futures
 import csv
-import dataclasses
 import gc
 import json
-import os
-import threading
-import time
 import tracemalloc
 import weakref
 
@@ -19,7 +14,6 @@ from hypothesis import strategies as st
 from dnlslab.asymptotics import ExtractionError, correction_algebraic, horizon_gauge
 from dnlslab.conformal import NormSeries, norm_bridge
 from dnlslab.diagnostics import (
-    THREAD_FLOOR,
     MonitorReport,
     RateFit,
     SnapshotMonitor,
@@ -35,7 +29,6 @@ from dnlslab.diagnostics import (
 from dnlslab.field import (
     Field,
     Grid,
-    SnapshotStore,
     build_initial_data,
     data_bound,
     derivative_orders,
@@ -247,11 +240,12 @@ def test_monitor_running_sups_and_flags(clean_setup):
     traj, v0, exps = clean_setup
     rep = monitor_phi(traj, v0, exps)
     assert isinstance(rep, MonitorReport)
-    assert np.all(np.diff(rep.psi) >= 0)
+    assert np.all(np.diff(rep.phi3) >= 0)
     assert rep.psi_bounded
-    assert np.isfinite(rep.psi[0]) and rep.psi[0] > 0
-    # the constructed-data constant dominates the t=0 ladder by design
-    assert rep.phi1[0] <= rep.data_constant
+    assert np.isfinite(rep.phi3[0]) and rep.phi3[0] > 0
+    assert rep.psi_ratio == rep.phi3[-1] / rep.phi3[0]
+    # the data constant is the order-4 ladder of v0 plus its weighted floor's reciprocal
+    assert rep.data_constant == data_bound(v0, exps.n, 4) and rep.max_order == 4
     assert rep.f_within_quarter
     assert rep.decay_pointwise
     assert rep.label == "truncated"
@@ -267,36 +261,28 @@ def test_monitor_phi3_tail_pinned(clean_setup):
 
 
 def _monitor_per_beta(traj, v0, exps, max_order=4):
-    """Reference monitor: one spectral_derivative transform pair per beta."""
+    """Reference monitor: K from one spectral_derivative transform pair per beta of v0."""
     p, n = traj.params, exps.n
-    K = data_bound(v0, n, max_order)
+    floor0, _ = weighted_inf(v0, n)
+    K = max(weighted_sup_norm(spectral_derivative(v0, beta, max_order), n)
+            for beta in derivative_orders(v0.grid.dim, max_order)) + 1.0 / floor0
     tail_bound = 2.0 * K**p.alpha * v0.grid.bracket() ** (-n * p.alpha)
-    r1 = r3 = r4 = 0.0
-    out = {"phi1": [], "phi3": [], "phi4": [], "psi": [], "f_sup": []}
+    r3 = 0.0
+    out = {"phi3": [], "f_sup": []}
     decay_ok = True
     for snap, f_fld in zip(traj.snapshots, correction_algebraic(traj)):
         g = 1.0 - p.b * snap.t
         mod = np.abs(snap.values)
-        now1 = now4 = 0.0
-        for beta in derivative_orders(v0.grid.dim, max_order):
-            d = spectral_derivative(snap, beta, max_order, check=False)
-            sig = exps.sigma_j(sum(beta))
-            now1 = max(now1, g**sig * weighted_sup_norm(d, n))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(mod > 0, np.abs(d.values) / mod, np.inf)
-            now4 = max(now4, g**sig * float(np.max(ratio)))
         floor, _ = weighted_inf(snap, n)
-        now3 = np.inf if floor == 0.0 else g ** (p.gauge_exponent / p.alpha) / floor
-        r1, r3, r4 = max(r1, now1), max(r3, now3), max(r4, now4)
-        for key, val in (("phi1", r1), ("phi3", r3), ("phi4", r4),
-                         ("psi", max(r1, r3, r4)),
-                         ("f_sup", float(np.max(np.abs(f_fld.values))))):
-            out[key].append(val)
+        r3 = max(r3, np.inf if floor == 0.0 else g ** (p.gauge_exponent / p.alpha) / floor)
+        out["phi3"].append(r3)
+        out["f_sup"].append(float(np.max(np.abs(f_fld.values))))
         cap = (1.0 + p.sup_limit) * np.minimum(tail_bound, p.b * horizon_gauge(snap.t, p))
         if np.any(mod**p.alpha > cap * (1.0 + 1e-12)):
             decay_ok = False
     out = {key: np.array(vals) for key, vals in out.items()}
-    out["flags"] = (bool(np.isfinite(out["psi"][-1])), bool(np.max(out["f_sup"]) <= 0.25),
+    out["data_constant"] = K
+    out["flags"] = (bool(np.isfinite(out["phi3"][-1])), bool(np.max(out["f_sup"]) <= 0.25),
                     decay_ok)
     return out
 
@@ -313,164 +299,37 @@ def test_monitor_matches_per_beta_route(N, alpha, b, M):
     traj = run(v0, cfg, p)
     ref = _monitor_per_beta(traj, v0, exps)
     rep = monitor_phi(traj, v0, exps)
-    for key in ("phi1", "phi3", "phi4", "psi", "f_sup"):
+    for key in ("phi3", "f_sup", "data_constant"):
         np.testing.assert_allclose(getattr(rep, key), ref[key], rtol=1e-12, atol=0.0)
     assert (rep.psi_bounded, rep.f_within_quarter, rep.decay_pointwise) == ref["flags"]
     print(f"N={N} b={b:g}: flags {ref['flags']}")
 
 
-def test_threaded_monitor_equals_serial_bitwise(monkeypatch):
-    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
-    assert 128 * 128 >= THREAD_FLOOR
-    v0 = build_initial_data(g, 1.0, 5)
-    p = PhysParams(2, 0.8, -1j, 20.0)
-    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
-    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2,
-                       snapshot_count=9)
-    traj = run(v0, cfg, p)
-    pools = []
-
-    class CountedPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-    # one CPU, then two, whatever the host has
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    serial = monitor_phi(traj, v0, exps)
-    assert pools == []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    threaded = monitor_phi(traj, v0, exps)
-    assert pools == [1]
-    for key in ("times", "phi1", "phi3", "phi4", "psi", "f_sup"):
-        assert getattr(threaded, key).tobytes() == getattr(serial, key).tobytes(), key
-    assert threaded.as_dict() == serial.as_dict()
-    # more CPUs: still one thread beside the caller
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    wide = monitor_phi(traj, v0, exps)
-    assert pools == [1, 1]
-    assert wide.as_dict() == serial.as_dict()
-
-
-def test_threaded_feed_never_waits_and_keeps_no_queued_snapshot(tmp_path, monkeypatch):
-    # a feed saves its snapshot and queues the row with only its index; the
-    # row reads the snapshot back from the series when it starts.  So feeds
-    # return at once however slow the rows, and a fed snapshot outlives its
-    # feed only where the series keeps it: the first and the latest
-    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
-    v0 = build_initial_data(g, 1.0, 5)
-    p = PhysParams(2, 0.8, -1j, 20.0)
-    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
-    row, row_s = SnapshotMonitor._row, 0.02
-
-    def slow_row(self, snap):
-        time.sleep(row_s)
-        return row(self, snap)
-
-    monkeypatch.setattr(SnapshotMonitor, "_row", slow_row)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    values = [(1.0 - 0.02 * k) * v0.values for k in range(12)]
-    fed, feeding = [], 0.0
-    with SnapshotStore.staged(tmp_path / "run") as store, \
-            SnapshotMonitor(v0, exps, p, snapshots=store, save=store.save) as monitor:
-        for k in range(12):
-            snap = v0.with_values(values[k], t=0.001 * k)
-            store.append(snap)
-            start = time.perf_counter()
-            monitor(snap)
-            feeding += time.perf_counter() - start
-            fed.append(weakref.ref(snap))
-        del snap
-        alive = [k for k, ref in enumerate(fed) if ref() is not None]
-        rep = monitor.report()
-        stored = [store[k].values.tobytes() for k in range(12)]
-    print(f"12 feeds took {feeding * 1e3:.2f} ms; one row takes over {row_s * 1e3:.0f} ms")
-    assert feeding < row_s
-    assert alive == [0, 11]
-    assert stored == [v.tobytes() for v in values]
-    assert rep.times.tolist() == [0.001 * k for k in range(12)]
-
-
-def test_report_computes_the_rows_no_thread_started_on_the_caller(monkeypatch):
-    # the pool thread is held on row 0; report() cancels the rows queued
-    # behind it and computes them on the calling thread, and the report is
-    # the serial one bit for bit.  On the library route each queued row reads
-    # its snapshot back as traj.snapshots[i]
-    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
-    v0 = build_initial_data(g, 1.0, 5)
-    p = PhysParams(2, 0.8, -1j, 20.0)
-    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
-    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2,
-                       snapshot_count=9)
-    traj = run(v0, cfg, p)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    serial = monitor_phi(traj, v0, exps)
-    reads, threads, caller = [], {}, threading.current_thread()
-    held, release = threading.Event(), threading.Event()
-
-    class ReadList(list):
-        def __getitem__(self, i):
-            reads.append(i)
-            return super().__getitem__(i)
-
-    row, report = SnapshotMonitor._row, SnapshotMonitor.report
-
-    def recorded_row(self, snap):
-        threads[snap.t] = threading.current_thread()
-        if threads[snap.t] is caller:
-            release.set()  # the caller has taken a row: let the pool thread go on
-        elif not held.is_set():  # the pool thread's first row waits for that
-            held.set()
-            release.wait(timeout=10)
-        return row(self, snap)
-
-    def report_once_held(self):
-        assert held.wait(timeout=10)  # the pool thread is on row 0
-        return report(self)
-
-    monkeypatch.setattr(SnapshotMonitor, "_row", recorded_row)
-    monkeypatch.setattr(SnapshotMonitor, "report", report_once_held)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    threaded = monitor_phi(dataclasses.replace(traj, snapshots=ReadList(traj.snapshots)),
-                           v0, exps)
-    times = traj.snapshot_times.tolist()
-    assert sorted(threads) == times and sorted(reads) == list(range(len(times)))
-    assert threads[times[0]] is not caller and threads[times[1]] is caller
-    print(f"rows on the caller: {sum(t is caller for t in threads.values())} of {len(times)}")
-    for key in ("times", "phi1", "phi3", "phi4", "psi", "f_sup"):
-        assert getattr(threaded, key).tobytes() == getattr(serial, key).tobytes(), key
-    assert threaded.as_dict() == serial.as_dict()
-
-
-def test_monitor_row_after_the_first_holds_under_three_grid_arrays(monkeypatch):
-    # the first row builds the thread's ladder workspace; later rows write
-    # into it, so a row holds |v| and the balance temporaries, not the ~50
-    # arrays a ladder with fresh buffers makes.  The balance is computed in
-    # place: |v|, |v|^alpha and two real arrays, 2.00 grid arrays at most,
-    # where new arrays for each operation peaked at 2.50
+def test_monitor_row_after_the_first_holds_under_three_grid_arrays():
+    # a row holds |v| and the balance temporaries: |v|, |v|^alpha and two
+    # real arrays, 2.00 grid arrays at most, where new arrays for each
+    # operation peaked at 2.50.  The weighted floor is taken in |v|'s array
     g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(2, 0.8, -1j, 20.0)
     exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
     later = Field(g, 0.7 * v0.values * np.exp(0.2j * sum(g.meshes())), "v", 0.01)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    with SnapshotMonitor(v0, exps, p) as monitor:  # rows on this thread, as each is fed
-        monitor(v0)
-        tracemalloc.start()
-        try:
-            monitor(later)  # the new row only: row 0 is done
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        rep = monitor.report()
+    monitor = SnapshotMonitor(v0, exps, p)
+    monitor(v0)
+    tracemalloc.start()
+    try:
+        monitor(later)  # the new row only: row 0 is done
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = monitor.report()
     assert rep.times.tolist() == [0.0, 0.01]
     print(f"row peak {peak / v0.values.nbytes:.2f} grid arrays")
     assert peak < 2.1 * v0.values.nbytes
 
 
 def test_second_report_computes_no_row(monkeypatch):
-    # below THREAD_FLOOR each row is computed once, as its snapshot is fed
+    # each row is computed once, as its snapshot is fed
     g = Grid.line(30.0, 256, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(1, 1.0, -1j, 20.0)
@@ -483,19 +342,19 @@ def test_second_report_computes_no_row(monkeypatch):
         return row(self, snap)
 
     monkeypatch.setattr(SnapshotMonitor, "_row", counted_row)
-    with SnapshotMonitor(v0, exps, p) as monitor:
-        monitor(v0)
-        monitor(later)
-        first = monitor.report()
-        second = monitor.report()
+    monitor = SnapshotMonitor(v0, exps, p)
+    monitor(v0)
+    monitor(later)
+    first = monitor.report()
+    second = monitor.report()
     assert rows == [0.0, 0.01]
     assert second.as_dict() == first.as_dict()
 
 
 def test_serial_monitor_saves_each_snapshot_as_it_is_fed(monkeypatch):
-    # on one thread a feed saves the snapshot and computes the row before it
-    # returns; a row's error waits for report(), and later snapshots are
-    # still fed and saved
+    # a feed saves the snapshot and computes the row before it returns; a
+    # row's error waits for report(), and later snapshots are still fed and
+    # saved
     g = Grid.line(30.0, 256, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(1, 1.0, -1j, 20.0)
@@ -503,19 +362,18 @@ def test_serial_monitor_saves_each_snapshot_as_it_is_fed(monkeypatch):
     row = SnapshotMonitor._row
 
     def failing_row(self, snap):
-        if snap.t == 0.001:
-            raise ExtractionError("modulus vanishes on the grid at t = 0.001")
+        if snap.t in (0.001, 0.002):
+            raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:g}")
         return row(self, snap)
 
     monkeypatch.setattr(SnapshotMonitor, "_row", failing_row)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     saved = []
-    with SnapshotMonitor(v0, exps, p, save=lambda snap, i: saved.append((i, snap.t))) as monitor:
-        for k in range(4):
-            monitor(v0.with_values(v0.values, t=0.001 * k))
-            assert saved == [(j, 0.001 * j) for j in range(k + 1)]
-        with pytest.raises(ExtractionError, match="t = 0.001"):
-            monitor.report()
+    monitor = SnapshotMonitor(v0, exps, p, save=lambda snap, i: saved.append((i, snap.t)))
+    for k in range(4):
+        monitor(v0.with_values(v0.values, t=0.001 * k))
+        assert saved == [(j, 0.001 * j) for j in range(k + 1)]
+    with pytest.raises(ExtractionError, match="t = 0.001$"):  # the first failed row's
+        monitor.report()
     assert saved == [(k, 0.001 * k) for k in range(4)]
 
 
@@ -523,13 +381,13 @@ def test_monitor_phi_leaves_no_reference_cycle(clean_setup, monkeypatch):
     # with the cycle collector off, the monitor, its rows and its arrays go
     # as soon as monitor_phi returns
     traj, v0, exps = clean_setup
-    monitors, enter = [], SnapshotMonitor.__enter__
+    monitors, init = [], SnapshotMonitor.__init__
 
-    def weakly_kept(self):
+    def weakly_kept(self, *args, **kwargs):
         monitors.append(weakref.ref(self))
-        return enter(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(SnapshotMonitor, "__enter__", weakly_kept)
+    monkeypatch.setattr(SnapshotMonitor, "__init__", weakly_kept)
     gc.disable()
     try:
         monitor_phi(traj, v0, exps)
@@ -579,12 +437,13 @@ def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
     with open(cp) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) - 1 == len(traj.snapshots)
-    assert rows[0][:4] == ["t", "gauge", "l2", "linf"]
+    assert rows[0] == ["t", "gauge", "l2", "linf", "phi3", "f_sup"]
 
     doc = json.loads(jp.read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["params"] == traj.params.to_dict()
-    assert doc["monitor"]["psi"] == rep.psi.tolist()
+    assert doc["monitor"]["phi3"] == rep.phi3.tolist()
+    assert not {"phi1", "phi4", "psi"} & set(doc["monitor"])
     assert doc["monitor"]["max_order"] == 4
     assert "fits" not in doc and "extras" not in doc["monitor"]
     assert doc["checks"]["sup_limit"]["target_u"] == 0.5

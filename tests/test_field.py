@@ -1,9 +1,6 @@
 """Grid, spectral derivative, weighted norm, and snapshot round-trip tests."""
 
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -288,43 +285,6 @@ def test_snapshot_store_keeps_the_ends_and_reads_the_rest_back(tmp_path):
         load_field(out / "snapshots" / "series", 4)
 
 
-def test_snapshot_store_reads_beside_its_appends_get_their_own_field(tmp_path):
-    # a monitor thread reads snapshot i back while the solve appends i + 1:
-    # whatever the interleaving, store[i] is snapshot i, in memory or on disk
-    g = Grid.line(8.0, 16)
-    fields = [Field(g, np.full(16, k, dtype=complex), "v", 0.001 * k) for k in range(3000)]
-    saved, wrong, done = [0], [], threading.Event()
-
-    def reader():
-        while not done.is_set():
-            i = saved[-1]
-            f = store[i]
-            if f.t != fields[i].t or f.values[0] != i:
-                wrong.append((i, f.t))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with SnapshotStore.staged(tmp_path / "out") as store:
-            store.append(fields[0])
-            store.save(fields[0])
-            readers = [threading.Thread(target=reader) for _ in range(4)]
-            for r in readers:
-                r.start()
-            for k, f in enumerate(fields[1:], 1):
-                store.append(f)
-                store.save(f)
-                saved.append(k)
-            done.set()
-            for r in readers:
-                r.join(timeout=30)
-    finally:
-        done.set()
-        sys.setswitchinterval(interval)
-    assert not any(r.is_alive() for r in readers)
-    assert wrong == []
-
-
 def test_snapshot_payload_mismatch(tmp_path):
     g = Grid.line(12.0, 64)
     f = Field(g, np.zeros(64, dtype=complex), "u", 0.0)
@@ -394,25 +354,3 @@ def test_ladder_workspace_holds_a_spectrum_the_partials_and_a_modulus(dim, compl
     points = 64**dim
     assert sorted(a.dtype.kind for a in owned) == ["c"] * complex_arrays + ["f"]
     assert sum(a.nbytes for a in owned) == (16 * complex_arrays + 8) * points
-
-
-def test_one_workspace_on_many_threads_gives_each_its_own_arrays():
-    # more threads than CPUs, switching often: arrays shared between threads
-    # would overwrite one thread's modulus before it is copied
-    grid = Grid.box(30.0, 32, 2, boundary_tol=1e-2)
-    v0 = build_initial_data(grid, 1.0, 5)
-    snaps = [Field(grid, v0.values * np.exp(0.1j * k * sum(grid.meshes())), "v", 0.0)
-             for k in range(8)]
-    orders = derivative_orders(2, 4)
-    expect = [[mod.tobytes() for _, mod in derivative_moduli(snap, orders)] for snap in snaps]
-    ws = LadderWorkspace(grid)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(
-                lambda snap: [mod.tobytes() for _, mod in derivative_moduli(snap, orders, ws)],
-                snaps * 4, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expect * 4

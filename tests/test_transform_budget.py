@@ -1,10 +1,12 @@
-"""FFT budget of the stepper and the monitors: counted passes, no timing.
+"""FFT budget of the stepper and the monitor: counted passes, no timing.
 
 A pass is one axis transformed once, so an N-D ``fftn`` counts N passes and
 a 1-D ``fft(axis=...)`` one.  Pins the passes each stage may spend, so a
 change that brings back a transform pair per multi-index, or a coupling
 pass nothing reads, fails here.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -84,12 +86,14 @@ def test_run_spends_three_transforms_per_step(fft_passes, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_monitor_spends_one_ladder_per_snapshot(fft_passes, dim):
+def test_monitor_spends_one_ladder(fft_passes, dim):
+    # data_bound's on v0, whatever the snapshot count: a row spends no transform
     v0, params = tiny_setup(dim)
     exps = synthesize_exponents(params, strict=False, n=5, fallback_sigma=True)
-    traj = run(v0, CFG, params)
-    fft_passes.clear()
-    monitor_phi(traj, v0, exps)
-    # one derivative ladder per snapshot, plus data_bound's on v0
-    assert sum(fft_passes) == LADDER_PASSES[dim] * (len(traj.snapshots) + 1)
-    assert set(fft_passes) == {1}
+    for count in (5, 17):
+        traj = run(v0, dataclasses.replace(CFG, snapshot_count=count), params)
+        assert len(traj.snapshots) == count
+        fft_passes.clear()
+        monitor_phi(traj, v0, exps)
+        assert sum(fft_passes) == LADDER_PASSES[dim]
+        assert set(fft_passes) == {1}

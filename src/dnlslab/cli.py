@@ -104,7 +104,7 @@ def _echo_config(out: Path, doc: dict) -> None:
 def _simulate(rc: RunConfig, doc: dict):
     """Run the configured simulation, dump it into ``rc.out``; the trajectory and monitor report.
 
-    Each snapshot is saved as the solver takes it.  A rescaled-frame run
+    Each snapshot is written as the solver appends it.  A rescaled-frame run
     with an exponent set is monitored: each snapshot goes to a
     ``SnapshotMonitor`` too, which computes its row there.  Any other run's
     report is None.  The dump (config echo, norms, snapshots) is staged and
@@ -114,9 +114,8 @@ def _simulate(rc: RunConfig, doc: dict):
     """
     monitored = rc.solver.frame == "v" and rc.exps is not None  # exps exist only for Im(lam) < 0
     with SnapshotStore.staged(rc.out) as store:
-        monitor = SnapshotMonitor(rc.initial, rc.exps, rc.params, store.save) if monitored else None
-        traj = run(rc.initial, rc.solver, rc.params,
-                   on_snapshot=monitor if monitored else store.save, snapshots=store)
+        monitor = SnapshotMonitor(rc.initial, rc.exps, rc.params) if monitored else None
+        traj = run(rc.initial, rc.solver, rc.params, on_snapshot=monitor, snapshots=store)
         _echo_config(store.directory.parent, doc)
         _write_norms(store.directory.parent, traj)
         store.publish(rc.out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -199,15 +198,13 @@ class SnapshotMonitor:
     The data constant K is computed once, from the initial data, when the
     monitor is built.  Call the monitor with each snapshot in schedule order,
     the initial state first (``run``'s ``on_snapshot`` does), then take
-    ``report()``.  With ``save``, snapshot i goes to ``save(snap, i)`` as it
-    is fed, and a failed save raises there.  Each row is computed before the
-    feed returns; a row's ``ExtractionError`` waits for ``report()``, and
-    later snapshots are still fed and saved.
+    ``report()``.  Each row is computed before the feed returns; a row's
+    ``ExtractionError`` waits for ``report()``, and later snapshots are
+    still fed.
     """
 
-    def __init__(self, v0: Field, exps: ExponentSet, params: PhysParams,
-                 save: Callable[[Field, int], object] | None = None):
-        self._params, self._save = params, save
+    def __init__(self, v0: Field, exps: ExponentSet, params: PhysParams):
+        self._params = params
         self._weight = v0.grid.bracket_pow(exps.n)
         self._K = data_bound(v0, exps.n, DEFAULT_MAX_ORDER)
         # the tail of the pointwise decay bound
@@ -220,8 +217,6 @@ class SnapshotMonitor:
     def __call__(self, snap: Field) -> None:
         if self._mod0a is None:
             self._mod0a = np.abs(snap.values) ** self._params.alpha
-        if self._save is not None:
-            self._save(snap, len(self._times))
         self._times.append(snap.t)
         try:
             self._rows.append(self._row(snap))

@@ -120,53 +120,18 @@ def _axis_symbol(k: np.ndarray, b: int, ax: int, dim: int) -> np.ndarray:
     return (1j * k.reshape(shape)) ** b
 
 
-class LadderWorkspace:
-    """The arrays the derivative ladder of one grid writes into, call after call.
+def _axis_derivatives(values: np.ndarray, ax: int, top: int, grid: Grid):
+    """Yield D^b ``values`` along axis ``ax`` for b = 0, ..., top; b = 0 is ``values``.
 
-    A spectrum, a partial derivative per axis, and a real modulus (3.5 MiB at
-    256^2).
+    One forward 1-D transform, then one inverse per b > 0, each into a new
+    array.  No order or boundary checks, unlike :func:`spectral_derivative`.
     """
-
-    def __init__(self, grid: Grid):
-        self.spectrum = np.empty(grid.shape, dtype=complex)
-        self.partials = [np.empty(grid.shape, dtype=complex) for _ in range(grid.dim)]
-        self.modulus = np.empty(grid.shape)
-
-
-def derivative_moduli(f: Field, orders, workspace: LadderWorkspace | None = None):
-    """Yield ``(beta, |D^beta f|)`` for each multi-index in ``orders``.
-
-    D^beta is applied one axis at a time with 1-D transforms, so a partial
-    derivative shared by several multi-indices is transformed once: at maximum
-    order 4 that is 5 single-axis passes in 1-D and 19 in 2-D, all written into
-    ``workspace`` (built if none is given).  A yielded modulus is a view the
-    next yield overwrites: use it before advancing.  Pairs come grouped by their
-    leading components, zeros first: for :func:`derivative_orders`, the listed
-    order.  Unlike :func:`spectral_derivative` there are no order or boundary checks.
-    """
-    return _ladder(f.values, list(orders), 0, f.grid, workspace or LadderWorkspace(f.grid))
-
-
-def _ladder(part: np.ndarray, orders: list, ax: int, grid: Grid, ws: LadderWorkspace):
-    # ``part`` carries the derivatives along the axes before ``ax``; its spectrum is
-    # taken once the zero order is done with it, on axis 1 into axis 0's partial
-    k = grid.wavenumbers()[ax]
-    spec = None
-    for b in sorted(dict.fromkeys(beta[ax] for beta in orders), key=bool):
-        if b == 0:
-            d = part
-        else:
-            if spec is None:
-                spec = np.fft.fft(part, axis=ax, out=ws.partials[ax - 1] if ax else ws.spectrum)
-            d = np.multiply(spec, _axis_symbol(k, b, ax, grid.dim), out=ws.partials[ax])
-            np.fft.ifft(d, axis=ax, out=d)
-        rest = [beta for beta in orders if beta[ax] == b]
-        if ax + 1 == grid.dim:
-            mod = np.abs(d, out=ws.modulus)
-            for beta in rest:
-                yield beta, mod
-        else:
-            yield from _ladder(d, rest, ax + 1, grid, ws)
+    yield values
+    if top:
+        spec, k = np.fft.fft(values, axis=ax), grid.wavenumbers()[ax]
+        for b in range(1, top + 1):
+            d = spec * _axis_symbol(k, b, ax, grid.dim)
+            yield np.fft.ifft(d, axis=ax, out=d)
 
 
 def sup_norm(f: Field) -> float:
@@ -185,13 +150,6 @@ def weighted_inf(f: Field, p: float) -> tuple[float, tuple[float, ...]]:
     return float(vals[idx]), loc
 
 
-def derivative_orders(dim: int, max_order: int) -> list[tuple[int, ...]]:
-    """Every multi-index beta with |beta| <= max_order, in a fixed order."""
-    if dim == 1:
-        return [(j,) for j in range(max_order + 1)]
-    return [(i, j) for i in range(max_order + 1) for j in range(max_order + 1 - i)]
-
-
 def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
     """Weighted-norm-plus-margin constant of the initial data.
 
@@ -204,10 +162,13 @@ def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
         raise ValueError("weight power must be nonnegative")
     if max_order > 0:
         check_boundary_decay(v0)
-    weight = v0.grid.bracket_pow(n)
-    worst = 0.0
-    for _, mod in derivative_moduli(v0, derivative_orders(v0.grid.dim, max_order)):
-        worst = max(worst, float(np.max(weight * mod)))  # before the next modulus
+    # D^beta one axis at a time, x then y on each x-partial: 5 single-axis
+    # passes in 1-D and 19 in 2-D at order 4
+    grid, weight, worst = v0.grid, v0.grid.bracket_pow(n), 0.0
+    for bx, dx in enumerate(_axis_derivatives(v0.values, 0, max_order, grid)):
+        for d in [dx] if grid.dim == 1 else _axis_derivatives(dx, 1, max_order - bx, grid):
+            mod = np.abs(d)
+            worst = max(worst, float(np.max(np.multiply(mod, weight, out=mod))))
     low, _ = weighted_inf(v0, n)
     if low <= 0:
         raise ValueError("initial data vanishes on the grid")
@@ -282,11 +243,11 @@ def load_field(path_base, index: int = 0) -> Field:
 class SnapshotStore(Sequence):
     """A run's snapshots on disk: the series ``series.{bin,json}`` in ``directory``.
 
-    ``run`` appends to it as to a list.  It keeps in memory only the times,
-    the first field and the latest; each snapshot reaches disk when ``save``
-    is called for it.  Any other index is read back from ``series.bin`` on
-    the first field's grid and frame, one array per read.
-    ``publish`` writes the sidecar.
+    ``run`` appends to it as to a list, and each append writes the field to
+    ``series.bin``.  It keeps in memory only the times, the first field and
+    the latest; any other index is read back from ``series.bin`` on the
+    first field's grid and frame, one array per read.  ``publish`` writes
+    the sidecar.
     """
 
     def __init__(self, directory, file):
@@ -331,19 +292,17 @@ class SnapshotStore(Sequence):
         self.directory = out / "snapshots"
 
     def append(self, f: Field) -> None:
+        """Write ``f`` after the last field, one positional write of its own
+        buffer (no copy), then keep it as the latest."""
+        values = np.ascontiguousarray(f.values, dtype="<c16")
+        data, offset = memoryview(values).cast("B"), len(self.times) * values.nbytes
+        while data:  # a write cut short leaves the rest; the next one raises what stopped it
+            written = os.pwrite(self._file.fileno(), data, offset)
+            data, offset = data[written:], offset + written
         if not self.times:
             self._first = f
         self._last = f
         self.times.append(f.t)
-
-    def save(self, f: Field, i: int = -1) -> None:
-        """Write ``f`` as snapshot i, by default the latest appended: one positional
-        write of its own buffer, so no copy."""
-        values = np.ascontiguousarray(f.values, dtype="<c16")
-        data, offset = memoryview(values).cast("B"), (i % len(self.times)) * values.nbytes
-        while data:  # a write cut short leaves the rest; the next one raises what stopped it
-            written = os.pwrite(self._file.fileno(), data, offset)
-            data, offset = data[written:], offset + written
 
     def __len__(self) -> int:
         return len(self.times)

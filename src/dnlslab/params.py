@@ -3,9 +3,9 @@
 Two layers: ``PhysParams`` holds the physical tuple (N, alpha, lambda, b),
 its admissibility conditions and the closed-form constants every module
 reads off it; ``ExponentSet`` holds the derived integers (k, n, m, J) and
-the compensation rate sigma with its per-order ladder.  Strict synthesis
-picks the minimal integers allowed by the theory; relaxed synthesis accepts
-a desk-scale n and reports which strict conditions it breaks.
+the compensation rate sigma.  Strict synthesis picks the minimal integers
+allowed by the theory; relaxed synthesis accepts a desk-scale n and reports
+which strict conditions it breaks.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def sigma_window(params: PhysParams, k: int, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ExponentSet:
-    """Derived integers (k, n, m, J) and the rate sigma with its ladder.
+    """Derived integers (k, n, m, J) and the compensation rate sigma.
 
     ``strict`` records whether the full set of integer conditions holds or a
     relaxed desk-scale n was requested; ``violations`` lists any broken
@@ -138,20 +138,6 @@ class ExponentSet:
     sigma: float
     strict: bool
     violations: tuple[str, ...] = field(default=())
-
-    def sigma_j(self, j: int) -> float:
-        """Per-derivative-order compensation exponent."""
-        if not 0 <= j <= self.J:
-            raise ValueError(f"order {j} outside [0, {self.J}]")
-        if j <= 2 * self.m:
-            return j * self.sigma
-        if j == 2 * self.m + 1:
-            return (j + 1) * self.sigma
-        if j <= self.J - 2:
-            return (j + 2) * self.sigma
-        if j == self.J - 1:
-            return (j + 3) * self.sigma
-        return (j + 4) * self.sigma
 
 
 def derived_inequalities(params: PhysParams, exps: ExponentSet) -> dict[str, bool]:

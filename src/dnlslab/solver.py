@@ -182,9 +182,7 @@ def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysPa
     half = _free_multiplier(f.grid, 0.5 * dt)
     spec = np.fft.fftn(f.values) if f.spectrum is None else f.spectrum
     # every transform writes into an array this step made (``out``): an N-D
-    # transform otherwise allocates one array per axis.  Without ``out`` here
-    # and in the derivative ladder, a 256^2 verify run's peak RSS was 3.8 MiB
-    # higher (2-CPU Xeon, numpy 2.4)
+    # transform otherwise allocates one array per axis
     w = half * spec
     g = f.with_values(np.fft.ifftn(w, out=w))
     if params.lam != 0 and cfg.frame == "u":  # in place: w is this step's own array

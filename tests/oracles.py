@@ -1,5 +1,6 @@
 """Reference formulas that only tests read, kept out of the package.
 
+``derivative_orders`` lists the multi-indices of the data constant, and
 ``weighted_sup_norm`` is the per-derivative weighted sup the monitor reference
 route compares against; ``phase_drift`` is the drift ``predicted_field_v``
 applies, from the same psi^alpha, bit for bit; ``correction_integral`` is the
@@ -12,6 +13,13 @@ from dnlslab.asymptotics import ProfileData, _drift, _psi_pow_alpha, correction_
 from dnlslab.field import Field
 from dnlslab.params import PhysParams
 from dnlslab.solver import SolverConfig, steps
+
+
+def derivative_orders(dim: int, max_order: int) -> list[tuple[int, ...]]:
+    """Every multi-index beta with |beta| <= max_order, in a fixed order."""
+    if dim == 1:
+        return [(j,) for j in range(max_order + 1)]
+    return [(i, j) for i in range(max_order + 1) for j in range(max_order + 1 - i)]
 
 
 def weighted_sup_norm(f: Field, p: float) -> float:

@@ -838,8 +838,8 @@ def test_rerun_into_an_existing_out(tmp_path, monkeypatch, capsys):
 
 
 def test_failed_snapshot_write_at_the_feed_exits_4(tmp_path, monkeypatch, capsys):
-    # each snapshot is written as it is fed, on the solve's thread, so the
-    # failed write stops the run at once
+    # each snapshot is written as the run appends it, on the solve's thread,
+    # so the failed write stops the run at once
     pwrite, writers = os.pwrite, []
     snapshot_bytes = 16 * CONFIG_2D["grid"]["M"] ** 2
 

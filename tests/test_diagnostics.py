@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -29,15 +30,15 @@ from dnlslab.diagnostics import (
 from dnlslab.field import (
     Field,
     Grid,
+    SnapshotStore,
     build_initial_data,
     data_bound,
-    derivative_orders,
     spectral_derivative,
     weighted_inf,
 )
 from dnlslab.params import PhysParams, synthesize_exponents
 from dnlslab.solver import SolverConfig, run
-from oracles import weighted_sup_norm
+from oracles import derivative_orders, weighted_sup_norm
 
 
 @pytest.fixture(scope="module")
@@ -351,30 +352,30 @@ def test_second_report_computes_no_row(monkeypatch):
     assert second.as_dict() == first.as_dict()
 
 
-def test_serial_monitor_saves_each_snapshot_as_it_is_fed(monkeypatch):
-    # a feed saves the snapshot and computes the row before it returns; a
-    # row's error waits for report(), and later snapshots are still fed and
-    # saved
+def test_serial_monitor_saves_each_snapshot_as_it_is_fed(monkeypatch, tmp_path):
+    # the run appends a snapshot to the store, which writes it, and then feeds
+    # the monitor, which computes the row before the feed returns; a row's
+    # error waits for report(), and later snapshots are still written and fed
     g = Grid.line(30.0, 256, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(1, 1.0, -1j, 20.0)
     exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
-    row = SnapshotMonitor._row
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=5)
+    row, written = SnapshotMonitor._row, []
 
     def failing_row(self, snap):
-        if snap.t in (0.001, 0.002):
-            raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:g}")
+        written.append((store.directory / "series.bin").stat().st_size)
+        if len(written) in (2, 3):
+            raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t!r}")
         return row(self, snap)
 
     monkeypatch.setattr(SnapshotMonitor, "_row", failing_row)
-    saved = []
-    monitor = SnapshotMonitor(v0, exps, p, save=lambda snap, i: saved.append((i, snap.t)))
-    for k in range(4):
-        monitor(v0.with_values(v0.values, t=0.001 * k))
-        assert saved == [(j, 0.001 * j) for j in range(k + 1)]
-    with pytest.raises(ExtractionError, match="t = 0.001$"):  # the first failed row's
-        monitor.report()
-    assert saved == [(k, 0.001 * k) for k in range(4)]
+    with SnapshotStore.staged(tmp_path / "out") as store:
+        monitor = SnapshotMonitor(v0, exps, p)
+        run(v0, cfg, p, on_snapshot=monitor, snapshots=store)
+        assert written == [(i + 1) * v0.values.nbytes for i in range(5)]
+    with pytest.raises(ExtractionError, match=re.escape(f"t = {store.times[1]!r}") + "$"):
+        monitor.report()  # the first failed row's
 
 
 def test_monitor_phi_leaves_no_reference_cycle(clean_setup, monkeypatch):

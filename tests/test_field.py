@@ -10,13 +10,10 @@ from dnlslab.field import (
     DerivativeOrderError,
     Field,
     Grid,
-    LadderWorkspace,
     SnapshotStore,
     build_initial_data,
     check_boundary_decay,
     data_bound,
-    derivative_moduli,
-    derivative_orders,
     l2_norm,
     load_field,
     save_field,
@@ -24,7 +21,7 @@ from dnlslab.field import (
     sup_norm,
     weighted_inf,
 )
-from oracles import weighted_sup_norm
+from oracles import derivative_orders, weighted_sup_norm
 
 
 def gaussian_field(L=12.0, M=256, a=1.0):
@@ -262,11 +259,9 @@ def test_snapshot_store_keeps_the_ends_and_reads_the_rest_back(tmp_path):
     out = tmp_path / "out"
     with SnapshotStore.staged(out) as store:
         for i, f in enumerate(fields):
-            store.append(f)
-            if i % 2:
-                store.save(f, i)  # an explicit index
-            else:
-                store.save(f)  # the latest
+            store.append(f)  # written as it is appended
+            series = (store.directory / "series.bin").read_bytes()
+            assert series == b"".join(h.values.tobytes() for h in fields[:i + 1])
         assert not (store.directory / "series.json").exists()  # written once, by publish
         store.publish(out)
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["series.bin", "series.json"]
@@ -295,7 +290,7 @@ def test_snapshot_payload_mismatch(tmp_path):
 
 
 def _fresh_moduli(f, orders):
-    # the ladder's arithmetic per multi-index, with new arrays at every step
+    # data_bound's arithmetic per multi-index, with new arrays at every step
     out = {}
     for beta in orders:
         d = f.values
@@ -309,48 +304,22 @@ def _fresh_moduli(f, orders):
 
 
 @pytest.mark.parametrize("dim,M", [(1, 128), (2, 32)])
-def test_reused_workspace_gives_fresh_moduli_bitwise(dim, M):
+def test_data_bound_only_reads_a_read_only_v0(dim, M):
+    # v0's values are never written: K is the running max over every multi-index
+    # of the oracle's moduli, bit for bit
     grid = Grid.box(30.0, M, dim, boundary_tol=1e-2)
-    first = build_initial_data(grid, 1.0, 5)
-    phase = np.exp(0.2j * sum(grid.meshes()))
-    second = Field(grid, 0.7 * first.values * phase, "v", 0.01)
-    orders = derivative_orders(dim, 4)
-    ws = LadderWorkspace(grid)
-    for snap in (first, second):  # the second through the first's buffers
-        reused = {}
-        for beta, mod in derivative_moduli(snap, orders, ws):
-            assert np.shares_memory(mod, ws.modulus)  # a view the next yield overwrites
-            reused[beta] = mod.copy()
-        fresh = {beta: mod.copy() for beta, mod in derivative_moduli(snap, orders)}
-        expect = _fresh_moduli(snap, orders)
-        assert list(reused) == list(fresh) == orders
-        for beta in orders:
-            assert reused[beta].tobytes() == fresh[beta].tobytes() == expect[beta].tobytes()
+    base = build_initial_data(grid, 1.0, 5)
+    v0 = base.with_values(0.7 * base.values * np.exp(0.2j * sum(grid.meshes())))
+    v0.values.flags.writeable = False
+    weight = grid.bracket_pow(5)
+    worst = max(float(np.max(weight * mod))
+                for mod in _fresh_moduli(v0, derivative_orders(dim, 4)).values())
+    assert data_bound(v0, 5) == worst + 1.0 / weighted_inf(v0, 5)[0]
 
 
-@pytest.mark.parametrize("dim,M", [(1, 128), (2, 32)])
-@pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
-def test_ladder_only_reads_a_read_only_snapshot(dim, M, reverse):
-    # a snapshot's values are never written: the ladder reads them and puts
-    # every spectrum and partial into its workspace, in any order of orders
-    grid = Grid.box(30.0, M, dim, boundary_tol=1e-2)
-    v0 = build_initial_data(grid, 1.0, 5)
-    snap = Field(grid, 0.7 * v0.values * np.exp(0.2j * sum(grid.meshes())), "v", 0.01)
-    snap.values.flags.writeable = False
-    orders = derivative_orders(dim, 4)[::-1 if reverse else 1]
-    expect = _fresh_moduli(snap, orders)
-    got = {beta: mod.tobytes() for beta, mod in derivative_moduli(snap, orders)}
-    assert sorted(got) == sorted(orders)
-    assert all(got[beta] == expect[beta].tobytes() for beta in orders)
-
-
-@pytest.mark.parametrize("dim,complex_arrays", [(1, 2), (2, 3)])
-def test_ladder_workspace_holds_a_spectrum_the_partials_and_a_modulus(dim, complex_arrays):
-    # the second axis's spectrum goes into the first axis's partial
-    grid = Grid.box(30.0, 64, dim)
-    ws = LadderWorkspace(grid)
-    owned = [a for v in vars(ws).values() for a in (v if isinstance(v, list) else [v])
-             if isinstance(a, np.ndarray) and a.base is None]
-    points = 64**dim
-    assert sorted(a.dtype.kind for a in owned) == ["c"] * complex_arrays + ["f"]
-    assert sum(a.nbytes for a in owned) == (16 * complex_arrays + 8) * points
+@pytest.mark.parametrize("L,M,dim,tol,K", [(30.0, 2048, 1, 1e-4, 75838.11137445591),
+                                          (30.0, 256, 2, 1e-3, 328753.2369386362)],
+                         ids=["ref1d", "ref2d"])
+def test_data_bound_of_the_reference_data(L, M, dim, tol, K):
+    # the benchmark references' data constant, exactly
+    assert data_bound(build_initial_data(Grid.box(L, M, dim, boundary_tol=tol), 1.0, 5), 5) == K

@@ -72,17 +72,6 @@ def test_strict_integers_are_minimal():
     assert exps.m > m_bound and not exps.m - 1 > m_bound
 
 
-def test_sigma_ladder_read_off():
-    exps = synthesize_exponents(PhysParams(1, 1.0, -1j, 4.0))
-    s, m, J = exps.sigma, exps.m, exps.J
-    assert exps.sigma_j(0) == 0.0
-    assert exps.sigma_j(2 * m) == pytest.approx(2 * m * s)
-    assert exps.sigma_j(2 * m + 1) == pytest.approx((2 * m + 2) * s)
-    assert exps.sigma_j(J - 2) == pytest.approx(J * s)
-    assert exps.sigma_j(J - 1) == pytest.approx((J + 2) * s)
-    assert exps.sigma_j(J) == pytest.approx((J + 4) * s)
-
-
 def test_relaxed_synthesis_reports_violations():
     p = PhysParams(1, 1.0, -1j, 4.0)
     exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
@@ -130,15 +119,6 @@ valid_params = st.builds(
         p.b,
     )
 )
-
-
-@given(valid_params)
-@settings(max_examples=60, deadline=None)
-def test_sigma_ladder_strictly_increasing(p):
-    exps = synthesize_exponents(p)
-    probe = [0, 1, 2 * exps.m, 2 * exps.m + 1, 2 * exps.m + 2, exps.J - 2, exps.J - 1, exps.J]
-    vals = [exps.sigma_j(j) for j in sorted(set(probe))]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 @given(valid_params)

@@ -11,6 +11,7 @@ from dnlslab.field import (
     Field,
     Grid,
     SnapshotStore,
+    _axis_derivatives,
     build_initial_data,
     check_boundary_decay,
     data_bound,
@@ -289,18 +290,45 @@ def test_snapshot_payload_mismatch(tmp_path):
         load_field(tmp_path / "snap")
 
 
-def _fresh_moduli(f, orders):
-    # data_bound's arithmetic per multi-index, with new arrays at every step
-    out = {}
+def _fresh_moduli(f, orders, axes=None):
+    # data_bound's arithmetic per multi-index, with new arrays at every step,
+    # one axis at a time in the order `axes` (x first unless given)
+    out, ks = {}, f.grid.wavenumbers()
     for beta in orders:
         d = f.values
-        for ax, (b, k) in enumerate(zip(beta, f.grid.wavenumbers())):
-            if b:
+        for ax in range(f.grid.dim) if axes is None else axes:
+            if beta[ax]:
                 shape = [1] * f.grid.dim
-                shape[ax] = k.size
-                d = np.fft.ifft(np.fft.fft(d, axis=ax) * (1j * k.reshape(shape)) ** b, axis=ax)
+                shape[ax] = ks[ax].size
+                d = np.fft.ifft(np.fft.fft(d, axis=ax) * (1j * ks[ax].reshape(shape)) ** beta[ax],
+                                axis=ax)
         out[beta] = np.abs(d)
     return out
+
+
+@pytest.mark.parametrize("dim,M", [(1, 128), (2, 32)])
+@pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
+def test_ladder_only_reads_a_read_only_snapshot(dim, M, reverse):
+    # a snapshot's values are never written: the single-axis ladder reads them
+    # and gives every modulus of the oracle bit for bit, whichever axis it
+    # walks first
+    grid = Grid.box(30.0, M, dim, boundary_tol=1e-2)
+    v0 = build_initial_data(grid, 1.0, 5)
+    snap = Field(grid, 0.7 * v0.values * np.exp(0.2j * sum(grid.meshes())), "v", 0.01)
+    snap.values.flags.writeable = False
+    axes = list(range(dim))[::-1 if reverse else 1]
+    got = {}
+    for b0, d0 in enumerate(_axis_derivatives(snap.values, axes[0], 4, grid)):
+        inner = [d0] if dim == 1 else _axis_derivatives(d0, axes[1], 4 - b0, grid)
+        for b1, d in enumerate(inner):
+            beta = [0] * dim
+            beta[axes[0]] = b0
+            beta[axes[-1]] += b1
+            got[tuple(beta)] = np.abs(d).tobytes()
+    orders = derivative_orders(dim, 4)
+    expect = _fresh_moduli(snap, orders, axes)
+    assert sorted(got) == sorted(orders)
+    assert all(got[beta] == expect[beta].tobytes() for beta in orders)
 
 
 @pytest.mark.parametrize("dim,M", [(1, 128), (2, 32)])

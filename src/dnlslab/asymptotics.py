@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import _chirp, physical_time, rescaled_time, to_u_frame
+from .conformal import _chirp_slot, physical_time, rescaled_time, to_u_frame
 from .field import Field, l2_norm, load_field, save_field
 from .params import PhysParams
 from .solver import Trajectory
@@ -90,7 +90,8 @@ def balance_correction(t: float, moda: np.ndarray, mod0a: np.ndarray,
                        params: PhysParams) -> np.ndarray:
     """The correction at time t from |v|^alpha (``moda``) and |v0|^alpha (``mod0a``)."""
     bracket = (1.0 - params.b * t) ** -params.gauge_exponent - 1.0
-    f = mod0a / moda - 1.0
+    f = mod0a / moda
+    f -= 1.0
     drift = params.balance_coefficient * mod0a
     return np.subtract(f, np.multiply(drift, bracket, out=drift), out=f)
 
@@ -142,7 +143,12 @@ def _psi_pow_alpha(t: float, correction: np.ndarray, mod0a: np.ndarray, p: PhysP
         raise ValueError("t must lie in [0, 1/b)")
     q, c = p.gauge_exponent, p.balance_coefficient
     bracket = (1.0 - p.b * t) ** -q - 1.0
-    return (1.0 + correction) / (1.0 + correction + c * mod0a * bracket)
+    # (1 + f) / (1 + f + c |v0|^alpha bracket) in two arrays
+    num = 1.0 + correction
+    den = c * mod0a
+    den *= bracket
+    den += num
+    return np.divide(num, den, out=num)
 
 
 def finalize_profile(traj: Trajectory) -> ProfileData:
@@ -161,6 +167,7 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
     p = _check_v_traj(traj)
     v0 = traj.snapshots[0]
     v_last = traj.snapshots[-1]
+    t_last = v_last.t
     mod0a = np.abs(v0.values) ** p.alpha
     f0 = np.real(correction_field(v_last, mod0a, p).values)
     if np.min(1.0 + f0) <= 0.0:
@@ -171,19 +178,26 @@ def finalize_profile(traj: Trajectory) -> ProfileData:
     f0_sup = float(np.max(np.abs(f0)))
     if f0_sup > CORRECTION_BOUND:
         log.warning("terminal correction sup %.3f exceeds 1/4; b may be too small", f0_sup)
-    amp_mod = (mod0a / (1.0 + f0)) ** (1.0 / p.alpha)
-    psi_a = _psi_pow_alpha(v_last.t, f0, mod0a, p)
+    psi_a = _psi_pow_alpha(t_last, f0, mod0a, p)
     # out= fixes the operand order: with a temporary second operand numpy
     # reuses it from 256 KiB up and computes rot * values, off in the last bits
     rot = np.exp(1j * _drift(psi_a, p))
+    del psi_a
     phase = np.angle(np.multiply(v_last.values, rot, out=rot))
+    del rot, v_last
+    # amp_mod * exp(i phase), built in one array
+    amplitude = 1j * phase
+    del phase
+    amp_mod = mod0a / (1.0 + f0)
+    amp_mod **= 1.0 / p.alpha
+    amplitude = np.multiply(amp_mod, np.exp(amplitude, out=amplitude), out=amplitude)
     meta = {
-        "final_time": v_last.t,
-        "final_gauge": 1.0 - p.b * v_last.t,
+        "final_time": t_last,
+        "final_gauge": 1.0 - p.b * t_last,
         "correction_sup": f0_sup,
         "series_len": len(traj.snapshots),
     }
-    return ProfileData(f0, amp_mod * np.exp(1j * phase), v0, p, meta)
+    return ProfileData(f0, amplitude, v0, p, meta)
 
 
 def _drift(psi_a: np.ndarray, p: PhysParams) -> np.ndarray:
@@ -191,10 +205,11 @@ def _drift(psi_a: np.ndarray, p: PhysParams) -> np.ndarray:
 
 
 def _envelope(psi_a: np.ndarray, profile: ProfileData) -> np.ndarray:
-    psi = psi_a ** (1.0 / profile.params.alpha)
+    # psi^alpha to psi, in psi_a's own array
+    psi_a **= 1.0 / profile.params.alpha
     if profile.correction_sup < 1.0:
-        assert np.all(psi > 0.0) and np.all(psi <= 1.0 + 1e-12)
-    return psi
+        assert np.all(psi_a > 0.0) and np.all(psi_a <= 1.0 + 1e-12)
+    return psi_a
 
 
 def modulus_envelope(t: float, profile: ProfileData) -> np.ndarray:
@@ -207,10 +222,13 @@ def predicted_field_v(s: float, profile: ProfileData) -> Field:
     """Rescaled-frame prediction amplitude * envelope * exp(-i drift) at time s."""
     p = profile.params
     psi_a = _psi_pow_alpha(s, profile.correction, profile.reference_power, p)
+    # the drift reads psi^alpha before the envelope takes over its array; it
+    # is identically zero for a purely imaginary lambda
+    rot = -1j * _drift(psi_a, p) if p.lam.real != 0.0 else None
     vals = profile.amplitude * _envelope(psi_a, profile)
-    if p.lam.real != 0.0:  # the drift is identically zero otherwise
-        rot = np.exp(-1j * _drift(psi_a, p))  # out=, as in finalize_profile
-        vals = np.multiply(vals, rot, out=rot)
+    del psi_a
+    if rot is not None:  # out=, as in finalize_profile
+        vals = np.multiply(vals, np.exp(rot, out=rot), out=rot)
     return Field(profile.reference.grid, vals, "v", s)
 
 
@@ -237,7 +255,7 @@ def error_metric(u: Field, profile: ProfileData) -> tuple[float, float]:
         z.grid.extents, u.grid.extents, rtol=1e-9, atol=0.0
     ):
         raise ExtractionError(f"t = {u.t:.6g}: field is off the co-moving stretch of the grid")
-    diff = u.values - z.values
+    diff = np.subtract(u.values, z.values, out=z.values)
     e2 = u.t ** (1.0 / p.alpha - p.N / 2.0) * l2_norm(Field(u.grid, diff, "u", u.t))
     einf = u.t ** (1.0 / p.alpha) * float(np.max(np.abs(diff)))
     return e2, einf
@@ -252,7 +270,7 @@ def error_series(traj: Trajectory, profile: ProfileData) -> tuple[np.ndarray, ..
     b = traj.params.b
     rows = [(t, *error_metric(to_u_frame(traj.snapshots[i], b), profile))
             for i, s in enumerate(traj.snapshot_times) if (t := physical_time(s, b)) >= 1.0]
-    _chirp.cache_clear()  # no later stage reads the lens' last chirp (1 MiB at 256^2)
+    _chirp_slot.clear()  # no later stage reads the lens' last chirp (1 MiB at 256^2)
     return tuple(np.array(rows, dtype=float).reshape(-1, 3).T)
 
 

@@ -10,7 +10,6 @@ factor.  All functions here are pure.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +36,23 @@ def rescaled_time(t, b: float):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=1)
+# The lens' one cached chirp, by (grid_u, b, scale).  The error series moves a
+# snapshot and then its prediction through the lens, and empties it as it ends.
+# On a ref2d verify 44 of 66 calls miss: predicted_field re-derives s from t,
+# and an ulp off in s gives the prediction its own scale
+_chirp_slot: dict = {}
+
+
 def _chirp(grid_u: Grid, b: float, scale: float) -> np.ndarray:
-    # one entry: the error series moves a snapshot and then its prediction
-    # through the lens, and empties the cache as it ends.  On a ref2d verify 44
-    # of 66 calls miss: predicted_field re-derives s from t, and an ulp off in s
-    # gives the prediction its own scale
-    chirp = np.exp(1j * b * grid_u.radius_sq() / (4.0 * scale))
-    chirp.flags.writeable = False
-    return chirp
+    key = (grid_u, b, scale)
+    if key not in _chirp_slot:
+        _chirp_slot.clear()  # the old chirp goes before a miss builds the new one
+        chirp = np.multiply(1j * b, grid_u.radius_sq(), dtype=complex)  # in one array
+        chirp /= 4.0 * scale
+        np.exp(chirp, out=chirp)
+        chirp.flags.writeable = False
+        _chirp_slot[key] = chirp
+    return _chirp_slot[key]
 
 
 def to_u_frame(v: Field, b: float) -> Field:
@@ -58,8 +65,8 @@ def to_u_frame(v: Field, b: float) -> Field:
     t = physical_time(s, b)
     scale = 1.0 + b * t
     grid_u = v.grid.scaled(scale)
-    vals = scale ** (-grid_u.dim / 2.0) * _chirp(grid_u, b, scale) * v.values
-    return Field(grid_u, vals, "u", t)
+    vals = scale ** (-grid_u.dim / 2.0) * _chirp(grid_u, b, scale)
+    return Field(grid_u, np.multiply(vals, v.values, out=vals), "u", t)
 
 
 @dataclass(frozen=True)

@@ -224,17 +224,19 @@ class SnapshotMonitor:
             self._error = self._error or e
 
     def _row(self, snap: Field) -> tuple[float, float, bool]:
-        # |v| comes first: it raises where it vanishes, so |v| > 0 below
+        # |v| comes first: it raises where it vanishes, so |v| > 0 below.
+        # |v|^alpha is taken before the floor is computed in |v|'s own array
         p = self._params
         mod = nonvanishing_modulus(snap)
-        f_sup, decays = self._balance(snap.t, mod)
+        moda = mod**p.alpha
         low = float(np.min(np.multiply(self._weight, mod, out=mod)))
+        del mod
+        f_sup, decays = self._balance(snap.t, moda)
         return (1.0 - p.b * snap.t) ** (p.gauge_exponent / p.alpha) / low, f_sup, decays
 
-    def _balance(self, t: float, mod: np.ndarray) -> tuple[float, bool]:
+    def _balance(self, t: float, moda: np.ndarray) -> tuple[float, bool]:
         # the correction sup and the pointwise decay check, both from |v|^alpha
         p = self._params
-        moda = mod**p.alpha
         f = balance_correction(t, moda, self._mod0a, p)
         f_sup = float(np.max(np.abs(f, out=f)))
         cap = np.minimum(self._tail, p.b * horizon_gauge(t, p), out=f)

@@ -38,7 +38,8 @@ class Field:
 
     ``spectrum``, when set, is the array that ``values`` is the inverse
     transform of; the stepper carries it from one step to the next instead
-    of transforming ``values`` again.  ``with_values`` drops it.
+    of transforming ``values`` again, in place, so it holds only until the
+    state is stepped.  ``with_values`` drops it.
     """
 
     grid: Grid
@@ -244,16 +245,16 @@ class SnapshotStore(Sequence):
     """A run's snapshots on disk: the series ``series.{bin,json}`` in ``directory``.
 
     ``run`` appends to it as to a list, and each append writes the field to
-    ``series.bin``.  It keeps in memory only the times, the first field and
-    the latest; any other index is read back from ``series.bin`` on the
-    first field's grid and frame, one array per read.  ``publish`` writes
-    the sidecar.
+    ``series.bin``.  It keeps in memory only the times and the first field;
+    any other index, the last one too, is read back from ``series.bin`` on
+    the first field's grid and frame, one array per read.  ``publish``
+    writes the sidecar.
     """
 
     def __init__(self, directory, file):
         self.directory = Path(directory)
         self.times: list[float] = []
-        self._first = self._last = None
+        self._first = None
         self._file = file  # series.bin, open for writing
 
     @classmethod
@@ -293,7 +294,7 @@ class SnapshotStore(Sequence):
 
     def append(self, f: Field) -> None:
         """Write ``f`` after the last field, one positional write of its own
-        buffer (no copy), then keep it as the latest."""
+        buffer (no copy); the first field is kept too."""
         values = np.ascontiguousarray(f.values, dtype="<c16")
         data, offset = memoryview(values).cast("B"), len(self.times) * values.nbytes
         while data:  # a write cut short leaves the rest; the next one raises what stopped it
@@ -301,7 +302,6 @@ class SnapshotStore(Sequence):
             data, offset = data[written:], offset + written
         if not self.times:
             self._first = f
-        self._last = f
         self.times.append(f.t)
 
     def __len__(self) -> int:
@@ -309,8 +309,6 @@ class SnapshotStore(Sequence):
 
     def __getitem__(self, i: int) -> Field:
         i = range(len(self.times))[i]  # IndexError outside; a negative i counts from the end
-        if i == len(self.times) - 1:
-            return self._last
         if i == 0:
             return self._first
         first, size = self._first, self._first.values.size

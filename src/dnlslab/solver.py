@@ -24,11 +24,17 @@ S = H fftn(w), and v = ifftn(S) for the per-step records and the snapshots,
 with H the half-step multiplier.  That is 3 N-D transforms per step, plus
 one forward transform of the initial state; a state without its spectrum
 costs 4.
+
+The loop reuses its grid arrays.  The carried spectrum is one buffer that
+each step transforms in place, and a new state's values go into the
+previous state's array unless that state went out as a snapshot; the
+initial state's values are never written.  So a state that ``steps``
+yields is valid until the next item is drawn, and snapshots are never
+written to.  The loop holds one half-step multiplier at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from collections.abc import Callable, Iterator, MutableSequence, Sequence
 from dataclasses import dataclass, replace
@@ -95,11 +101,7 @@ class Trajectory:
     snapshot_steps: np.ndarray
 
 
-@functools.lru_cache(maxsize=2)
 def _free_multiplier(grid: Grid, tau: float) -> np.ndarray:
-    # two entries cover a run, which empties the cache as it ends: the dt0
-    # half-step and the one landing or adaptive half-step before dt0 returns;
-    # a cache per distinct dt would hold one grid-sized array per landing step
     levels, index = grid.wavenumber_levels()
     phase = np.exp(-1j * tau * levels)[index]
     phase.flags.writeable = False
@@ -116,18 +118,24 @@ def linear_substep(f: Field, tau: float) -> Field:
 
 def _nonlinear_update(w: np.ndarray, tau_eff: float, lam: complex, alpha: float, out=None):
     # exact flow of i w_t = lam |w|^alpha w over effective time tau_eff, into out (w
-    # itself, else new); w = 0 needs no special case and nothing is divided by |w|
+    # itself, else new); w = 0 needs no special case and nothing is divided by |w|.
+    # |w|^alpha and the damping factor share one real array; the in-place **=
+    # keeps numpy's fast paths for the exponents 1, -1, 0.5 and 2, as ** does
     damp = -lam.imag
     if damp < 0:
         raise ValueError("Im(lambda) must be <= 0")
-    mod_a = np.abs(w) ** alpha
+    mod_a = np.abs(w)
+    mod_a **= alpha
     if damp == 0.0:
         rot = -1j * lam.real * tau_eff * mod_a
         return np.multiply(np.exp(rot, out=rot), w, out=out)
     kappa = np.multiply(alpha * damp * tau_eff, mod_a, out=mod_a)
-    scale = (1.0 + kappa) ** (-1.0 / alpha)
     if lam.real == 0.0:
-        return np.multiply(w, scale, out=out)
+        kappa += 1.0
+        kappa **= -1.0 / alpha
+        return np.multiply(w, kappa, out=out)
+    scale = kappa + 1.0
+    scale **= -1.0 / alpha
     rot = 1j * np.multiply(-(lam.real / (alpha * damp)), np.log1p(kappa, out=kappa), out=kappa)
     out = np.multiply(w, scale, out=out)
     return np.multiply(out, np.exp(rot, out=rot), out=out)
@@ -172,25 +180,31 @@ def nonlinear_substep_v(f: Field, t: float, tau: float, params: PhysParams, out=
     return f.with_values(_nonlinear_update(f.values, tau_eff, params.lam, params.alpha, out))
 
 
-def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysParams) -> Field:
+def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysParams,
+                out: np.ndarray | None = None, half: np.ndarray | None = None) -> Field:
     """One splitting step [t, t + dt]: half linear, full nonlinear, half linear.
 
-    The half-steps are ``linear_substep``'s multiplier applied to spectra:
-    the step starts from ``f.spectrum`` when ``f`` carries one, and the
-    result carries its own, so composed steps spend 3 transforms each.
+    The half-steps are ``linear_substep``'s multiplier applied to spectra;
+    ``half`` is that multiplier for 0.5 dt, built here when not given.  The
+    step starts from ``f.spectrum`` when ``f`` carries one and transforms it
+    in place into the result's own, so composed steps spend 3 transforms
+    each and ``f``'s spectrum is spent; without one it transforms
+    ``f.values`` afresh.  The result's values go into ``out``, which may be
+    ``f.values``, else into a new array.
     """
-    half = _free_multiplier(f.grid, 0.5 * dt)
-    spec = np.fft.fftn(f.values) if f.spectrum is None else f.spectrum
-    # every transform writes into an array this step made (``out``): an N-D
-    # transform otherwise allocates one array per axis
-    w = half * spec
-    g = f.with_values(np.fft.ifftn(w, out=w))
+    if half is None:
+        half = _free_multiplier(f.grid, 0.5 * dt)
+    # every transform writes into the spectrum's own array (numpy's out=): an
+    # N-D transform otherwise allocates one array per axis
+    w = np.fft.fftn(f.values) if f.spectrum is None else f.spectrum
+    g = f.with_values(np.fft.ifftn(np.multiply(half, w, out=w), out=w))
     if params.lam != 0 and cfg.frame == "u":  # in place: w is this step's own array
         nonlinear_substep_u(g, dt, params.lam, params.alpha, w)
     elif params.lam != 0:
         nonlinear_substep_v(g, t, dt, params, w)
     spec = np.multiply(half, np.fft.fftn(w, out=w), out=w)
-    return Field(f.grid, np.fft.ifftn(spec, out=np.empty_like(spec)), f.frame, t + dt, spec)
+    values = np.fft.ifftn(spec, out=np.empty_like(spec) if out is None else out)
+    return Field(f.grid, values, f.frame, t + dt, spec)
 
 
 def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float) -> np.ndarray:
@@ -249,7 +263,10 @@ def steps(
     dt 0.0 and f0 as its snapshot; then one item per step, whose snapshot is
     the state stamped with the schedule time it lands on, else None.  A
     landing within float dust of a scheduled time takes no step and comes
-    with dt 0.0.  Every state carries its spectrum; no snapshot does.
+    with dt 0.0.  Every state carries its spectrum; no snapshot does.  A
+    state is valid until the next item is drawn: the next step transforms
+    its spectrum in place and, unless its values are f0's or went out as a
+    snapshot, writes the new values over them.
 
     Raises
     ------
@@ -272,6 +289,8 @@ def steps(
     log.info("run start: frame=%s t0=%g t_end=%g dt0=%g", cfg.frame, t, t_end, cfg.dt0)
     yield f, 0.0, f0
     i = 1  # the schedule starts at f0.t
+    kept = True  # f's values are f0's or a snapshot's, which no step writes
+    half = tau = None  # the one half-step multiplier the loop holds, for 0.5 dt = tau
     while t < t_end - _LANDING_EPS:
         if cfg.frame == "v":
             dt_cap = min(cfg.dt0, cfg.c_adapt * (1.0 - params.b * t))
@@ -283,13 +302,15 @@ def steps(
         if dt <= _LANDING_EPS:  # float dust from landing arithmetic
             t, dt = due[i], 0.0
         else:
-            f = strang_step(f, t, dt, cfg, params)
-            t = t + dt
-        snapshot = None
-        if abs(t - due[i]) <= _LANDING_EPS:
-            snapshot = f.with_values(f.values, t=due[i])
-            i += 1
-        yield f, dt, snapshot
+            if 0.5 * dt != tau:
+                half = None  # dropped before the next one is built
+                half, tau = _free_multiplier(f.grid, 0.5 * dt), 0.5 * dt
+            f = strang_step(f, t, dt, cfg, params, None if kept else f.values, half)
+            t, kept = t + dt, False
+        landed = abs(t - due[i]) <= _LANDING_EPS
+        if landed:
+            i, kept = i + 1, True
+        yield f, dt, (f.with_values(f.values, t=due[i - 1]) if landed else None)
 
 
 def run(
@@ -351,24 +372,20 @@ def run(
             dts.append(dt)
             records.append(rec)
         if snapshot is not None:
+            edge = boundary_magnitude(snapshot)  # the last one's is the end state's
             snapshot_times.append(snapshot.t)
             snapshot_steps.append(len(records) - 1)
             snapshots.append(snapshot)
             if on_snapshot is not None:
                 on_snapshot(snapshot)
-        # let the next step free this state once it has made its own, as a
-        # plain loop would; held here across that step, it raised a 256^2
-        # verify's peak RSS by 1 MiB (2-CPU Xeon, numpy 2.4)
-        del f
+        # the step after a landing writes a new array, as the snapshot keeps
+        # the state's; neither is held here across it
+        del f, snapshot
 
-    # nothing after the run reads the step's multipliers; kept, they sat beside
-    # a 256^2 verify's last monitor rows and post-processing, and its peak RSS
-    # read 54.3 against 52.5-52.9 MiB in-process (2-CPU Xeon, numpy 2.4)
-    _free_multiplier.cache_clear()
-    edge = boundary_magnitude(snapshots[-1])  # the end state's values
-    peak = records[-1][1]
-    if peak > 0 and edge > 1e-6 * peak:
-        log.warning("final state boundary ratio %.2e; box may be too small", edge / peak)
+    peak, tol = records[-1][1], f0.grid.boundary_tol
+    if peak > 0 and edge > tol * peak:
+        log.warning("final state boundary ratio %.2e exceeds boundary_tol %.1e; "
+                    "box may be too small", edge / peak, tol)
     log.info("run done: %d steps, %d snapshots", len(times) - 1, len(snapshots))
 
     l2, linf = (np.array(col) for col in zip(*records))

@@ -5,6 +5,8 @@
 route compares against; ``phase_drift`` is the drift ``predicted_field_v``
 applies, from the same psi^alpha, bit for bit; ``correction_integral`` is the
 second route to the correction, checked against the balance inversion.
+``fresh_strang_step`` is the splitting step with a new array for every
+transform and substep, the reference for the stepper's reuse of its arrays.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import numpy as np
 from dnlslab.asymptotics import ProfileData, _drift, _psi_pow_alpha, correction_field
 from dnlslab.field import Field
 from dnlslab.params import PhysParams
-from dnlslab.solver import SolverConfig, steps
+from dnlslab.solver import SolverConfig, coefficient_integral, steps
 
 
 def derivative_orders(dim: int, max_order: int) -> list[tuple[int, ...]]:
@@ -77,3 +79,42 @@ def correction_integral(v0: Field, cfg: SolverConfig,
             gap = fields[-1].values - correction_field(snap, mod0a, params).values
             residual = max(residual, float(np.max(np.abs(gap))))
     return fields, residual
+
+
+def update_by_formula(w, tau, lam, alpha):
+    """The exact nonlinear flow in its closed form, one new array per operation.
+
+    A complex product rounds by its operand order; for Im(lambda) = 0 the
+    phase factor comes first, the order numpy's temporary elision gives
+    w * exp(...) on arrays from 256 KiB.
+    """
+    damp = -lam.imag
+    mod_a = np.abs(w) ** alpha
+    if damp == 0.0:
+        return np.exp(-1j * lam.real * tau * mod_a) * w
+    kappa = alpha * damp * tau * mod_a
+    scale = (1.0 + kappa) ** (-1.0 / alpha)
+    if lam.real == 0.0:
+        return w * scale
+    return w * scale * np.exp(1j * (-(lam.real / (alpha * damp)) * np.log1p(kappa)))
+
+
+def fresh_strang_step(f: Field, t: float, dt: float, cfg: SolverConfig,
+                      params: PhysParams) -> Field:
+    """One splitting step that only reads ``f`` and makes a new array per operation.
+
+    The half-step multiplier is the direct exponential of -i dt/2 |k|^2; the
+    step starts from ``f.spectrum`` when ``f`` carries one, and the result
+    carries its own.
+    """
+    tau = 0.5 * dt
+    half = np.exp(-1j * tau * f.grid.wavenumber_sq())
+    spec = np.fft.fftn(f.values) if f.spectrum is None else f.spectrum
+    w = np.fft.ifftn(half * spec)
+    if params.lam != 0:
+        tau_eff = dt if cfg.frame == "u" else coefficient_integral(t, dt, params)
+        w = update_by_formula(w, tau_eff, params.lam, params.alpha)
+    # np.multiply keeps the multiplier first: numpy would reuse a temporary
+    # second operand from 256 KiB up and compute the product the other way round
+    spec = np.multiply(half, np.fft.fftn(w))
+    return Field(f.grid, np.fft.ifftn(spec), f.frame, t + dt, spec)

@@ -1,13 +1,16 @@
 """Splitting integrator: exact substeps, convergence order, run bookkeeping."""
 
+import logging
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
 from dnlslab import solver
-from dnlslab.field import Field, Grid, build_initial_data, l2_norm
+from dnlslab.field import Field, Grid, boundary_magnitude, build_initial_data, l2_norm
 from dnlslab.params import PhysParams
 from dnlslab.solver import (
     SolverConfig,
@@ -23,6 +26,7 @@ from dnlslab.solver import (
     steps,
     strang_step,
 )
+from oracles import fresh_strang_step, update_by_formula
 
 
 def free_gaussian(a, tau, x):
@@ -353,16 +357,30 @@ def test_free_multiplier_cache_is_never_stale():
         check(wide, tau)
 
 
-def test_run_keeps_no_free_multiplier():
-    # what runs after the solve (monitor rows, post-processing) does not sit
-    # beside the step's multipliers
+def test_run_keeps_no_free_multiplier(monkeypatch):
+    # the loop drops its half-step multiplier before it builds the next one,
+    # and none outlives the run, so the monitor rows and post-processing after
+    # it do not sit beside one
+    built, alive_at_build = [], []
+    make = solver._free_multiplier
+
+    def alive():
+        return len({id(half) for half in (ref() for ref in built) if half is not None})
+
+    def tracked(grid, tau):
+        alive_at_build.append(alive())
+        half = make(grid, tau)
+        built.append(weakref.ref(half))
+        return half
+
+    monkeypatch.setattr(solver, "_free_multiplier", tracked)
     g = Grid.line(30.0, 256, boundary_tol=1e-3)
     p = PhysParams(1, 1.0, -1j, 20.0)
     cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=5)
     seen = []
-    run(build_initial_data(g, 1.0, 5), cfg, p,
-        on_snapshot=lambda snap: seen.append(_free_multiplier.cache_info().currsize))
-    assert max(seen) > 0 and _free_multiplier.cache_info().currsize == 0
+    run(build_initial_data(g, 1.0, 5), cfg, p, on_snapshot=lambda snap: seen.append(alive()))
+    assert len(built) > 2 and max(alive_at_build) == 0
+    assert seen[0] == 0 and max(seen) == 1 and alive() == 0
 
 
 @pytest.mark.parametrize("grid", [Grid.line(30.0, 2048), Grid.line(20.0, 512),
@@ -425,28 +443,12 @@ def test_run_takes_every_step_through_strang_step(monkeypatch):
 
 
 def _warm_2d_state(lam):
-    # a 2-D state carrying its spectrum, and the half-step multiplier cached
+    # a 2-D state carrying its spectrum
     g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
     p = PhysParams(2, 0.8, lam, 20.0)
     cfg = SolverConfig(frame="v")
     f = strang_step(build_initial_data(g, 1.0, 5), 0.0, 1e-3, cfg, p)
     return strang_step(f, 1e-3, 1e-3, cfg, p), cfg, p
-
-
-def _update_by_formula(w, tau, lam, alpha):
-    # the exact nonlinear flow in its closed form, one new array per operation.
-    # A complex product rounds by its operand order; for Im(lambda) = 0 the
-    # phase factor comes first, the order numpy's temporary elision gives
-    # w * exp(...) on arrays from 256 KiB
-    damp = -lam.imag
-    mod_a = np.abs(w) ** alpha
-    if damp == 0.0:
-        return np.exp(-1j * lam.real * tau * mod_a) * w
-    kappa = alpha * damp * tau * mod_a
-    scale = (1.0 + kappa) ** (-1.0 / alpha)
-    if lam.real == 0.0:
-        return w * scale
-    return w * scale * np.exp(1j * (-(lam.real / (alpha * damp)) * np.log1p(kappa)))
 
 
 @pytest.mark.parametrize("frame", ["u", "v"])
@@ -463,7 +465,7 @@ def test_in_place_nonlinear_substep_is_the_out_of_place_update_bitwise(frame, la
     tau = dt if frame == "u" else coefficient_integral(t, dt, p)
     g = solver._nonlinear_update(w, tau, p.lam, p.alpha)
     assert not np.shares_memory(g, w)
-    assert g.tobytes() == _update_by_formula(w, tau, p.lam, p.alpha).tobytes()
+    assert g.tobytes() == update_by_formula(w, tau, p.lam, p.alpha).tobytes()
     spec = np.multiply(half, np.fft.fftn(g, out=g), out=g)
     out = strang_step(f, t, dt, cfg, p)
     assert out.spectrum.tobytes() == spec.tobytes()
@@ -490,9 +492,10 @@ def test_substeps_leave_a_read_only_input_as_it_is(lam):
 @pytest.mark.parametrize("lam,fresh,bound", [(-1j, 4.01, 2.6), (2 - 1j, 6.00, 3.6)],
                          ids=["damped", "phase"])
 def test_warmed_2d_step_holds_few_grid_arrays(lam, fresh, bound):
-    # the nonlinear substep writes into the step's own array, so one step
-    # allocates that array, the next state's values and the substep's real
-    # temporaries; a new array per operation peaked at ``fresh`` grid arrays
+    # the step transforms the carried spectrum in place and the nonlinear
+    # substep writes into it, so one step allocates its half-step multiplier,
+    # the next state's values and the substep's real temporaries; a new array
+    # per operation peaked at ``fresh`` grid arrays
     f, cfg, p = _warm_2d_state(lam)
     tracemalloc.start()
     try:
@@ -503,3 +506,79 @@ def test_warmed_2d_step_holds_few_grid_arrays(lam, fresh, bound):
     assert out.t == 3e-3
     print(f"step peak {peak / f.values.nbytes:.2f} grid arrays (fresh arrays: {fresh})")
     assert peak < bound * f.values.nbytes
+
+
+@pytest.mark.parametrize("side", [0.5, 2.0], ids=["inside", "outside"])
+def test_run_warns_on_the_end_state_boundary_against_the_grid_tolerance(caplog, side):
+    # the end state's boundary ratio is 4.6e-5 here; the warning fires only
+    # where it exceeds the grid's boundary_tol
+    p = PhysParams(1, 1.0, -1j, 20.0)
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=5)
+    loose = run(build_initial_data(Grid.line(30.0, 128, boundary_tol=1e-3), 1.0, 5), cfg, p)
+    ratio = boundary_magnitude(loose.snapshots[-1]) / loose.linf[-1]
+    assert 1e-5 < ratio < 1e-4
+    g = Grid.line(30.0, 128, boundary_tol=side * ratio)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dnlslab.solver"):
+        run(build_initial_data(g, 1.0, 5), cfg, p)
+    warned = [r.getMessage() for r in caplog.records if "boundary ratio" in r.getMessage()]
+    assert len(warned) == (side < 1.0)
+
+
+def _assert_stream_is_the_fresh_composition(f0, cfg, p):
+    # every state the stream yields, read before the next draw, and every
+    # snapshot, read after the run, equal the states of fresh_strang_step
+    # composed from f0 carrying its spectrum, bit for bit
+    ref = replace(f0, spectrum=np.fft.fftn(f0.values))
+    t, dts, taken, expected = None, [], [], []
+    for f, dt, snap in steps(f0, cfg, p):
+        if dt > 0.0:
+            ref = fresh_strang_step(ref, t, dt, cfg, p)
+        assert f.values.tobytes() == ref.values.tobytes()
+        assert f.spectrum.tobytes() == ref.spectrum.tobytes()
+        if snap is not None:
+            taken.append(snap)
+            expected.append(ref.values)
+        # a dust landing moves the clock to the snapshot time without a step
+        t = snap.t if dt == 0.0 else f.t
+        dts.append(dt)
+    assert [s.values.tobytes() for s in taken] == [v.tobytes() for v in expected]
+    traj = run(f0, cfg, p)
+    assert [s.t for s in traj.snapshots] == [s.t for s in taken]
+    assert [s.values.tobytes() for s in traj.snapshots] == [v.tobytes() for v in expected]
+    return np.array(dts)
+
+
+DIMS = [(1, 1.0, 256), (2, 0.8, 128), (2, 1.0, 64)]
+LAMS = [-1j, 2 - 1j, 1.0]
+
+
+def _start(N, M, frame):
+    g = Grid.box(30.0, M, N, boundary_tol=1e-3)
+    return Field(g, build_initial_data(g, 1.0, 5).values, frame, 0.0)
+
+
+@pytest.mark.parametrize("frame", ["u", "v"])
+@pytest.mark.parametrize("lam", LAMS, ids=["damped", "phase", "real"])
+@pytest.mark.parametrize("N,alpha,M", DIMS, ids=["1d", "2d", "2d-alpha1"])
+def test_stream_reusing_its_arrays_is_the_fresh_step_bitwise(N, alpha, M, lam, frame):
+    p = PhysParams(N, alpha, lam, 20.0)
+    if frame == "v":
+        cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=9)
+    else:
+        cfg = SolverConfig(frame="u", dt0=2e-3, t_end=0.05, snapshot_count=9)
+    dts = _assert_stream_is_the_fresh_composition(_start(N, M, frame), cfg, p)
+    # landing steps and, in the v-frame, adaptive ones change dt along the run
+    assert np.unique(dts[dts > 0]).size > 5
+
+
+@pytest.mark.parametrize("lam", LAMS, ids=["damped", "phase", "real"])
+@pytest.mark.parametrize("N,alpha,M", DIMS, ids=["1d", "2d", "2d-alpha1"])
+def test_stream_through_a_dust_landing_is_the_fresh_step_bitwise(N, alpha, M, lam):
+    # steps that land from below half the snapshot time round past it: the
+    # step to 87283.4 overshoots by more than the landing tolerance, so the
+    # next item lands on it as dust, with dt 0.0 and no step
+    p = PhysParams(N, alpha, lam, 20.0)
+    cfg = SolverConfig(frame="u", dt0=1e9, t_end=1500274.0, snapshot_count=6)
+    dts = _assert_stream_is_the_fresh_composition(_start(N, M, "u"), cfg, p)
+    assert dts.tolist().count(0.0) == 2 and dts.size == 7  # f0 and the dust landing

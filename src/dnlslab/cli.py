@@ -40,7 +40,7 @@ from .params import synthesize_exponents
 from .solver import MASS_SLACK, NumericalError, run
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 2, 3, 4
-VERDICT_SCHEMA = 3
+VERDICT_SCHEMA = 4
 # The verdict's gates: (check, quantity, bound), each holding while value <= bound.
 GATES = (
     ("sup_limit", "deviation_u", 0.05),
@@ -79,7 +79,6 @@ def decide(checks: dict, monitors: dict) -> tuple[str, list[dict]]:
         ("f_within_quarter", monitors["f_within_quarter"],
          {"value": monitors["f_max"], "bound": CORRECTION_BOUND}),
         ("decay_pointwise", monitors["decay_pointwise"], {}),
-        ("psi_bounded", monitors["psi_bounded"], {}),
     )
     broken_flags = [{"flag": flag, **detail} for flag, ok, detail in flags if not ok]
     if not reasons:
@@ -159,7 +158,6 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override) -> dict:
         "f_max": float(np.max(monitor.f_sup)),
         "f_within_quarter": monitor.f_within_quarter,
         "decay_pointwise": monitor.decay_pointwise,
-        "psi_bounded": monitor.psi_bounded,
         "psi_ratio": monitor.psi_ratio,
     }
     verdict, reasons = decide(checks, monitors)

@@ -30,7 +30,7 @@ from .params import ExponentSet, PhysParams
 from .solver import MASS_SLACK, Trajectory
 
 MIN_FIT_SAMPLES = 8
-REPORT_SCHEMA = 4
+REPORT_SCHEMA = 5
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,6 @@ class MonitorReport:
     f_sup: np.ndarray
     max_order: int
     data_constant: float
-    psi_bounded: bool
     psi_ratio: float
     f_within_quarter: bool
     decay_pointwise: bool
@@ -258,7 +257,6 @@ class SnapshotMonitor:
             f_sup=f_sup,
             max_order=DEFAULT_MAX_ORDER,
             data_constant=self._K,
-            psi_bounded=bool(np.isfinite(phi3[-1])),
             psi_ratio=float(phi3[-1] / phi3[0]),
             f_within_quarter=bool(np.max(f_sup) <= CORRECTION_BOUND),
             decay_pointwise=all(decays),

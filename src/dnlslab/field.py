@@ -12,7 +12,7 @@ import json
 import os
 import shutil
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +36,14 @@ class BoundaryDecayError(ValueError):
 class Field:
     """Complex samples on a grid, tagged with frame ('u' or 'v') and time.
 
-    ``spectrum``, when set, is the array that ``values`` is the inverse
-    transform of; the stepper carries it from one step to the next instead
-    of transforming ``values`` again, in place, so it holds only until the
-    state is stepped.  ``with_values`` drops it.
+    A plain value: the stepper works on arrays and builds one only for a
+    snapshot.
     """
 
     grid: Grid
     values: np.ndarray
     frame: str
     t: float
-    spectrum: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:

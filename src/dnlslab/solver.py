@@ -18,18 +18,18 @@ stops once 1 - b t reaches a configured floor.
 
 ``steps`` is the stream of states a run passes through, and the only code
 that steps and lands on the snapshot schedule; ``run`` folds it into a
-``Trajectory``.  The stream carries the state's spectrum from step to step
-(``Field.spectrum``): a step is w = ifftn(H S), the nonlinear substep on w,
-S = H fftn(w), and v = ifftn(S) for the per-step records and the snapshots,
-with H the half-step multiplier.  That is 3 N-D transforms per step, plus
-one forward transform of the initial state; a state without its spectrum
-costs 4.
+``Trajectory``.  The stream works on plain arrays: it carries the state's
+spectrum S from step to step, and a step is w = ifftn(H S), the nonlinear
+substep on w, S = H fftn(w), and v = ifftn(S) for the per-step records and
+the snapshots, with H the half-step multiplier.  That is 3 N-D transforms
+per step, plus one forward transform of the initial state.  ``run`` builds
+a ``Field`` only for a snapshot.
 
 The loop reuses its grid arrays.  The carried spectrum is one buffer that
 each step transforms in place, and a new state's values go into the
 previous state's array unless that state went out as a snapshot; the
-initial state's values are never written.  So a state that ``steps``
-yields is valid until the next item is drawn, and snapshots are never
+initial state's values are never written.  So the arrays that ``steps``
+yields are valid until the next item is drawn, and snapshots are never
 written to.  The loop holds one half-step multiplier at a time.
 """
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable, Iterator, MutableSequence, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,20 +116,27 @@ def linear_substep(f: Field, tau: float) -> Field:
     return f.with_values(np.fft.ifftn(_free_multiplier(f.grid, tau) * spec))
 
 
-def _nonlinear_update(w: np.ndarray, tau_eff: float, lam: complex, alpha: float, out=None):
-    # exact flow of i w_t = lam |w|^alpha w over effective time tau_eff, into out (w
-    # itself, else new); w = 0 needs no special case and nothing is divided by |w|.
-    # |w|^alpha and the damping factor share one real array; the in-place **=
-    # keeps numpy's fast paths for the exponents 1, -1, 0.5 and 2, as ** does
+def nonlinear_substep_u(w: np.ndarray, tau: float, lam: complex, alpha: float,
+                        out=None) -> np.ndarray:
+    """Exact pointwise solution of i w_t = lam |w|^alpha w for time tau >= 0.
+
+    Returns the new values: a new array, or ``out`` when given, which may be
+    ``w`` itself.
+    """
+    # w = 0 needs no special case and nothing is divided by |w|.  |w|^alpha and
+    # the damping factor share one real array; the in-place **= keeps numpy's
+    # fast paths for the exponents 1, -1, 0.5 and 2, as ** does
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
     damp = -lam.imag
     if damp < 0:
         raise ValueError("Im(lambda) must be <= 0")
     mod_a = np.abs(w)
     mod_a **= alpha
     if damp == 0.0:
-        rot = -1j * lam.real * tau_eff * mod_a
+        rot = -1j * lam.real * tau * mod_a
         return np.multiply(np.exp(rot, out=rot), w, out=out)
-    kappa = np.multiply(alpha * damp * tau_eff, mod_a, out=mod_a)
+    kappa = np.multiply(alpha * damp * tau, mod_a, out=mod_a)
     if lam.real == 0.0:
         kappa += 1.0
         kappa **= -1.0 / alpha
@@ -139,16 +146,6 @@ def _nonlinear_update(w: np.ndarray, tau_eff: float, lam: complex, alpha: float,
     rot = 1j * np.multiply(-(lam.real / (alpha * damp)), np.log1p(kappa, out=kappa), out=kappa)
     out = np.multiply(w, scale, out=out)
     return np.multiply(out, np.exp(rot, out=rot), out=out)
-
-
-def nonlinear_substep_u(f: Field, tau: float, lam: complex, alpha: float, out=None) -> Field:
-    """Exact pointwise solution of i w_t = lam |w|^alpha w for time tau >= 0.
-
-    Its values are new, or ``out`` when given, which may be ``f.values``.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return f.with_values(_nonlinear_update(f.values, tau, lam, alpha, out))
 
 
 def coefficient_integral(t: float, tau: float, params: PhysParams) -> float:
@@ -169,42 +166,37 @@ def coefficient_integral(t: float, tau: float, params: PhysParams) -> float:
     return (2.0 / (b * (2.0 - params.N * params.alpha))) * (tail**-q - head**-q)
 
 
-def nonlinear_substep_v(f: Field, t: float, tau: float, params: PhysParams, out=None) -> Field:
+def nonlinear_substep_v(w: np.ndarray, t: float, tau: float, params: PhysParams,
+                        out=None) -> np.ndarray:
     """Exact nonlinear flow in the rescaled frame across [t, t + tau].
 
-    The time-dependent coefficient is integrated in closed form, so this
-    substep is exact however close the interval sits to the horizon.  Its
-    values go where ``nonlinear_substep_u``'s do.
+    It is ``nonlinear_substep_u`` over the closed-form integral of the
+    time-dependent coefficient, so it is exact however close the interval
+    sits to the horizon.
     """
-    tau_eff = coefficient_integral(t, tau, params)
-    return f.with_values(_nonlinear_update(f.values, tau_eff, params.lam, params.alpha, out))
+    return nonlinear_substep_u(w, coefficient_integral(t, tau, params), params.lam,
+                               params.alpha, out)
 
 
-def strang_step(f: Field, t: float, dt: float, cfg: SolverConfig, params: PhysParams,
-                out: np.ndarray | None = None, half: np.ndarray | None = None) -> Field:
+def strang_step(spec: np.ndarray, t: float, dt: float, cfg: SolverConfig, params: PhysParams,
+                half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One splitting step [t, t + dt]: half linear, full nonlinear, half linear.
 
-    The half-steps are ``linear_substep``'s multiplier applied to spectra;
-    ``half`` is that multiplier for 0.5 dt, built here when not given.  The
-    step starts from ``f.spectrum`` when ``f`` carries one and transforms it
-    in place into the result's own, so composed steps spend 3 transforms
-    each and ``f``'s spectrum is spent; without one it transforms
-    ``f.values`` afresh.  The result's values go into ``out``, which may be
-    ``f.values``, else into a new array.
+    ``spec`` is the spectrum of the state at t, and ``half`` is
+    ``linear_substep``'s multiplier for 0.5 dt, applied to spectra.  The step
+    transforms ``spec`` in place into the spectrum of the state at t + dt
+    and returns that state's values, in ``out`` when given, else in a new
+    array: 3 transforms.
     """
-    if half is None:
-        half = _free_multiplier(f.grid, 0.5 * dt)
     # every transform writes into the spectrum's own array (numpy's out=): an
     # N-D transform otherwise allocates one array per axis
-    w = np.fft.fftn(f.values) if f.spectrum is None else f.spectrum
-    g = f.with_values(np.fft.ifftn(np.multiply(half, w, out=w), out=w))
-    if params.lam != 0 and cfg.frame == "u":  # in place: w is this step's own array
-        nonlinear_substep_u(g, dt, params.lam, params.alpha, w)
+    w = np.fft.ifftn(np.multiply(half, spec, out=spec), out=spec)
+    if params.lam != 0 and cfg.frame == "u":  # in place: w is the spectrum's array
+        nonlinear_substep_u(w, dt, params.lam, params.alpha, w)
     elif params.lam != 0:
-        nonlinear_substep_v(g, t, dt, params, w)
-    spec = np.multiply(half, np.fft.fftn(w, out=w), out=w)
-    values = np.fft.ifftn(spec, out=np.empty_like(spec) if out is None else out)
-    return Field(f.grid, values, f.frame, t + dt, spec)
+        nonlinear_substep_v(w, t, dt, params, w)
+    np.multiply(half, np.fft.fftn(w, out=w), out=w)
+    return np.fft.ifftn(spec, out=np.empty_like(spec) if out is None else out)
 
 
 def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float) -> np.ndarray:
@@ -246,27 +238,27 @@ def snapshot_schedule(cfg: SolverConfig, params: PhysParams, t0: float) -> np.nd
     return times
 
 
-def _records(f: Field) -> tuple[float, float]:
+def _records(values: np.ndarray, grid: Grid) -> tuple[float, float]:
     # l2 and sup of a state from one |v|, squared in place last; the same
     # arithmetic as l2_norm and sup_norm
-    mod = np.abs(f.values)
+    mod = np.abs(values)
     sup = float(np.max(mod))
-    return float(np.sqrt(f.grid.cell_volume * np.sum(np.square(mod, out=mod)))), sup
+    return float(np.sqrt(grid.cell_volume * np.sum(np.square(mod, out=mod)))), sup
 
 
 def steps(
     f0: Field, cfg: SolverConfig, params: PhysParams
-) -> Iterator[tuple[Field, float, Field | None]]:
-    """The run's states from f0 to the end of ``snapshot_schedule``.
+) -> Iterator[tuple[np.ndarray, np.ndarray, float, float, float | None]]:
+    """The run's states from f0 to the end of ``snapshot_schedule``, as arrays.
 
-    Yields ``(state, dt, snapshot)``: first f0 carrying its spectrum, with
-    dt 0.0 and f0 as its snapshot; then one item per step, whose snapshot is
-    the state stamped with the schedule time it lands on, else None.  A
-    landing within float dust of a scheduled time takes no step and comes
-    with dt 0.0.  Every state carries its spectrum; no snapshot does.  A
-    state is valid until the next item is drawn: the next step transforms
-    its spectrum in place and, unless its values are f0's or went out as a
-    snapshot, writes the new values over them.
+    Yields ``(values, spectrum, t, dt, stamp)``: first f0's values and
+    spectrum at f0.t, with dt 0.0 and stamp f0.t; then one item per step,
+    stamped with the schedule time it lands on, else None.  A landing within
+    float dust of a scheduled time takes no step, comes with dt 0.0 and
+    moves t to that time; a step that rounds past a scheduled time is
+    followed by one.  The arrays are valid until the next item is drawn:
+    the next step transforms the spectrum in place and, unless the values
+    are f0's or were stamped, writes the new values over them.
 
     Raises
     ------
@@ -284,14 +276,13 @@ def steps(
         log.warning("non-admissible parameters (oracle mode): %s", "; ".join(bad))
 
     due = snapshot_schedule(cfg, params, f0.t)
-    t, t_end = f0.t, due[-1]
-    f = replace(f0, spectrum=np.fft.fftn(f0.values))
-    log.info("run start: frame=%s t0=%g t_end=%g dt0=%g", cfg.frame, t, t_end, cfg.dt0)
-    yield f, 0.0, f0
-    i = 1  # the schedule starts at f0.t
-    kept = True  # f's values are f0's or a snapshot's, which no step writes
+    t, values, spec = f0.t, f0.values, np.fft.fftn(f0.values)
+    log.info("run start: frame=%s t0=%g t_end=%g dt0=%g", cfg.frame, t, due[-1], cfg.dt0)
+    yield values, spec, t, 0.0, t
+    i = 1  # the schedule starts at f0.t; due[i] is the next time to land on
+    kept = True  # values are f0's or a snapshot's, which no step writes
     half = tau = None  # the one half-step multiplier the loop holds, for 0.5 dt = tau
-    while t < t_end - _LANDING_EPS:
+    while i < len(due):
         if cfg.frame == "v":
             dt_cap = min(cfg.dt0, cfg.c_adapt * (1.0 - params.b * t))
         else:
@@ -304,13 +295,13 @@ def steps(
         else:
             if 0.5 * dt != tau:
                 half = None  # dropped before the next one is built
-                half, tau = _free_multiplier(f.grid, 0.5 * dt), 0.5 * dt
-            f = strang_step(f, t, dt, cfg, params, None if kept else f.values, half)
+                half, tau = _free_multiplier(f0.grid, 0.5 * dt), 0.5 * dt
+            values = strang_step(spec, t, dt, cfg, params, half, None if kept else values)
             t, kept = t + dt, False
-        landed = abs(t - due[i]) <= _LANDING_EPS
-        if landed:
-            i, kept = i + 1, True
-        yield f, dt, (f.with_values(f.values, t=due[i - 1]) if landed else None)
+        stamp = None
+        if abs(t - due[i]) <= _LANDING_EPS:
+            stamp, i, kept = due[i], i + 1, True
+        yield values, spec, t, dt, stamp
 
 
 def run(
@@ -321,6 +312,9 @@ def run(
     snapshots: MutableSequence[Field] | None = None,
 ) -> Trajectory:
     """Integrate from f0 to the configured end time: the fold over ``steps``.
+
+    It builds a ``Field`` only where a snapshot lands, on f0's grid and
+    frame, stamped with the schedule time.
 
     Parameters
     ----------
@@ -357,30 +351,32 @@ def run(
     """
     snapshots = [] if snapshots is None else snapshots
     times, dts, records, snapshot_times, snapshot_steps = [], [], [], [], []
-    for f, dt, snapshot in steps(f0, cfg, params):
+    for values, _, t, dt, stamp in steps(f0, cfg, params):
         if dt > 0.0 or not records:  # a dust landing brings no new state
-            rec = _records(f)
+            rec = _records(values, f0.grid)
             # a NaN or inf anywhere makes the sum of squares non-finite
             if not np.isfinite(rec[0]):
-                raise UnstableSolutionError(f"non-finite values at t = {f.t:.6g}")
+                raise UnstableSolutionError(f"non-finite values at t = {t:.6g}")
             l2_prev = records[-1][0] if records else rec[0]
             if rec[0] > l2_prev * (1.0 + MASS_SLACK) + MASS_SLACK:
                 raise UnstableSolutionError(
-                    f"mass grew from {l2_prev:.12e} to {rec[0]:.12e} at t = {f.t:.6g}"
+                    f"mass grew from {l2_prev:.12e} to {rec[0]:.12e} at t = {t:.6g}"
                 )
-            times.append(f.t)
+            times.append(t)
             dts.append(dt)
             records.append(rec)
-        if snapshot is not None:
+        if stamp is not None:
+            snapshot = Field(f0.grid, values, f0.frame, stamp)
             edge = boundary_magnitude(snapshot)  # the last one's is the end state's
-            snapshot_times.append(snapshot.t)
+            snapshot_times.append(stamp)
             snapshot_steps.append(len(records) - 1)
             snapshots.append(snapshot)
             if on_snapshot is not None:
                 on_snapshot(snapshot)
+            del snapshot
         # the step after a landing writes a new array, as the snapshot keeps
         # the state's; neither is held here across it
-        del f, snapshot
+        del values
 
     peak, tol = records[-1][1], f0.grid.boundary_tol
     if peak > 0 and edge > tol * peak:

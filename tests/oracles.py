@@ -37,13 +37,13 @@ def phase_drift(t: float, profile: ProfileData) -> np.ndarray:
     return _drift(_psi_pow_alpha(t, profile.correction, profile.reference_power, p), p)
 
 
-def _coupling_integrand(f: Field, alpha: float) -> np.ndarray:
+def _coupling_integrand(values: np.ndarray, spec: np.ndarray, grid, alpha: float) -> np.ndarray:
     # Im(conj(v) Lap v) / |v|^{alpha+2}, the Laplacian taken from the carried
     # spectrum; a b below the regime drives |v| near zero, where this is
     # ill-conditioned; underflowed points contribute nothing
-    lap = np.fft.ifftn(-f.grid.wavenumber_sq() * f.spectrum)
-    mod = np.abs(f.values)
-    dens = np.imag(np.conj(f.values) * lap)
+    lap = np.fft.ifftn(-grid.wavenumber_sq() * spec)
+    mod = np.abs(values)
+    dens = np.imag(np.conj(values) * lap)
     out = np.zeros_like(mod)
     ok = mod > 1e-300
     out[ok] = dens[ok] / mod[ok] ** (alpha + 2.0)
@@ -67,15 +67,16 @@ def correction_integral(v0: Field, cfg: SolverConfig,
     mod0a = np.abs(v0.values) ** params.alpha
     accum = np.zeros(v0.grid.shape)
     fields, residual, g_prev = [], 0.0, None
-    for f, dt, snap in steps(v0, cfg, params):
+    for values, spec, _, dt, stamp in steps(v0, cfg, params):
         if g_prev is None:  # f0
-            g_prev = _coupling_integrand(f, params.alpha)
+            g_prev = _coupling_integrand(values, spec, v0.grid, params.alpha)
         elif dt > 0.0:  # a dust landing brings no new state
-            g_new = _coupling_integrand(f, params.alpha)
+            g_new = _coupling_integrand(values, spec, v0.grid, params.alpha)
             accum += 0.5 * dt * (g_prev + g_new)
             g_prev = g_new
-        if snap is not None:
-            fields.append(Field(snap.grid, params.alpha * mod0a * accum, "v", snap.t))
+        if stamp is not None:
+            fields.append(Field(v0.grid, params.alpha * mod0a * accum, "v", stamp))
+            snap = Field(v0.grid, values, "v", stamp)
             gap = fields[-1].values - correction_field(snap, mod0a, params).values
             residual = max(residual, float(np.max(np.abs(gap))))
     return fields, residual
@@ -99,17 +100,16 @@ def update_by_formula(w, tau, lam, alpha):
     return w * scale * np.exp(1j * (-(lam.real / (alpha * damp)) * np.log1p(kappa)))
 
 
-def fresh_strang_step(f: Field, t: float, dt: float, cfg: SolverConfig,
-                      params: PhysParams) -> Field:
-    """One splitting step that only reads ``f`` and makes a new array per operation.
+def fresh_strang_step(spec: np.ndarray, grid, t: float, dt: float, cfg: SolverConfig,
+                      params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+    """One splitting step that only reads ``spec`` and makes a new array per operation.
 
-    The half-step multiplier is the direct exponential of -i dt/2 |k|^2; the
-    step starts from ``f.spectrum`` when ``f`` carries one, and the result
-    carries its own.
+    ``spec`` is the spectrum of the state at t on ``grid``; returns the
+    values and the spectrum of the state at t + dt.  The half-step
+    multiplier is the direct exponential of -i dt/2 |k|^2.
     """
     tau = 0.5 * dt
-    half = np.exp(-1j * tau * f.grid.wavenumber_sq())
-    spec = np.fft.fftn(f.values) if f.spectrum is None else f.spectrum
+    half = np.exp(-1j * tau * grid.wavenumber_sq())
     w = np.fft.ifftn(half * spec)
     if params.lam != 0:
         tau_eff = dt if cfg.frame == "u" else coefficient_integral(t, dt, params)
@@ -117,4 +117,4 @@ def fresh_strang_step(f: Field, t: float, dt: float, cfg: SolverConfig,
     # np.multiply keeps the multiplier first: numpy would reuse a temporary
     # second operand from 256 KiB up and compute the product the other way round
     spec = np.multiply(half, np.fft.fftn(w))
-    return Field(f.grid, np.fft.ifftn(spec), f.frame, t + dt, spec)
+    return np.fft.ifftn(spec), spec

@@ -95,8 +95,7 @@ def pure_nonlinear_trajectory():
     v0 = build_initial_data(g, 1.0, 5)
     snaps, f, t = [v0], v0, 0.0
     for t_next in (0.05, 0.1, 0.2, 0.24):
-        f = nonlinear_substep_v(f, t, t_next - t, REF)
-        f = f.with_values(f.values, t=t_next)
+        f = f.with_values(nonlinear_substep_v(f.values, t, t_next - t, REF), t=t_next)
         snaps.append(f)
         t = t_next
     times = np.array([s.t for s in snaps])

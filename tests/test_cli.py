@@ -440,7 +440,7 @@ def test_env_var_output_root(tmp_path, monkeypatch):
 
 def test_verify_pass_verdict(pass_run):
     doc = json.loads((pass_run / "verdict.json").read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["verdict"] == "pass"
     assert doc["reasons"] == []
     assert doc["compliant_regime"] is True
@@ -626,7 +626,7 @@ def test_solver_error_beside_a_busy_monitor_exits_3(tmp_path, monkeypatch, capsy
     # each fed snapshot's row is done before the solve goes on, so the
     # failing step finds no row left to wait for
     fed, done = [], []
-    feed, row, update = SnapshotMonitor.__call__, SnapshotMonitor._row, solver._nonlinear_update
+    feed, row, update = SnapshotMonitor.__call__, SnapshotMonitor._row, solver.nonlinear_substep_u
 
     def counted_feed(self, snap):
         fed.append(snap.t)
@@ -645,7 +645,7 @@ def test_solver_error_beside_a_busy_monitor_exits_3(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(SnapshotMonitor, "__call__", counted_feed)
     monkeypatch.setattr(SnapshotMonitor, "_row", counted_row)
-    monkeypatch.setattr(solver, "_nonlinear_update", failing_update)
+    monkeypatch.setattr(solver, "nonlinear_substep_u", failing_update)
     cfg = write_config(tmp_path / "c.json", CONFIG_2D)
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 3
@@ -753,7 +753,7 @@ def test_threaded_verify_writes_the_same_files_at_any_schedule(tmp_path):
 
 def fail_after_six_snapshots(monkeypatch):
     """Make the solve raise UnstableSolutionError once it has taken six snapshots."""
-    taken, append, update = [], field.SnapshotStore.append, solver._nonlinear_update
+    taken, append, update = [], field.SnapshotStore.append, solver.nonlinear_substep_u
 
     def counted_append(self, snap):
         taken.append(snap.t)
@@ -765,7 +765,7 @@ def fail_after_six_snapshots(monkeypatch):
         return update(*args)
 
     monkeypatch.setattr(field.SnapshotStore, "append", counted_append)
-    monkeypatch.setattr(solver, "_nonlinear_update", failing_update)
+    monkeypatch.setattr(solver, "nonlinear_substep_u", failing_update)
 
 
 def test_serial_solver_error_leaves_no_out(tmp_path, monkeypatch, capsys):

@@ -16,7 +16,7 @@ PASSING = {
     "mass_dissipation": {"ok": True, "worst_growth": -1e-3},
 }
 COMPLIANT = {"f_max": 0.1, "f_within_quarter": True, "decay_pointwise": True,
-             "psi_bounded": True, "psi_ratio": 1.5}
+             "psi_ratio": 1.5}
 OUT_OF_REGIME = {**COMPLIANT, "f_max": 20.35, "f_within_quarter": False}
 QUARTER_REASON = {"flag": "f_within_quarter", "value": 20.35, "bound": CORRECTION_BOUND}
 
@@ -83,12 +83,11 @@ def test_errored_check_gives_one_reason(check, errored):
 
 def test_every_broken_flag_is_a_reason():
     checks = checks_with("mass_dissipation", ok=False, worst_growth=3e-9)
-    monitors = {**OUT_OF_REGIME, "decay_pointwise": False, "psi_bounded": False}
+    monitors = {**OUT_OF_REGIME, "decay_pointwise": False}
     assert decide(checks, monitors) == ("pass", [
         {"flag": "mass_dissipation", "value": 3e-9, "bound": MASS_SLACK},
         QUARTER_REASON,
         {"flag": "decay_pointwise"},
-        {"flag": "psi_bounded"},
     ])
     broken = checks_with("sup_limit", deviation_u=0.5)
     assert decide(broken, monitors)[0] == "not in theorem regime"

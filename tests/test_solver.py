@@ -3,7 +3,6 @@
 import logging
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,9 +34,8 @@ def free_gaussian(a, tau, x):
     return np.exp(-a * x**2 / beta) / np.sqrt(beta)
 
 
-def scalar_field(w):
-    g = Grid.line(1.0, 2)
-    return Field(g, np.full(2, w, dtype=complex), "u", 0.0)
+def scalar_values(w):
+    return np.full(2, w, dtype=complex)
 
 
 # --- linear substep ---
@@ -78,31 +76,30 @@ def test_linear_isometry():
 
 
 def test_nonlinear_pure_dissipation():
-    out = nonlinear_substep_u(scalar_field(2.0), 0.25, -1j, 1.0)
-    assert np.allclose(out.values, 4.0 / 3.0, rtol=1e-14)
+    out = nonlinear_substep_u(scalar_values(2.0), 0.25, -1j, 1.0)
+    assert np.allclose(out, 4.0 / 3.0, rtol=1e-14)
 
 
 def test_nonlinear_dissipation_with_rotation():
-    out = nonlinear_substep_u(scalar_field(2.0), 0.25, 1.0 - 1j, 1.0)
-    w = out.values[0]
+    w = nonlinear_substep_u(scalar_values(2.0), 0.25, 1.0 - 1j, 1.0)[0]
     assert abs(w) == pytest.approx(4.0 / 3.0, rel=1e-14)
     assert np.angle(w) == pytest.approx(-np.log(1.5), rel=1e-12)
 
 
 def test_nonlinear_conservative_keeps_modulus():
-    out = nonlinear_substep_u(scalar_field(1.3 - 0.4j), 0.6, 2.0 + 0j, 0.7)
-    assert np.abs(out.values[0]) == pytest.approx(abs(1.3 - 0.4j), rel=1e-14)
+    out = nonlinear_substep_u(scalar_values(1.3 - 0.4j), 0.6, 2.0 + 0j, 0.7)
+    assert np.abs(out[0]) == pytest.approx(abs(1.3 - 0.4j), rel=1e-14)
 
 
 def test_nonlinear_zero_stays_zero():
     for lam in (-1j, 2.0 + 0j, 1 - 0.5j):
-        out = nonlinear_substep_u(scalar_field(0.0), 0.5, lam, 0.8)
-        assert np.all(out.values == 0)
+        out = nonlinear_substep_u(scalar_values(0.0), 0.5, lam, 0.8)
+        assert np.all(out == 0)
 
 
 def test_nonlinear_rejects_amplifying_lambda():
     with pytest.raises(ValueError, match="Im"):
-        nonlinear_substep_u(scalar_field(1.0), 0.1, 1j, 1.0)
+        nonlinear_substep_u(scalar_values(1.0), 0.1, 1j, 1.0)
 
 
 def _ode_oracle(w0, lam, alpha, tau, coeff=lambda s: 1.0):
@@ -119,18 +116,17 @@ def _ode_oracle(w0, lam, alpha, tau, coeff=lambda s: 1.0):
 @pytest.mark.parametrize("w0", [0.3 + 0.4j, 1.2 - 0.7j, -2.0 + 0.1j, 0.05j, 2.0 + 0j])
 def test_nonlinear_u_against_ode_integrator(w0):
     lam, alpha, tau = 0.7 - 0.8j, 0.8, 0.37
-    out = nonlinear_substep_u(scalar_field(w0), tau, lam, alpha)
-    assert abs(out.values[0] - _ode_oracle(w0, lam, alpha, tau)) < 1e-10
+    out = nonlinear_substep_u(scalar_values(w0), tau, lam, alpha)
+    assert abs(out[0] - _ode_oracle(w0, lam, alpha, tau)) < 1e-10
 
 
 def test_nonlinear_v_against_ode_integrator():
     lam, alpha, b, N, t, tau = 1.0 - 0.5j, 1.0, 2.0, 1, 0.1, 0.05
     w0 = 1.1 - 0.3j
-    f = Field(Grid.line(1.0, 2), np.full(2, w0, dtype=complex), "v", t)
-    out = nonlinear_substep_v(f, t, tau, PhysParams(N, alpha, lam, b))
+    out = nonlinear_substep_v(scalar_values(w0), t, tau, PhysParams(N, alpha, lam, b))
     exact = _ode_oracle(w0, lam, alpha, tau,
                         coeff=lambda s: (1 - b * (t + s)) ** (-(4 - N * alpha) / 2))
-    assert abs(out.values[0] - exact) < 1e-10
+    assert abs(out[0] - exact) < 1e-10
 
 
 def test_coefficient_integral_closed_form():
@@ -154,16 +150,15 @@ def test_coefficient_integral_at_n_alpha_two_is_the_logarithm(N, alpha):
 
 def test_nonlinear_v_b_zero_matches_u():
     w0 = 0.8 + 0.6j
-    f = Field(Grid.line(1.0, 2), np.full(2, w0, dtype=complex), "v", 0.0)
-    a = nonlinear_substep_v(f, 0.0, 0.3, PhysParams(1, 1.0, -1j, 0.0))
-    b = nonlinear_substep_u(f, 0.3, -1j, 1.0)
-    assert np.allclose(a.values, b.values, rtol=1e-15)
+    w = scalar_values(w0)
+    a = nonlinear_substep_v(w, 0.0, 0.3, PhysParams(1, 1.0, -1j, 0.0))
+    b = nonlinear_substep_u(w, 0.3, -1j, 1.0)
+    assert np.allclose(a, b, rtol=1e-15)
 
 
 def test_nonlinear_v_refuses_horizon_touch():
-    f = Field(Grid.line(1.0, 2), np.ones(2, dtype=complex), "v", 0.0)
     with pytest.raises(ValueError, match="horizon"):
-        nonlinear_substep_v(f, 0.2, 0.05, PhysParams(1, 1.0, -1j, 4.0))
+        nonlinear_substep_v(scalar_values(1.0), 0.2, 0.05, PhysParams(1, 1.0, -1j, 4.0))
 
 
 # --- strang step and run ---
@@ -177,19 +172,21 @@ def test_strang_lambda_zero_is_linear():
     x = g.axes()[0]
     f = Field(g, np.exp(-(x**2)).astype(complex), "u", 0.0)
     cfg = SolverConfig(frame="u", t_end=1.0)
-    out = strang_step(f, 0.0, 0.02, cfg, PhysParams(1, 1.0, 0j, 0.0))
+    spec = np.fft.fftn(f.values)
+    out = strang_step(spec, 0.0, 0.02, cfg, PhysParams(1, 1.0, 0j, 0.0), _free_multiplier(g, 0.01))
     lin = linear_substep(f, 0.02)
-    assert np.max(np.abs(out.values - lin.values)) < 1e-14
-    assert out.t == 0.02
+    assert np.max(np.abs(out - lin.values)) < 1e-14
+    # the spectrum is transformed in place into the new state's
+    assert np.max(np.abs(np.fft.ifftn(spec) - out)) < 1e-14
 
 
 def test_strang_small_step_near_identity():
     g = Grid.line(15.0, 128)
     x = g.axes()[0]
-    f = Field(g, np.exp(-(x**2)).astype(complex), "v", 0.0)
+    vals = np.exp(-(x**2)).astype(complex)
     cfg = SolverConfig(frame="v")
-    out = strang_step(f, 0.0, 1e-6, cfg, REF)
-    assert np.max(np.abs(out.values - f.values)) < 1e-4
+    out = strang_step(np.fft.fftn(vals), 0.0, 1e-6, cfg, REF, _free_multiplier(g, 5e-7))
+    assert np.max(np.abs(out - vals)) < 1e-4
 
 
 def test_strang_self_convergence_order_two():
@@ -231,18 +228,18 @@ def test_run_snapshot_times_and_coupling_alignment():
     g = Grid.line(30.0, 128, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     cfg = SolverConfig(frame="v", dt0=5e-3, horizon_floor=0.05, snapshot_count=6)
-    stream = list(steps(v0, cfg, REF))
-    first, dt, snap = stream[0]
-    assert np.array_equal(first.values, v0.values) and first.spectrum is not None
-    assert dt == 0.0 and snap is v0
-    stamps = np.array([s.t for _, _, s in stream if s is not None])
+    stream = [(t, dt, stamp) for _, _, t, dt, stamp in steps(v0, cfg, REF)]
+    values, spec, *first = next(steps(v0, cfg, REF))
+    assert values is v0.values and spec.tobytes() == np.fft.fftn(v0.values).tobytes()
+    assert first == [0.0, 0.0, 0.0]
+    stamps = np.array([stamp for _, _, stamp in stream if stamp is not None])
     assert np.array_equal(stamps, snapshot_schedule(cfg, REF, 0.0))
     traj = run(v0, cfg, REF)
     ts = np.array([s.t for s in traj.snapshots])
     assert np.array_equal(ts, stamps)
     assert ts[-1] == pytest.approx((1 - 0.05) / 4.0)
     assert np.all(np.diff(ts) > 0)
-    taken = [(f.t, dt) for f, dt, _ in stream[1:] if dt > 0.0]
+    taken = [(t, dt) for t, dt, _ in stream[1:] if dt > 0.0]
     assert traj.times.tolist() == [0.0] + [t for t, _ in taken]
     assert traj.dts.tolist() == [0.0] + [dt for _, dt in taken]
 
@@ -313,7 +310,7 @@ def _replay_strang(v0, traj, params):
     for t_new, dt in zip(traj.times[1:], traj.dts[1:]):
         t = t_new - dt
         vals = _local_free_flow(vals, v0.grid, 0.5 * dt)
-        vals = nonlinear_substep_v(v0.with_values(vals, t), t, dt, params).values
+        vals = nonlinear_substep_v(vals, t, dt, params)
         vals = _local_free_flow(vals, v0.grid, 0.5 * dt)
         states.append(vals)
     return states
@@ -396,14 +393,13 @@ def test_free_multiplier_from_levels_is_the_direct_exponential(grid):
 def _strang_composed(f0, traj, cfg, params):
     """States after each recorded step of ``traj``, composed from strang_step.
 
-    Each step starts from a state without its spectrum, so it transforms
-    the values afresh: 4 transforms a step, none carried.
+    Each step starts from a fresh transform of the values: 4 transforms a
+    step, none carried.
     """
-    f, states = f0, [f0.values]
+    states = [f0.values]
     for t_new, dt in zip(traj.times[1:], traj.dts[1:]):
-        f = strang_step(f.with_values(f.values), t_new - dt, dt, cfg, params)
-        assert f.spectrum is not None
-        states.append(f.values)
+        half = _free_multiplier(f0.grid, 0.5 * dt)
+        states.append(strang_step(np.fft.fftn(states[-1]), t_new - dt, dt, cfg, params, half))
     return states
 
 
@@ -424,52 +420,54 @@ def test_run_matches_strang_step_without_the_spectrum_in_the_u_frame(N, alpha, M
 
 
 def test_run_takes_every_step_through_strang_step(monkeypatch):
-    # one implementation of the step: run composes strang_step on a state
-    # that carries its spectrum, so a profile of strang_step counts the steps
+    # one implementation of the step: run composes strang_step on the one
+    # spectrum it carries, so a profile of strang_step counts the steps
     carried = []
     step = solver.strang_step
 
-    def counted(f, *args):
-        carried.append(f.spectrum is not None)
-        return step(f, *args)
+    def counted(spec, *args):
+        carried.append(spec)
+        return step(spec, *args)
 
     monkeypatch.setattr(solver, "strang_step", counted)
     g = Grid.box(30.0, 32, 2, boundary_tol=1e-2)
     cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=5)
     traj = run(build_initial_data(g, 1.0, 5), cfg, PhysParams(2, 0.8, -1j, 20.0))
-    assert len(carried) == len(traj.times) - 1 > 10 and all(carried)
-    # snapshots are taken without the spectrum
-    assert all(snap.spectrum is None for snap in traj.snapshots)
+    assert len(carried) == len(traj.times) - 1 > 10
+    assert all(spec is carried[0] for spec in carried)
+    # snapshots are taken apart from the spectrum
+    assert not any(np.shares_memory(snap.values, carried[0]) for snap in traj.snapshots)
 
 
 def _warm_2d_state(lam):
-    # a 2-D state carrying its spectrum
+    # a 2-D state's values and spectrum after two steps
     g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
     p = PhysParams(2, 0.8, lam, 20.0)
     cfg = SolverConfig(frame="v")
-    f = strang_step(build_initial_data(g, 1.0, 5), 0.0, 1e-3, cfg, p)
-    return strang_step(f, 1e-3, 1e-3, cfg, p), cfg, p
+    spec, half = np.fft.fftn(build_initial_data(g, 1.0, 5).values), _free_multiplier(g, 5e-4)
+    strang_step(spec, 0.0, 1e-3, cfg, p, half)
+    return strang_step(spec, 1e-3, 1e-3, cfg, p, half), spec, g, cfg, p
 
 
 @pytest.mark.parametrize("frame", ["u", "v"])
 @pytest.mark.parametrize("lam", [-1j, 2 - 1j, 1.0], ids=["damped", "phase", "real"])
 def test_in_place_nonlinear_substep_is_the_out_of_place_update_bitwise(frame, lam):
     # the real lambda is an oracle-mode run: strang_step takes it as it is
-    f, cfg, p = _warm_2d_state(lam)
+    _, carried, grid, cfg, p = _warm_2d_state(lam)
     cfg = SolverConfig(frame=frame, t_end=1.0) if frame == "u" else cfg
     t, dt = 2e-3, 1e-3
     # the step's transforms as strang_step writes them, around a new array
-    half = _free_multiplier(f.grid, 0.5 * dt)
-    w = half * f.spectrum
+    half = _free_multiplier(grid, 0.5 * dt)
+    w = half * carried
     np.fft.ifftn(w, out=w)
     tau = dt if frame == "u" else coefficient_integral(t, dt, p)
-    g = solver._nonlinear_update(w, tau, p.lam, p.alpha)
+    g = nonlinear_substep_u(w, tau, p.lam, p.alpha)
     assert not np.shares_memory(g, w)
     assert g.tobytes() == update_by_formula(w, tau, p.lam, p.alpha).tobytes()
     spec = np.multiply(half, np.fft.fftn(g, out=g), out=g)
-    out = strang_step(f, t, dt, cfg, p)
-    assert out.spectrum.tobytes() == spec.tobytes()
-    assert out.values.tobytes() == np.fft.ifftn(spec, out=np.empty_like(spec)).tobytes()
+    out = strang_step(carried, t, dt, cfg, p, half)
+    assert carried.tobytes() == spec.tobytes()
+    assert out.tobytes() == np.fft.ifftn(spec, out=np.empty_like(spec)).tobytes()
 
 
 @pytest.mark.parametrize("lam", [-1j, 2 - 1j, 1.0], ids=["damped", "phase", "real"])
@@ -480,12 +478,12 @@ def test_substeps_leave_a_read_only_input_as_it_is(lam):
     frozen = Field(g, v0.values.copy(), "v", 0.01)
     frozen.values.flags.writeable = False
     before = frozen.values.tobytes()
-    for substep in (lambda f: nonlinear_substep_u(f, 0.01, p.lam, p.alpha),
-                    lambda f: nonlinear_substep_v(f, 0.01, 0.01, p),
-                    lambda f: linear_substep(f, 0.01)):
+    for substep in (lambda f: nonlinear_substep_u(f.values, 0.01, p.lam, p.alpha),
+                    lambda f: nonlinear_substep_v(f.values, 0.01, 0.01, p),
+                    lambda f: linear_substep(f, 0.01).values):
         sub = substep(frozen)
-        assert not np.shares_memory(sub.values, frozen.values)
-        assert sub.values.tobytes() == substep(v0).values.tobytes()
+        assert not np.shares_memory(sub, frozen.values)
+        assert sub.tobytes() == substep(v0).tobytes()
     assert frozen.values.tobytes() == before
 
 
@@ -496,16 +494,16 @@ def test_warmed_2d_step_holds_few_grid_arrays(lam, fresh, bound):
     # substep writes into it, so one step allocates its half-step multiplier,
     # the next state's values and the substep's real temporaries; a new array
     # per operation peaked at ``fresh`` grid arrays
-    f, cfg, p = _warm_2d_state(lam)
+    values, spec, grid, cfg, p = _warm_2d_state(lam)
     tracemalloc.start()
     try:
-        out = strang_step(f, 2e-3, 1e-3, cfg, p)
+        out = strang_step(spec, 2e-3, 1e-3, cfg, p, _free_multiplier(grid, 5e-4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.t == 3e-3
-    print(f"step peak {peak / f.values.nbytes:.2f} grid arrays (fresh arrays: {fresh})")
-    assert peak < bound * f.values.nbytes
+    assert out.shape == grid.shape and not np.shares_memory(out, values)
+    print(f"step peak {peak / values.nbytes:.2f} grid arrays (fresh arrays: {fresh})")
+    assert peak < bound * values.nbytes
 
 
 @pytest.mark.parametrize("side", [0.5, 2.0], ids=["inside", "outside"])
@@ -527,24 +525,25 @@ def test_run_warns_on_the_end_state_boundary_against_the_grid_tolerance(caplog, 
 
 def _assert_stream_is_the_fresh_composition(f0, cfg, p):
     # every state the stream yields, read before the next draw, and every
-    # snapshot, read after the run, equal the states of fresh_strang_step
-    # composed from f0 carrying its spectrum, bit for bit
-    ref = replace(f0, spectrum=np.fft.fftn(f0.values))
-    t, dts, taken, expected = None, [], [], []
-    for f, dt, snap in steps(f0, cfg, p):
+    # stamped state, read after the run, equal the states of fresh_strang_step
+    # composed from f0's spectrum, bit for bit
+    ref, ref_spec = f0.values, np.fft.fftn(f0.values)
+    t_prev, dts, taken, expected = None, [], [], []
+    for values, spec, t, dt, stamp in steps(f0, cfg, p):
         if dt > 0.0:
-            ref = fresh_strang_step(ref, t, dt, cfg, p)
-        assert f.values.tobytes() == ref.values.tobytes()
-        assert f.spectrum.tobytes() == ref.spectrum.tobytes()
-        if snap is not None:
-            taken.append(snap)
-            expected.append(ref.values)
+            ref, ref_spec = fresh_strang_step(ref_spec, f0.grid, t_prev, dt, cfg, p)
+        assert values.tobytes() == ref.tobytes()
+        assert spec.tobytes() == ref_spec.tobytes()
+        if stamp is not None:
+            taken.append((stamp, values))
+            expected.append(ref)
         # a dust landing moves the clock to the snapshot time without a step
-        t = snap.t if dt == 0.0 else f.t
+        assert dt > 0.0 or t == stamp
+        t_prev = t
         dts.append(dt)
-    assert [s.values.tobytes() for s in taken] == [v.tobytes() for v in expected]
+    assert [v.tobytes() for _, v in taken] == [v.tobytes() for v in expected]
     traj = run(f0, cfg, p)
-    assert [s.t for s in traj.snapshots] == [s.t for s in taken]
+    assert [s.t for s in traj.snapshots] == [stamp for stamp, _ in taken]
     assert [s.values.tobytes() for s in traj.snapshots] == [v.tobytes() for v in expected]
     return np.array(dts)
 
@@ -553,9 +552,9 @@ DIMS = [(1, 1.0, 256), (2, 0.8, 128), (2, 1.0, 64)]
 LAMS = [-1j, 2 - 1j, 1.0]
 
 
-def _start(N, M, frame):
+def _start(N, M, frame, t0=0.0):
     g = Grid.box(30.0, M, N, boundary_tol=1e-3)
-    return Field(g, build_initial_data(g, 1.0, 5).values, frame, 0.0)
+    return Field(g, build_initial_data(g, 1.0, 5).values, frame, t0)
 
 
 @pytest.mark.parametrize("frame", ["u", "v"])
@@ -582,3 +581,33 @@ def test_stream_through_a_dust_landing_is_the_fresh_step_bitwise(N, alpha, M, la
     cfg = SolverConfig(frame="u", dt0=1e9, t_end=1500274.0, snapshot_count=6)
     dts = _assert_stream_is_the_fresh_composition(_start(N, M, "u"), cfg, p)
     assert dts.tolist().count(0.0) == 2 and dts.size == 7  # f0 and the dust landing
+
+
+def test_step_rounding_past_the_end_time_still_lands_on_it():
+    # the step from 926.4 onto 9457.6 rounds past it by 1.8e-12, more than
+    # the landing tolerance: a dust landing follows and stamps the end state
+    p = PhysParams(1, 1.0, -1j, 20.0)
+    t0, t_end = 926.3777806557837, 9457.641595017014
+    cfg = SolverConfig(frame="u", dt0=1e9, t_end=t_end, snapshot_count=2)
+    stream = [(t, dt, stamp) for _, _, t, dt, stamp in steps(_start(1, 64, "u", t0), cfg, p)]
+    assert stream[1][0] - t_end > solver._LANDING_EPS and stream[1][2] is None
+    assert stream[2] == (t_end, 0.0, t_end)
+    traj = run(_start(1, 64, "u", t0), cfg, p)
+    assert [s.t for s in traj.snapshots] == [t0, t_end]
+    assert traj.snapshot_steps.tolist() == [0, 1]
+
+
+def test_run_builds_one_field_per_snapshot_and_none_per_step(monkeypatch):
+    built = []
+    check = Field.__post_init__
+
+    def counted(self):
+        built.append(self.t)
+        check(self)
+
+    f0 = _start(2, 32, "v")
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=5)
+    monkeypatch.setattr(Field, "__post_init__", counted)
+    traj = run(f0, cfg, PhysParams(2, 0.8, 2 - 1j, 20.0))
+    assert len(traj.times) > 20
+    assert built == [s.t for s in traj.snapshots] == traj.snapshot_times.tolist()

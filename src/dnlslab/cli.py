@@ -14,7 +14,6 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +35,11 @@ from .diagnostics import (
     write_csv,
 )
 from .field import SnapshotStore
-from .params import synthesize_exponents
+from .params import hypotheses, synthesize_exponents
 from .solver import MASS_SLACK, NumericalError, run
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 2, 3, 4
-VERDICT_SCHEMA = 4
+VERDICT_SCHEMA = 5
 # The verdict's gates: (check, quantity, bound), each holding while value <= bound.
 GATES = (
     ("sup_limit", "deviation_u", 0.05),
@@ -103,17 +102,17 @@ def _echo_config(out: Path, doc: dict) -> None:
 def _simulate(rc: RunConfig, doc: dict):
     """Run the configured simulation, dump it into ``rc.out``; the trajectory and monitor report.
 
-    Each snapshot is written as the solver appends it.  A rescaled-frame run
-    with an exponent set is monitored: each snapshot goes to a
+    Each snapshot is written as the solver appends it.  A rescaled-frame
+    dissipative run with a weight order is monitored: each snapshot goes to a
     ``SnapshotMonitor`` too, which computes its row there.  Any other run's
     report is None.  The dump (config echo, norms, snapshots) is staged and
     reaches ``rc.out`` once the run is over, so a solver or I/O error leaves
     no ``rc.out``.  Then the report is taken: a vanishing modulus raises
     ExtractionError.
     """
-    monitored = rc.solver.frame == "v" and rc.exps is not None  # exps exist only for Im(lam) < 0
+    monitored = rc.solver.frame == "v" and rc.params.lam.imag < 0 and rc.n is not None
     with SnapshotStore.staged(rc.out) as store:
-        monitor = SnapshotMonitor(rc.initial, rc.exps, rc.params) if monitored else None
+        monitor = SnapshotMonitor(rc.initial, rc.n, rc.params) if monitored else None
         traj = run(rc.initial, rc.solver, rc.params, on_snapshot=monitor, snapshots=store)
         _echo_config(store.directory.parent, doc)
         _write_norms(store.directory.parent, traj)
@@ -141,12 +140,11 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override) -> dict:
     if rc.solver.frame != "v" or rc.params.lam.imag >= 0:
         raise ConfigError(cfg_path, find_line(text, "frame"),
                           "theorem verification needs a rescaled-frame dissipative run")
-    if rc.exps is None:
+    if rc.n is None:
         raise ConfigError(cfg_path, find_line(text, "data"),
-                          'theorem verification needs a weight order: data "n" '
-                          'or an "exponents" section')
+                          'theorem verification needs a weight order: data "n"')
     traj, monitor = _simulate(rc, doc)
-    profile, series, errors, checks = verify_checks(traj, rc.exps.n)
+    profile, series, errors, checks = verify_checks(traj, rc.n)
     out = rc.out
     if profile is not None:
         save_profile(profile, out / "profile")
@@ -170,8 +168,9 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override) -> dict:
         "crossover_time": crossover_time(rc.params),
         "checks": checks,
         "monitors": monitors,
+        "hypotheses": hypotheses(rc.params, rc.n),
         "exponents": {
-            **asdict(rc.exps),
+            "n": rc.n,
             "strict_reference": {k: getattr(strict_ref, k) for k in ("k", "n", "m", "J")},
         },
         "profile_meta": profile.meta if profile is not None
@@ -214,8 +213,6 @@ def _render_sweep(base: dict, combo: dict) -> dict:
             doc["phys"][key] = combo[key]
     if "n" in combo:
         doc.setdefault("data", {})["n"] = combo["n"]
-        if "exponents" in doc and doc["exponents"].get("n") is not None:
-            doc["exponents"]["n"] = combo["n"]
     return doc
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .field import (DEFAULT_BOUNDARY_TOL, BoundaryDecayError, Field, Grid, build_initial_data,
                     load_field)
-from .params import ExponentSet, PhysParams, synthesize_exponents
+from .params import PhysParams, validate_phys
 from .solver import SolverConfig, snapshot_schedule
 
 ENV_OUT = "DNLSLAB_OUT"
@@ -38,7 +38,7 @@ def find_line(text: str, key: str) -> int:
 @dataclass
 class RunConfig:
     params: PhysParams
-    exps: ExponentSet | None
+    n: int | None  # the data's weight order
     initial: Field
     solver: SolverConfig
     out: Path
@@ -111,14 +111,15 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
       solver:    {frame, dt0?, c_adapt?, horizon_floor?, t_end?, snapshot_count?}
       data:      {c?, n?, bump?: [{amp|"random", center, width, scale?}, ...],
                   snapshot?: series base path, index?: field of the series (0)}
-      exponents: {strict?, n?, fallback_sigma?}   (optional; defaults to the
-                  relaxed set at the data weight with the strict-window rate)
       out:       directory (optional; --out flag and DNLSLAB_OUT override)
       seed:      integer for randomized bumps (default 0)
 
     A null value reads as absent, and one not of its kind is a ConfigError at
-    its key.  ``snapshot_schedule`` alone judges the solver section; its
-    errors anchor at "solver".
+    its key.  ``data.n``, the weight order, must be a positive integer; the
+    monitors and the verdict read it, for snapshot data too, and an
+    "exponents" section is refused in its favour.  A dissipative config
+    (Im lam < 0) must pass ``validate_phys``.  ``snapshot_schedule`` alone
+    judges the solver section; its errors anchor at "solver".
     """
 
     def err(key, msg):
@@ -135,8 +136,10 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
             err(key, f"{key} must be {_KINDS[kind]}, not {json.dumps(value)}")
         return complex(*value) if kind is complex else float(value) if kind is float else value
 
-    for section in ("phys", "grid", "solver", "data", "exponents"):
-        if section not in doc and section not in ("grid", "exponents"):
+    if doc.get("exponents") is not None:
+        err("exponents", '"exponents" is not a config section; the weight order is data.n')
+    for section in ("phys", "grid", "solver", "data"):
+        if section not in doc and section != "grid":
             raise ConfigError(path, 1, f'missing section "{section}"')
         if not isinstance(doc.get(section, {}), dict):
             err(section, f'section "{section}" must be an object')
@@ -150,6 +153,9 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
     if alpha <= 0:
         err("alpha", "alpha must be positive")
     params = PhysParams(N, alpha, lam, b)
+    bad = validate_phys(params) if lam.imag < 0 else []
+    if bad:
+        err("phys", "invalid physical parameters: " + "; ".join(bad))
 
     kinds = {"frame": str, "dt0": float, "c_adapt": float, "t_end": float,
              "horizon_floor": float, "snapshot_count": int}
@@ -157,6 +163,8 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
                              for k, kind in kinds.items()})
 
     data_n = read("data", "n", int, None)
+    if data_n is not None and data_n < 1:
+        err("n", "n must be a positive integer")
     snapshot = read("data", "snapshot", str, None)
     c = read("data", "c", float, None)
     if snapshot is None:
@@ -177,21 +185,6 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
                             boundary_tol=read("grid", "boundary_tol", float, DEFAULT_BOUNDARY_TOL))
         except ValueError as e:
             err("grid", str(e))
-
-    exps = None
-    ex = doc.get("exponents")
-    if ex is None and data_n is not None:
-        ex = {"strict": False, "n": data_n, "fallback_sigma": True}
-    if ex is not None:
-        choice = {"strict": read(ex, "strict", bool, True), "n": read(ex, "n", int, None),
-                  "fallback_sigma": read(ex, "fallback_sigma", bool, False)}
-        if lam.imag < 0:
-            try:
-                exps = synthesize_exponents(params, **choice)
-            except ValueError as e:
-                err("exponents" if "exponents" in doc else "data", str(e))
-            if data_n is not None and exps.n != data_n:
-                err("exponents", f"exponent weight n = {exps.n} does not match data n = {data_n}")
 
     if snapshot is not None:
         try:
@@ -235,5 +228,5 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
                 f"a {solver.frame}-frame run; only t = 0 is the same state in both frames")
         initial = Field(initial.grid, initial.values, solver.frame, initial.t)
 
-    return RunConfig(params=params, exps=exps, initial=initial, solver=solver,
+    return RunConfig(params=params, n=data_n, initial=initial, solver=solver,
                      out=out_root(out_override, doc))

@@ -26,7 +26,7 @@ from .asymptotics import (
 )
 from .conformal import NormSeries, norm_bridge
 from .field import DEFAULT_MAX_ORDER, Field, data_bound
-from .params import ExponentSet, PhysParams
+from .params import PhysParams
 from .solver import MASS_SLACK, Trajectory
 
 MIN_FIT_SAMPLES = 8
@@ -194,20 +194,21 @@ class MonitorReport:
 class SnapshotMonitor:
     """The weighted running-sup monitors of a rescaled-frame run, fed snapshot by snapshot.
 
-    The data constant K is computed once, from the initial data, when the
-    monitor is built.  Call the monitor with each snapshot in schedule order,
-    the initial state first (``run``'s ``on_snapshot`` does), then take
-    ``report()``.  Each row is computed before the feed returns; a row's
+    ``n`` is the data's weight order (the config's ``data.n``): the modulus
+    floor is weighted by <x>^n.  The data constant K is computed once, from
+    the initial data at that weight, when the monitor is built.  Call the
+    monitor with each snapshot in schedule order, the initial state first
+    (``run``'s ``on_snapshot`` does), then take ``report()``.  Each row is computed before the feed returns; a row's
     ``ExtractionError`` waits for ``report()``, and later snapshots are
     still fed.
     """
 
-    def __init__(self, v0: Field, exps: ExponentSet, params: PhysParams):
+    def __init__(self, v0: Field, n: int, params: PhysParams):
         self._params = params
-        self._weight = v0.grid.bracket_pow(exps.n)
-        self._K = data_bound(v0, exps.n, DEFAULT_MAX_ORDER)
+        self._weight = v0.grid.bracket_pow(n)
+        self._K = data_bound(v0, n, DEFAULT_MAX_ORDER)
         # the tail of the pointwise decay bound
-        self._tail = 2.0 * self._K**params.alpha * v0.grid.bracket() ** (-exps.n * params.alpha)
+        self._tail = 2.0 * self._K**params.alpha * v0.grid.bracket() ** (-n * params.alpha)
         self._mod0a = None
         self._times: list[float] = []
         self._rows: list[tuple[float, float, bool]] = []
@@ -263,13 +264,13 @@ class SnapshotMonitor:
         )
 
 
-def monitor_phi(traj: Trajectory, v0: Field, exps: ExponentSet) -> MonitorReport:
+def monitor_phi(traj: Trajectory, v0: Field, n: int) -> MonitorReport:
     """Evaluate the weighted running-sup monitors over a rescaled-frame run.
 
-    Per snapshot: the compensated reciprocal of the weighted modulus floor,
-    whose running sup is ``phi3``, and the sup of the ``correction_algebraic``
-    field; and the pointwise two-sided decay check against the data constant
-    K of ``v0``.  Flags classify; nothing raises on a broken bound since a
+    Per snapshot: the compensated reciprocal of the floor of <x>^n |v|, ``n``
+    the data's weight order, whose running sup is ``phi3``, and the sup of
+    the ``correction_algebraic`` field; and the pointwise two-sided decay
+    check against the data constant K of ``v0``.  Flags classify; nothing raises on a broken bound since a
     coefficient below the regime threshold breaks them legitimately.  A
     vanishing modulus raises ``ExtractionError`` for the first such snapshot.
 
@@ -282,7 +283,7 @@ def monitor_phi(traj: Trajectory, v0: Field, exps: ExponentSet) -> MonitorReport
         raise ValueError("monitors are defined on rescaled-frame trajectories")
     if not traj.snapshots:
         raise ValueError("no snapshots")
-    monitor = SnapshotMonitor(v0, exps, traj.params)
+    monitor = SnapshotMonitor(v0, n, traj.params)
     for snap in traj.snapshots:
         monitor(snap)
     return monitor.report()

@@ -88,7 +88,7 @@ class Grid:
     def spacings(self) -> tuple[float, ...]:
         return tuple(2 * L / M for L, M in zip(self.extents, self.points))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 

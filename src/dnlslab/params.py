@@ -1,21 +1,16 @@
-"""Problem parameters and the integer bookkeeping behind the decay analysis.
+"""Problem parameters, the theorem's hypotheses and its strict exponent set.
 
-Two layers: ``PhysParams`` holds the physical tuple (N, alpha, lambda, b),
-its admissibility conditions and the closed-form constants every module
-reads off it; ``ExponentSet`` holds the derived integers (k, n, m, J) and
-the compensation rate sigma.  Strict synthesis picks the minimal integers
-allowed by the theory; relaxed synthesis accepts a desk-scale n and reports
-which strict conditions it breaks.
+``PhysParams`` holds the physical tuple (N, alpha, lambda, b) and the
+closed-form constants every module reads off it.  ``validate_phys`` and
+``hypotheses`` read its three physical conditions from one table.
+``ExponentSet`` holds the minimal integers (k, n, m, J) and the rate sigma
+that the theory allows; a run's weight order is its data's n instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-
-class ExponentWindowError(ValueError):
-    """The admissible sigma interval for the requested (k, n) is empty."""
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -57,27 +52,29 @@ class PhysParams:
                    complex(d["lam"][0], d["lam"][1]), float(d["b"]))
 
 
+def _physical_conditions(params: PhysParams) -> tuple[tuple, ...]:
+    # each of the theorem's conditions on (alpha, lam, b), once:
+    # (condition, value, requires, holds, what validate_phys says when it fails)
+    lo, hi = params.subcritical_window
+    a, im = params.alpha, complex(params.lam).imag
+    return (
+        ("2/(N+2) < alpha < 2/N", a, f"in ({lo:.6g}, {hi:.6g})", lo < a < hi,
+         f"alpha <= 2/(N+2) = {lo:.6g}" if not a > lo else f"alpha >= 2/N = {hi:.6g}"),
+        ("Im(lambda) < 0", im, "< 0", im < 0,
+         "Im(lambda) must be negative (dissipative nonlinearity)"),
+        ("b > 0", params.b, "> 0", params.b > 0, "b must be positive"),
+    )
+
+
 def validate_phys(params: PhysParams) -> list[str]:
     """Return the list of violated admissibility conditions (empty means ok).
 
     Checks Im(lambda) < 0, the mass-subcritical window
     2/(N+2) < alpha < 2/N, and b > 0.
     """
-    bad = []
     if not isinstance(params.N, int) or params.N < 1:
-        bad.append("N must be a positive integer")
-        return bad
-    lam = complex(params.lam)
-    if not lam.imag < 0:
-        bad.append("Im(lambda) must be negative (dissipative nonlinearity)")
-    lo, hi = params.subcritical_window
-    if not params.alpha > lo:
-        bad.append(f"alpha <= 2/(N+2) = {lo:.6g}")
-    if not params.alpha < hi:
-        bad.append(f"alpha >= 2/N = {hi:.6g}")
-    if not params.b > 0:
-        bad.append("b must be positive")
-    return bad
+        return ["N must be a positive integer"]
+    return [why for _, _, _, holds, why in _physical_conditions(params) if not holds]
 
 
 def _least_integer_above(x: float) -> int:
@@ -124,20 +121,13 @@ def sigma_window(params: PhysParams, k: int, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ExponentSet:
-    """Derived integers (k, n, m, J) and the compensation rate sigma.
-
-    ``strict`` records whether the full set of integer conditions holds or a
-    relaxed desk-scale n was requested; ``violations`` lists any broken
-    strict conditions in the relaxed case.
-    """
+    """The strict integers (k, n, m, J) and the compensation rate sigma."""
 
     k: int
     n: int
     m: int
     J: int
     sigma: float
-    strict: bool
-    violations: tuple[str, ...] = field(default=())
 
 
 def derived_inequalities(params: PhysParams, exps: ExponentSet) -> dict[str, bool]:
@@ -151,65 +141,42 @@ def derived_inequalities(params: PhysParams, exps: ExponentSet) -> dict[str, boo
     }
 
 
-def synthesize_exponents(
-    params: PhysParams,
-    strict: bool = True,
-    n: int | None = None,
-    fallback_sigma: bool = False,
-) -> ExponentSet:
-    """Build the exponent set for ``params``.
+def synthesize_exponents(params: PhysParams) -> ExponentSet:
+    """The minimal admissible exponent set for ``params``.
 
-    Strict mode returns the minimal admissible integers (k first, then n
-    given k, then m given k and n) and sigma at the midpoint of its open
-    window.  Relaxed mode (``strict=False``) requires a caller-supplied
-    ``n``; the remaining integers are minimized for that n and every broken
-    strict condition is recorded in ``violations``.  A desk-scale n can make
-    the sigma window empty; that raises ``ExponentWindowError`` unless
-    ``fallback_sigma`` is set, in which case sigma is taken from the strict
-    window and the inconsistency is recorded.
+    k first, then n given k, then m given k and n; sigma sits at the
+    midpoint of its open window.  Raises ValueError for parameters that
+    fail ``validate_phys``.
     """
     bad = validate_phys(params)
     if bad:
         raise ValueError("invalid physical parameters: " + "; ".join(bad))
+    k = strict_k(params)
+    n = strict_n(params, k)
+    m = strict_m(params, k, n)
+    lo, hi = sigma_window(params, k, n)
+    return ExponentSet(k=k, n=n, m=m, J=2 * m + 2 + k + n, sigma=0.5 * (lo + hi))
 
+
+def hypotheses(params: PhysParams, n: int) -> list[dict]:
+    """The theorem's hypotheses for ``params`` and data of positive weight order ``n``.
+
+    One entry per condition, each with its ``condition``, ``value``,
+    ``requires`` and whether it ``holds``: the three physical conditions,
+    then n against the strict bound and the sigma window at n.  The weight
+    bounds assume alpha inside the window; outside it only the physical
+    entries are listed.
+    """
+    listed = [{"condition": condition, "value": value, "requires": requires, "holds": holds}
+              for condition, value, requires, holds, _ in _physical_conditions(params)]
+    if not listed[0]["holds"]:  # alpha outside the window
+        return listed
     k = strict_k(params)
     n_min = strict_n(params, k)
-    violations: list[str] = []
-
-    if strict:
-        if n is not None and n != n_min:
-            raise ValueError("strict synthesis does not accept a custom n")
-        n_use = n_min
-    else:
-        if n is None:
-            raise ValueError("relaxed synthesis requires n")
-        n_use = int(n)
-        if n_use < 1:
-            raise ValueError("n must be a positive integer")
-        if n_use <= n_min:
-            violations.append(f"n={n_use} below the strict bound (needs n >= {n_min})")
-
-    m = strict_m(params, k, n_use)
-    J = 2 * m + 2 + k + n_use
-
-    lo, hi = sigma_window(params, k, n_use)
-    if lo < hi:
-        sigma = 0.5 * (lo + hi)
-    else:
-        msg = f"sigma window ({lo:.6g}, {hi:.6g}) empty for k={k}, n={n_use}"
-        if not fallback_sigma:
-            raise ExponentWindowError(msg + "; inconsistent relaxation")
-        lo_s, hi_s = sigma_window(params, k, n_min)
-        sigma = 0.5 * (lo_s + hi_s)
-        violations.append(msg + f"; using sigma={sigma:.6g} from the strict window")
-
-    exps = ExponentSet(k=k, n=n_use, m=m, J=J, sigma=sigma,
-                       strict=strict and not violations,
-                       violations=tuple(violations))
-
-    if strict:
-        checks = derived_inequalities(params, exps)
-        failed = [name for name, ok in checks.items() if not ok]
-        if failed:  # cannot happen for a valid window; guards regressions
-            raise AssertionError("derived inequalities failed: " + ", ".join(failed))
-    return exps
+    lo, hi = sigma_window(params, k, n)
+    return listed + [
+        {"condition": "n >= the strict bound", "value": n, "requires": f">= {n_min}",
+         "holds": n >= n_min},
+        {"condition": "sigma window at n is nonempty", "value": [lo, hi], "requires": "lo < hi",
+         "holds": lo < hi},
+    ]

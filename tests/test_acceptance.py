@@ -273,9 +273,7 @@ def test_criterion_09_profile_identities_and_limit(reference, reference_profile)
 def test_criterion_10_monitor_flags(reference, regime_companion):
     def flags(traj, v0, params):
         ok, worst = mass_dissipation_ok(traj)
-        report = monitor_phi(traj, v0, synthesize_exponents(
-            params, strict=False, n=5, fallback_sigma=True
-        ))
+        report = monitor_phi(traj, v0, 5)
         f_max = float(np.max(report.f_sup))
         print(
             f"b={params.b:g}: mass dissipation ok={ok}, worst step growth {worst:.2e},"
@@ -298,7 +296,7 @@ def test_criterion_10_monitor_flags(reference, regime_companion):
 
 
 def test_criterion_11_strict_exponent_synthesis():
-    exps = synthesize_exponents(REF_PARAMS, strict=True)
+    exps = synthesize_exponents(REF_PARAMS)
     print(f"k={exps.k} n={exps.n} m={exps.m} J={exps.J} sigma window "
           f"{sigma_window(REF_PARAMS, exps.k, exps.n)}")
     assert (exps.k, exps.n, exps.m, exps.J) == (5, 21, 211, 450)

@@ -13,7 +13,7 @@ import pytest
 from dnlslab.asymptotics import error_series, finalize_profile
 from dnlslab.diagnostics import SnapshotMonitor
 from dnlslab.field import Grid, SnapshotStore, build_initial_data
-from dnlslab.params import PhysParams, synthesize_exponents
+from dnlslab.params import PhysParams
 from dnlslab.solver import SolverConfig, run
 
 # lambda: (run, error series) bound; an array per operation peaked at
@@ -42,7 +42,7 @@ def peaks(request, tmp_path_factory):
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(2, 0.8, lam, 20.0)
     cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=9)
-    monitor = SnapshotMonitor(v0, synthesize_exponents(p, strict=False, n=5, fallback_sigma=True), p)
+    monitor = SnapshotMonitor(v0, 5, p)
     out = tmp_path_factory.mktemp("alloc") / "run"
     with SnapshotStore.staged(out) as store:
         traj, run_peak = _traced_peak(run, v0, cfg, p, on_snapshot=monitor, snapshots=store)

@@ -252,8 +252,22 @@ def test_deep_2d_error_series_is_a_numerical_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_an_exponents_section_exits_2_naming_data_n(tmp_path, capsys):
+    # the weight order is data.n alone; a section that still sets one is refused
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    doc["grid"]["M"] = 64
+    doc["exponents"] = {"strict": False, "n": 5, "fallback_sigma": True}
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, "exponents") in err and "data.n" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["strict", "fallback_sigma"])
 def test_exponent_flags_must_be_json_booleans(tmp_path, capsys, key):
+    # a flag that is no JSON boolean is refused with the whole section
     doc = json.loads(json.dumps(PASS_CONFIG))
     doc["grid"]["M"] = 64
     doc["exponents"] = {"strict": False, "n": 5, "fallback_sigma": True, key: "no"}
@@ -261,8 +275,32 @@ def test_exponent_flags_must_be_json_booleans(tmp_path, capsys, key):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert anchor(cfg, key) in err and f'{key} must be true or false, not "no"' in err
-    assert not out.exists()
+    assert anchor(cfg, "exponents") in err and "data.n" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_snapshot_data_needs_a_positive_weight(tmp_path, capsys, pass_run, n):
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    del doc["grid"]
+    doc["data"] = {"snapshot": str(pass_run / "snapshots" / "series"), "n": n}
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, "n") in err and "n must be a positive integer" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_dissipative_config_outside_the_window_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    doc["phys"]["alpha"] = 2.5
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, "phys") in err and "alpha >= 2/N = 2" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 # --- the exit-code contract: 0, 2, 3 or 4 for every config, never a traceback ---
@@ -300,6 +338,7 @@ MALFORMED = [
     ((("data", "c"), [1, 2]),),
     ((("solver", "t_end"), "abc"),),
     ((("data", "bump", 0, "amp"), "zz"),),
+    ((("exponents",), {"n": 5}),),  # the weight order is data.n
     ((("solver", "t_end"), 0),),
     ((("solver", "t_end"), -1),),
     ((("solver", "frame"), "u"), (("solver", "t_end"), 0)),
@@ -440,17 +479,19 @@ def test_env_var_output_root(tmp_path, monkeypatch):
 
 def test_verify_pass_verdict(pass_run):
     doc = json.loads((pass_run / "verdict.json").read_text())
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert doc["verdict"] == "pass"
     assert doc["reasons"] == []
     assert doc["compliant_regime"] is True
     for check in doc["checks"].values():
         assert check["ok"]
     assert doc["monitors"]["f_within_quarter"]
-    # relaxed n = 5 run carries the strict reference synthesis alongside
-    assert doc["exponents"]["n"] == 5
-    assert doc["exponents"]["violations"]
-    assert doc["exponents"]["strict_reference"] == {"k": 5, "n": 21, "m": 211, "J": 450}
+    # the n = 5 run carries the strict reference synthesis alongside, and
+    # lists the two weight hypotheses it breaks
+    assert doc["exponents"] == {"n": 5, "strict_reference": {"k": 5, "n": 21, "m": 211, "J": 450}}
+    assert [h["condition"] for h in doc["hypotheses"] if not h["holds"]] == [
+        "n >= the strict bound", "sigma window at n is nonempty"]
+    assert len(doc["hypotheses"]) == 5
 
 
 def test_verify_artifacts_on_disk(pass_run):
@@ -586,7 +627,7 @@ def test_a_monitored_run_leaves_only_the_reread_geometry_on_its_grid(tmp_path):
         ("bracket_pow", 5), ("wavenumbers",), ("wavenumber_levels",)}
 
 
-def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
+def test_monitor_fed_during_the_run_equals_monitor_phi(tmp_path, monkeypatch):
     fed, at_run_end, kept = [], [], []
     solve, simulate, feed = cli.run, cli._simulate, SnapshotMonitor.__call__
 
@@ -617,12 +658,12 @@ def test_monitor_beside_the_solve_equals_monitor_phi(tmp_path, monkeypatch):
     rc, traj = kept[0]
     # every snapshot was fed during the run, and none after it
     assert at_run_end == [len(traj.snapshots)] == [len(fed)]
-    after = monitor_phi(traj, rc.initial, rc.exps)
+    after = monitor_phi(traj, rc.initial, rc.n)
     block = json.loads((out / "report.json").read_text())["monitor"]
     assert block == json.loads(json.dumps(after.as_dict()))
 
 
-def test_solver_error_beside_a_busy_monitor_exits_3(tmp_path, monkeypatch, capsys):
+def test_solver_error_after_the_fed_rows_are_done_exits_3(tmp_path, monkeypatch, capsys):
     # each fed snapshot's row is done before the solve goes on, so the
     # failing step finds no row left to wait for
     fed, done = [], []
@@ -714,7 +755,7 @@ def traced_verify(tmp_path, doc):
     return code, out, peak
 
 
-def test_threaded_verify_memory_does_not_grow_with_the_schedule(tmp_path):
+def test_verify_memory_does_not_grow_with_the_schedule(tmp_path):
     # snapshots go to disk as their rows are done, and come back one at a
     # time: doubling the schedule adds no snapshot arrays to the peak
     snapshot_bytes = 16 * CONFIG_2D["grid"]["M"] ** 2
@@ -736,7 +777,7 @@ def test_threaded_verify_memory_does_not_grow_with_the_schedule(tmp_path):
     assert abs(peaks[33] - peaks[17]) < 4 * snapshot_bytes
 
 
-def test_threaded_verify_writes_the_same_files_at_any_schedule(tmp_path):
+def test_verify_writes_the_same_files_at_any_schedule(tmp_path):
     # a run's snapshots are one series: the file count does not follow the schedule
     listed = {}
     for count in (17, 33):
@@ -934,12 +975,11 @@ def test_plot_data_deterministic(pass_run, tmp_path):
 
 
 def test_plot_data_on_snapshot_run(pass_run, tmp_path):
-    # verify from the stored initial snapshot, weight from "exponents": the
-    # run repeats pass_run, so its plot tables must match byte for byte
+    # verify from the stored initial snapshot, weight from data.n: the run
+    # repeats pass_run, so its plot tables must match byte for byte
     doc = json.loads(json.dumps(PASS_CONFIG))
     del doc["grid"]
-    doc["data"] = {"snapshot": str(pass_run / "snapshots" / "series")}
-    doc["exponents"] = {"strict": False, "n": 5, "fallback_sigma": True}
+    doc["data"] = {"snapshot": str(pass_run / "snapshots" / "series"), "n": 5}
     cfg = write_config(tmp_path / "c.json", doc)
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0

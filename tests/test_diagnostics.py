@@ -36,7 +36,7 @@ from dnlslab.field import (
     spectral_derivative,
     weighted_inf,
 )
-from dnlslab.params import PhysParams, synthesize_exponents
+from dnlslab.params import PhysParams
 from dnlslab.solver import SolverConfig, run
 from oracles import derivative_orders, weighted_sup_norm
 
@@ -46,10 +46,9 @@ def clean_setup():
     g = Grid.line(30.0, 512, boundary_tol=1e-4)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(1, 1.0, -1j, 20.0)
-    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
     cfg = SolverConfig(frame="v", dt0=5e-4, c_adapt=0.02, horizon_floor=1e-4,
                        snapshot_count=25)
-    return run(v0, cfg, p), v0, exps
+    return run(v0, cfg, p), v0, 5
 
 
 # --- power-law fitting ---
@@ -238,14 +237,14 @@ def test_profile_error_with_a_vanishing_sup_error():
 
 
 def test_monitor_running_sups_and_flags(clean_setup):
-    traj, v0, exps = clean_setup
-    rep = monitor_phi(traj, v0, exps)
+    traj, v0, n = clean_setup
+    rep = monitor_phi(traj, v0, n)
     assert isinstance(rep, MonitorReport)
     assert np.all(np.diff(rep.phi3) >= 0)
     assert np.isfinite(rep.phi3[0]) and rep.phi3[0] > 0
     assert rep.psi_ratio == rep.phi3[-1] / rep.phi3[0]
     # the data constant is the order-4 ladder of v0 plus its weighted floor's reciprocal
-    assert rep.data_constant == data_bound(v0, exps.n, 4) and rep.max_order == 4
+    assert rep.data_constant == data_bound(v0, n, 4) and rep.max_order == 4
     assert rep.f_within_quarter
     assert rep.decay_pointwise
     assert rep.label == "truncated"
@@ -254,15 +253,15 @@ def test_monitor_running_sups_and_flags(clean_setup):
 def test_monitor_phi3_tail_pinned(clean_setup):
     # the data equals the weight's reciprocal, so the weighted floor starts
     # at one and the undamped far tail keeps it there
-    traj, v0, exps = clean_setup
-    rep = monitor_phi(traj, v0, exps)
+    traj, v0, n = clean_setup
+    rep = monitor_phi(traj, v0, n)
     assert rep.phi3[0] == pytest.approx(1.0, rel=1e-12)
     assert np.all(rep.phi3 <= 1.0 + 1e-9)
 
 
-def _monitor_per_beta(traj, v0, exps, max_order=4):
+def _monitor_per_beta(traj, v0, n, max_order=4):
     """Reference monitor: K from one spectral_derivative transform pair per beta of v0."""
-    p, n = traj.params, exps.n
+    p = traj.params
     floor0, _ = weighted_inf(v0, n)
     K = max(weighted_sup_norm(spectral_derivative(v0, beta, max_order), n)
             for beta in derivative_orders(v0.grid.dim, max_order)) + 1.0 / floor0
@@ -292,12 +291,12 @@ def test_monitor_matches_per_beta_route(N, alpha, b, M):
     g = Grid.box(30.0, M, N, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(N, alpha, -1j, b)
-    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    n = 5
     cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.05 * 4.0 / b, horizon_floor=1e-3,
                        snapshot_count=13)
     traj = run(v0, cfg, p)
-    ref = _monitor_per_beta(traj, v0, exps)
-    rep = monitor_phi(traj, v0, exps)
+    ref = _monitor_per_beta(traj, v0, n)
+    rep = monitor_phi(traj, v0, n)
     for key in ("phi3", "f_sup", "data_constant"):
         np.testing.assert_allclose(getattr(rep, key), ref[key], rtol=1e-12, atol=0.0)
     assert (rep.f_within_quarter, rep.decay_pointwise) == ref["flags"]
@@ -311,9 +310,9 @@ def test_monitor_row_after_the_first_holds_under_three_grid_arrays():
     g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(2, 0.8, -1j, 20.0)
-    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    n = 5
     later = Field(g, 0.7 * v0.values * np.exp(0.2j * sum(g.meshes())), "v", 0.01)
-    monitor = SnapshotMonitor(v0, exps, p)
+    monitor = SnapshotMonitor(v0, n, p)
     monitor(v0)
     tracemalloc.start()
     try:
@@ -332,7 +331,7 @@ def test_second_report_computes_no_row(monkeypatch):
     g = Grid.line(30.0, 256, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(1, 1.0, -1j, 20.0)
-    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    n = 5
     later = Field(g, 0.7 * v0.values, "v", 0.01)
     rows, row = [], SnapshotMonitor._row
 
@@ -341,7 +340,7 @@ def test_second_report_computes_no_row(monkeypatch):
         return row(self, snap)
 
     monkeypatch.setattr(SnapshotMonitor, "_row", counted_row)
-    monitor = SnapshotMonitor(v0, exps, p)
+    monitor = SnapshotMonitor(v0, n, p)
     monitor(v0)
     monitor(later)
     first = monitor.report()
@@ -357,7 +356,7 @@ def test_serial_monitor_saves_each_snapshot_as_it_is_fed(monkeypatch, tmp_path):
     g = Grid.line(30.0, 256, boundary_tol=1e-3)
     v0 = build_initial_data(g, 1.0, 5)
     p = PhysParams(1, 1.0, -1j, 20.0)
-    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
+    n = 5
     cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=5)
     row, written = SnapshotMonitor._row, []
 
@@ -369,7 +368,7 @@ def test_serial_monitor_saves_each_snapshot_as_it_is_fed(monkeypatch, tmp_path):
 
     monkeypatch.setattr(SnapshotMonitor, "_row", failing_row)
     with SnapshotStore.staged(tmp_path / "out") as store:
-        monitor = SnapshotMonitor(v0, exps, p)
+        monitor = SnapshotMonitor(v0, n, p)
         run(v0, cfg, p, on_snapshot=monitor, snapshots=store)
         assert written == [(i + 1) * v0.values.nbytes for i in range(5)]
     with pytest.raises(ExtractionError, match=re.escape(f"t = {store.times[1]!r}") + "$"):
@@ -379,7 +378,7 @@ def test_serial_monitor_saves_each_snapshot_as_it_is_fed(monkeypatch, tmp_path):
 def test_monitor_phi_leaves_no_reference_cycle(clean_setup, monkeypatch):
     # with the cycle collector off, the monitor, its rows and its arrays go
     # as soon as monitor_phi returns
-    traj, v0, exps = clean_setup
+    traj, v0, n = clean_setup
     monitors, init = [], SnapshotMonitor.__init__
 
     def weakly_kept(self, *args, **kwargs):
@@ -389,26 +388,26 @@ def test_monitor_phi_leaves_no_reference_cycle(clean_setup, monkeypatch):
     monkeypatch.setattr(SnapshotMonitor, "__init__", weakly_kept)
     gc.disable()
     try:
-        monitor_phi(traj, v0, exps)
+        monitor_phi(traj, v0, n)
         assert len(monitors) == 1 and monitors[0]() is None
     finally:
         gc.enable()
 
 
 def test_monitor_rejects_wrong_frame(clean_setup):
-    traj, v0, exps = clean_setup
+    traj, v0, n = clean_setup
     bad = type(traj)("u", traj.params, traj.times, traj.dts, traj.l2,
                      traj.linf, traj.snapshots, traj.snapshot_times, traj.snapshot_steps)
     with pytest.raises(ValueError, match="rescaled-frame"):
-        monitor_phi(bad, v0, exps)
+        monitor_phi(bad, v0, n)
 
 
 def test_monitor_needs_snapshots(clean_setup):
-    traj, v0, exps = clean_setup
+    traj, v0, n = clean_setup
     bare = type(traj)("v", traj.params, traj.times, traj.dts, traj.l2,
                       traj.linf, [], np.array([]), np.array([], dtype=int))
     with pytest.raises(ValueError, match="no snapshots"):
-        monitor_phi(bare, v0, exps)
+        monitor_phi(bare, v0, n)
 
 
 def test_mass_dissipation_check(clean_setup):
@@ -427,8 +426,8 @@ def test_mass_dissipation_check(clean_setup):
 
 
 def test_emit_report_row_count_and_round_trip(tmp_path, clean_setup):
-    traj, v0, exps = clean_setup
-    rep = monitor_phi(traj, v0, exps)
+    traj, v0, n = clean_setup
+    rep = monitor_phi(traj, v0, n)
     series = norm_bridge(traj)
     checks = {"sup_limit": check_sup_limit(series, traj.params)}
     jp, cp = emit_report(tmp_path, traj, monitor=rep, checks=checks,

@@ -1,12 +1,12 @@
-"""Parameter validation and exponent synthesis."""
+"""Parameter validation, exponent synthesis and the theorem's hypotheses."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnlslab.params import (
-    ExponentWindowError,
     PhysParams,
     derived_inequalities,
+    hypotheses,
     sigma_window,
     synthesize_exponents,
     validate_phys,
@@ -50,8 +50,8 @@ def test_strict_synthesis_reference_values():
     assert lo == pytest.approx(1 / 21)
     assert hi == pytest.approx(1 / 14)
     assert exps.sigma == pytest.approx(0.5 * (1 / 21 + 1 / 14))
-    assert exps.strict
-    assert exps.violations == ()
+    # the strict n meets every hypothesis
+    assert all(h["holds"] for h in hypotheses(PhysParams(1, 1.0, -1j, 4.0), exps.n))
 
 
 def test_strict_synthesis_2d_values():
@@ -72,27 +72,48 @@ def test_strict_integers_are_minimal():
     assert exps.m > m_bound and not exps.m - 1 > m_bound
 
 
-def test_relaxed_synthesis_reports_violations():
+def _broken(params, n):
+    return [h["condition"] for h in hypotheses(params, n) if not h["holds"]]
+
+
+def test_hypotheses_at_the_desk_scale_weight():
+    # n = 5 is below the strict bound 21 and empties the sigma window (1/5 > 1/14)
     p = PhysParams(1, 1.0, -1j, 4.0)
-    exps = synthesize_exponents(p, strict=False, n=5, fallback_sigma=True)
-    assert (exps.k, exps.n, exps.m, exps.J) == (5, 5, 51, 114)
-    assert not exps.strict
-    assert any("below the strict bound" in v for v in exps.violations)
-    # n=5 empties the window (1/5 > 1/14); sigma falls back to the strict one
-    assert any("window" in v for v in exps.violations)
-    assert exps.sigma == pytest.approx(0.5 * (1 / 21 + 1 / 14))
+    listed = hypotheses(p, 5)
+    assert [h["condition"] for h in listed] == [
+        "2/(N+2) < alpha < 2/N", "Im(lambda) < 0", "b > 0",
+        "n >= the strict bound", "sigma window at n is nonempty"]
+    assert _broken(p, 5) == ["n >= the strict bound", "sigma window at n is nonempty"]
+    n_entry, window = listed[3], listed[4]
+    assert (n_entry["value"], n_entry["requires"]) == (5, ">= 21")
+    assert window["value"] == pytest.approx([1 / 5, 1 / 14])
+    assert listed[0] == {"condition": "2/(N+2) < alpha < 2/N", "value": 1.0,
+                         "requires": "in (0.666667, 2)", "holds": True}
 
 
-def test_relaxed_inconsistent_window_raises_without_fallback():
-    with pytest.raises(ExponentWindowError):
-        synthesize_exponents(PhysParams(1, 1.0, -1j, 4.0), strict=False, n=5)
+def test_hypotheses_below_the_strict_bound_with_a_nonempty_window():
+    # n = 16 keeps 1/16 < 1/14: only the strict bound is broken
+    p = PhysParams(1, 1.0, -1j, 4.0)
+    assert _broken(p, 16) == ["n >= the strict bound"]
+    lo, hi = hypotheses(p, 16)[4]["value"]
+    assert lo == pytest.approx(1 / 16) and hi == pytest.approx(1 / 14)
+    assert _broken(p, 21) == []
 
 
-def test_relaxed_consistent_window_needs_no_fallback():
-    # n = 16 keeps 1/16 < 1/14: a consistent relaxation below the strict n=21
-    exps = synthesize_exponents(PhysParams(1, 1.0, -1j, 4.0), strict=False, n=16)
-    assert 1 / 16 < exps.sigma < 1 / 14
-    assert any("below the strict bound" in v for v in exps.violations)
+@pytest.mark.parametrize(
+    "params,broken",
+    [
+        (PhysParams(1, 1.0, 1.0 + 0j, 4.0), ["Im(lambda) < 0"]),
+        (PhysParams(1, 1.0, -1j, -2.0), ["b > 0"]),
+        # the weight bounds assume alpha inside the window: only the physical entries
+        (PhysParams(1, 2.5, -1j, 1.0), ["2/(N+2) < alpha < 2/N"]),
+    ],
+)
+def test_hypotheses_break_what_validate_phys_names(params, broken):
+    assert len(validate_phys(params)) == 1
+    listed = hypotheses(params, 21)
+    assert len(listed) == (3 if params.alpha == 2.5 else 5)
+    assert _broken(params, 21) == broken
 
 
 def test_invalid_params_rejected():

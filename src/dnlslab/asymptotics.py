@@ -3,10 +3,11 @@
 The modulus of a rescaled-frame solution obeys an exact pointwise balance:
 its alpha-th power equals |v0|^alpha divided by
 
-    1 + f(t,x) + c |v0(x)|^alpha [(1 - b t)^{-q} - 1],
+    1 + f(t,x) + c |v0(x)|^alpha [g^{-q} - 1]/q,      g = 1 - b t,
 
-with q and c the ``gauge_exponent`` and ``balance_coefficient`` of
-``PhysParams``.  The correction f collects the dispersive coupling
+with q the ``gauge_exponent``, c = alpha |Im lambda|/b the
+``balance_coefficient`` and the bracket ``PhysParams.bracket``, which tends
+to -log g as q -> 0.  The correction f collects the dispersive coupling
 accumulated along the flow; it stays bounded while the explicit bracket
 blows up, which is the whole asymptotic mechanism.
 This module extracts f from a trajectory by inverting the balance
@@ -45,7 +46,7 @@ class ExtractionError(RuntimeError):
 
 
 def horizon_gauge(t, params: PhysParams):
-    """g/(1-g) with g = (1-bt)^q: +inf at t=0, 0 at the horizon.
+    """1/(q bracket) = h/(1 - h) with h = (1 - b t)^q: +inf at t = 0, 0 at the horizon.
 
     The product b * horizon_gauge(t) calibrates when the explicit bracket in
     the modulus balance starts to dominate; callers only ever use it inside
@@ -55,14 +56,13 @@ def horizon_gauge(t, params: PhysParams):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0) or np.any(b * t >= 1):
         raise ValueError("t must lie in [0, 1/b)")
-    g = (1.0 - b * t) ** params.gauge_exponent
-    with np.errstate(divide="ignore"):
-        out = np.where(g == 1.0, np.inf, g / (1.0 - g))
+    with np.errstate(divide="ignore"):  # log1p(-0.0) is -0.0, so the bracket is +0.0 at t = 0
+        out = 1.0 / (params.gauge_exponent * params.bracket(np.log1p(-b * t)))
     return float(out) if out.ndim == 0 else out
 
 
 def crossover_time(params: PhysParams) -> float:
-    """Root of b * horizon_gauge(t) = 1: there g = 1/(1 + b), so (1 - b t)^q = 1/(1 + b)."""
+    """Root of b * horizon_gauge(t) = 1: there h = (1 - b t)^q = 1/(1 + b), in closed form."""
     b, q = params.b, params.gauge_exponent
     if b <= 0 or q <= 0:
         raise ValueError("the crossover needs b > 0 and N alpha < 2")
@@ -89,11 +89,11 @@ def nonvanishing_modulus(snap: Field) -> np.ndarray:
 def balance_correction(t: float, moda: np.ndarray, mod0a: np.ndarray,
                        params: PhysParams) -> np.ndarray:
     """The correction at time t from |v|^alpha (``moda``) and |v0|^alpha (``mod0a``)."""
-    bracket = (1.0 - params.b * t) ** -params.gauge_exponent - 1.0
     f = mod0a / moda
     f -= 1.0
     drift = params.balance_coefficient * mod0a
-    return np.subtract(f, np.multiply(drift, bracket, out=drift), out=f)
+    drift *= params.bracket(np.log1p(-params.b * t))
+    return np.subtract(f, drift, out=f)
 
 
 def correction_field(snap: Field, mod0a: np.ndarray, params: PhysParams) -> Field:
@@ -141,12 +141,10 @@ class ProfileData:
 def _psi_pow_alpha(t: float, correction: np.ndarray, mod0a: np.ndarray, p: PhysParams):
     if t < 0 or p.b * t >= 1:
         raise ValueError("t must lie in [0, 1/b)")
-    q, c = p.gauge_exponent, p.balance_coefficient
-    bracket = (1.0 - p.b * t) ** -q - 1.0
     # (1 + f) / (1 + f + c |v0|^alpha bracket) in two arrays
     num = 1.0 + correction
-    den = c * mod0a
-    den *= bracket
+    den = p.balance_coefficient * mod0a
+    den *= p.bracket(np.log1p(-p.b * t))
     den += num
     return np.divide(num, den, out=num)
 

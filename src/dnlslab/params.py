@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -23,23 +25,24 @@ class PhysParams:
     b: float
 
     @property
-    def subcritical_window(self) -> tuple[float, float]:
-        return 2.0 / (self.N + 2), 2.0 / self.N
-
-    @property
     def gauge_exponent(self) -> float:
         """q = (2 - N alpha)/2, the power of the gauge 1 - b t in the modulus balance."""
         return (2.0 - self.N * self.alpha) / 2.0
 
     @property
     def balance_coefficient(self) -> float:
-        """c = 2 alpha |Im lam| / (b (2 - N alpha)), the weight of the explicit bracket."""
-        return 2.0 * self.alpha * abs(self.lam.imag) / (self.b * (2.0 - self.N * self.alpha))
+        """c = alpha |Im lam| / b, the weight of the explicit term c |v0|^alpha bracket."""
+        return self.alpha * abs(self.lam.imag) / self.b
 
     @property
     def sup_limit(self) -> float:
-        """Late-time limit of t * ||u(t)||_inf^alpha; independent of Re lam and b."""
-        return (2.0 - self.N * self.alpha) / (2.0 * self.alpha * abs(self.lam.imag))
+        """q / (alpha |Im lam|), late-time limit of t * ||u(t)||_inf^alpha; free of Re lam and b."""
+        return self.gauge_exponent / (self.alpha * abs(self.lam.imag))
+
+    def bracket(self, log_g):
+        """(g^-q - 1)/q at the gauge g = 1 - b t from log g, by expm1; its limit -log g at q = 0."""
+        q = self.gauge_exponent
+        return np.expm1(-q * log_g) / q if q else -log_g
 
     def to_dict(self) -> dict:
         """The config-file shape {N, alpha, lam: [re, im], b}."""
@@ -55,7 +58,7 @@ class PhysParams:
 def _physical_conditions(params: PhysParams) -> tuple[tuple, ...]:
     # each of the theorem's conditions on (alpha, lam, b), once:
     # (condition, value, requires, holds, what validate_phys says when it fails)
-    lo, hi = params.subcritical_window
+    lo, hi = 2.0 / (params.N + 2), 2.0 / params.N
     a, im = params.alpha, complex(params.lam).imag
     return (
         ("2/(N+2) < alpha < 2/N", a, f"in ({lo:.6g}, {hi:.6g})", lo < a < hi,

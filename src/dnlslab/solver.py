@@ -149,21 +149,19 @@ def nonlinear_substep_u(w: np.ndarray, tau: float, lam: complex, alpha: float,
 
 
 def coefficient_integral(t: float, tau: float, params: PhysParams) -> float:
-    """Integral of (1 - b s)^{-(4 - N alpha)/2} over [t, t + tau], closed form."""
+    """Integral of (1 - b s)^{-(1 + q)} over [t, t + tau]: head^{-q} bracket / b, head = 1 - b t.
+
+    The bracket's gauge ratio 1 - b tau / head is formed from tau, so a short step keeps its digits.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     b = params.b
     if b == 0.0:
         return tau
     head = 1.0 - b * t
-    tail = 1.0 - b * (t + tau)
-    if head <= 0 or tail <= 0:
+    if head <= 0 or 1.0 - b * (t + tau) <= 0:
         raise ValueError("substep interval touches the horizon 1/b")
-    q = params.gauge_exponent
-    if q == 0.0:  # N alpha = 2: the integrand is 1/(1 - b s), so log(head/tail)/b
-        return float(np.log1p(b * tau / tail)) / b
-    # the prefactor is not written as 1/(b q), which rounds differently
-    return (2.0 / (b * (2.0 - params.N * params.alpha))) * (tail**-q - head**-q)
+    return head**-params.gauge_exponent * params.bracket(np.log1p(-b * tau / head)) / b
 
 
 def nonlinear_substep_v(w: np.ndarray, t: float, tau: float, params: PhysParams,

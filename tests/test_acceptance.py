@@ -240,8 +240,9 @@ def test_criterion_09_profile_identities_and_limit(reference, reference_profile)
         psi = modulus_envelope(snap.t, prof)
         assert np.all(psi > 0.0) and np.all(psi <= 1.0)
 
-    # modulus balance at the peak: 1/scaled = c + (1 + f0 - c|v0|^alpha) g^q,
-    # so the limit 1/c is the intercept of 1/scaled against g^q
+    # modulus balance at the peak, where |v0| = 1: with c the balance coefficient
+    # and q the gauge exponent, 1/scaled = c/q + (1 + f0 - c/q) g^q, so c/q is
+    # the intercept of 1/scaled against g^q, and scaled tends to target = q/c
     q = (2.0 - alpha) / 2.0
     gauges = np.array([1.0 - b * snap.t for snap in traj.snapshots])
     scaled = np.array(

@@ -19,6 +19,7 @@ from dnlslab.asymptotics import (
     predicted_field_v,
     save_profile,
 )
+from dnlslab.diagnostics import monitor_phi
 from dnlslab.field import Field, Grid, build_initial_data, l2_norm, sup_norm
 from dnlslab.params import PhysParams
 from dnlslab.solver import SolverConfig, Trajectory, nonlinear_substep_v, run
@@ -102,6 +103,21 @@ def pure_nonlinear_trajectory():
     return Trajectory("v", REF, times, np.diff(times, prepend=0.0),
                       np.ones_like(times), np.ones_like(times),
                       snaps, times, np.arange(len(times)))
+
+
+def test_balance_at_n_alpha_two_is_the_limit_of_its_neighbour():
+    # at alpha = 2/N the bracket is -log g: the profile and the monitors
+    # complete, and the terminal correction matches that of alpha just below 2/N
+    g = Grid.line(30.0, 64, boundary_tol=1e-2)
+    v0 = build_initial_data(g, 1.0, 5)
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=9)
+    sups = []
+    for alpha in (2.0, 1.99999):
+        traj = run(v0, cfg, PhysParams(1, alpha, -1j, 20.0))
+        report = monitor_phi(traj, v0, 5)
+        assert len(report.f_sup) == 9 and np.all(np.isfinite(report.f_sup))
+        sups.append(finalize_profile(traj).correction_sup)
+    assert sups[0] == pytest.approx(sups[1], rel=1e-8, abs=0.0)
 
 
 def test_correction_vanishes_without_dispersion():
@@ -212,15 +228,16 @@ def test_drift_sign_with_rotation():
 
 
 def test_envelope_squeeze_limit(ref_profile):
-    # finite-gauge deviation at gauge g is (1+f0-c|v0|^a)/(1+f0+(g^{-1/2}-1)c|v0|^a);
+    # with k = c/q = 1/2 for c the balance coefficient and q the gauge exponent,
+    # the finite-gauge deviation at gauge g is (1+f0-k|v0|^a)/(1+f0+(g^{-1/2}-1)k|v0|^a);
     # with f0(0) = 0.68 at b = 4 that is 2.3% at g = 1e-4
     t = (1.0 - 1e-4) / 4.0
     psi = modulus_envelope(t, ref_profile)
     center = ref_profile.reference.grid.points[0] // 2
     lhs = psi[center] ** REF.alpha * 1e-4 ** -0.5
-    c = 2 * REF.alpha * abs(REF.lam.imag) / (REF.b * (2 - REF.N * REF.alpha))
+    k = 2 * REF.alpha * abs(REF.lam.imag) / (REF.b * (2 - REF.N * REF.alpha))
     mod0a = np.abs(ref_profile.reference.values[center]) ** REF.alpha
-    limit = (1.0 + ref_profile.correction[center]) / (c * mod0a)
+    limit = (1.0 + ref_profile.correction[center]) / (k * mod0a)
     assert abs(lhs / limit - 1.0) < 0.03
 
 

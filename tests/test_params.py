@@ -1,5 +1,6 @@
-"""Parameter validation, exponent synthesis and the theorem's hypotheses."""
+"""Parameter validation, the gauge bracket, exponent synthesis and the theorem's hypotheses."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,22 @@ from dnlslab.params import (
     synthesize_exponents,
     validate_phys,
 )
+
+
+@pytest.mark.parametrize("q", [0.5, 0.2, 0.05])
+def test_bracket_is_the_power_law(q):
+    p = PhysParams(1, 2.0 - 2.0 * q, -1j, 20.0)
+    gs = np.geomspace(1e-1, 1e-40, 40)
+    power_law = (gs ** -p.gauge_exponent - 1.0) / p.gauge_exponent
+    np.testing.assert_allclose(p.bracket(np.log(gs)), power_law, rtol=1e-13, atol=0.0)
+
+
+def test_bracket_tends_to_the_logarithm():
+    # q = 0 at alpha = 2/N is the exact limit; q = 1e-12 is off it by q (log g)^2 / 2
+    gs = np.geomspace(1e-1, 1e-40, 40)
+    assert np.array_equal(PhysParams(1, 2.0, -1j, 20.0).bracket(np.log(gs)), -np.log(gs))
+    near = PhysParams(1, 2.0 - 2e-12, -1j, 20.0)
+    np.testing.assert_allclose(near.bracket(np.log(gs)), -np.log(gs), rtol=1e-10, atol=0.0)
 
 
 def test_validate_reference_ok():

@@ -139,6 +139,25 @@ def test_coefficient_integral_b_zero_reduces_to_tau():
     assert coefficient_integral(0.2, 0.37, PhysParams(2, 0.9, -1j, 0.0)) == 0.37
 
 
+def test_coefficient_integral_on_short_steps():
+    # at q = 1/2 the integral is 2 tau / (sqrt(head tail) (sqrt(head) + sqrt(tail))),
+    # free of cancellation however short the step is against the gauge head
+    p = PhysParams(1, 1.0, -1j, 20.0)
+    checked = 0
+    for gauge in np.geomspace(1e-2, 1e-8, 7):
+        t = (1.0 - gauge) / p.b
+        head = 1.0 - p.b * t
+        for ratio in (1e-1, 1e-2, 1e-3):
+            tau = ratio * head / p.b
+            if tau < 1e-12:
+                continue
+            tail = head * (1.0 - p.b * tau / head)
+            exact = 2.0 * tau / (np.sqrt(head * tail) * (np.sqrt(head) + np.sqrt(tail)))
+            assert coefficient_integral(t, tau, p) == pytest.approx(exact, rel=1e-14, abs=0.0)
+            checked += 1
+    assert checked == 20
+
+
 @pytest.mark.parametrize("N,alpha", [(1, 2.0), (2, 1.0)])
 def test_coefficient_integral_at_n_alpha_two_is_the_logarithm(N, alpha):
     # q = 0: the integrand is 1/(1 - b s), and the power-law form divides by 2 - N alpha

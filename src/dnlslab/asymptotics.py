@@ -78,9 +78,9 @@ def _check_v_traj(traj: Trajectory) -> PhysParams:
     return p
 
 
-def nonvanishing_modulus(snap: Field) -> np.ndarray:
-    """|v| of a snapshot; raises ``ExtractionError`` where it vanishes on the grid."""
-    mod = np.abs(snap.values)
+def nonvanishing_modulus(snap: Field, out: np.ndarray | None = None) -> np.ndarray:
+    """|v| of a snapshot, in ``out`` if given; raises ``ExtractionError`` where it vanishes."""
+    mod = np.abs(snap.values, out=out)
     if np.min(mod) <= 0.0:
         raise ExtractionError(f"modulus vanishes on the grid at t = {snap.t:.6g}")
     return mod
@@ -232,8 +232,8 @@ def predicted_field_v(s: float, profile: ProfileData) -> Field:
 
 def predicted_field(t: float, profile: ProfileData) -> Field:
     """Physical-frame prediction at time t, on the co-moving grid."""
-    s = rescaled_time(t, profile.params.b)
-    return to_u_frame(predicted_field_v(s, profile), profile.params.b)
+    z_v = predicted_field_v(rescaled_time(t, profile.params.b), profile)
+    return to_u_frame(z_v, profile.params.b, out=z_v.values)
 
 
 def error_metric(u: Field, profile: ProfileData) -> tuple[float, float]:
@@ -262,13 +262,16 @@ def error_metric(u: Field, profile: ProfileData) -> tuple[float, float]:
 def error_series(traj: Trajectory, profile: ProfileData) -> tuple[np.ndarray, ...]:
     """(t, L2 error, sup error) of ``error_metric`` at each snapshot from t = 1 on.
 
-    Each snapshot is read once; a run that never reaches t = 1 gives three
-    empty arrays.
+    Each snapshot is read once and lens-mapped into the last row's array; a
+    run that never reaches t = 1 gives three empty arrays.
     """
-    b = traj.params.b
-    rows = [(t, *error_metric(to_u_frame(traj.snapshots[i], b), profile))
-            for i, s in enumerate(traj.snapshot_times) if (t := physical_time(s, b)) >= 1.0]
-    _chirp_slot.clear()  # no later stage reads the lens' last chirp (1 MiB at 256^2)
+    b, rows, u = traj.params.b, [], None
+    try:
+        for i in np.flatnonzero(physical_time(traj.snapshot_times, b) >= 1.0):
+            u = to_u_frame(traj.snapshots[i], b, out=getattr(u, "values", None))
+            rows.append((u.t, *error_metric(u, profile)))
+    finally:  # no later stage reads the lens' last factor (1 MiB at 256^2), nor after a failed row
+        _chirp_slot.clear()
     return tuple(np.array(rows, dtype=float).reshape(-1, 3).T)
 
 

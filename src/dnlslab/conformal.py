@@ -36,37 +36,36 @@ def rescaled_time(t, b: float):
     return float(out) if out.ndim == 0 else out
 
 
-# The lens' one cached chirp, by (grid_u, b, scale).  The error series moves a
-# snapshot and then its prediction through the lens, and empties it as it ends.
-# On a ref2d verify 44 of 66 calls miss: predicted_field re-derives s from t,
-# and an ulp off in s gives the prediction its own scale
+# The lens' one cached factor scale^(-N/2) chirp, by (grid_u, b, scale).  The error
+# series moves a snapshot and then its prediction through the lens, and empties it as
+# it ends.  On a ref2d verify 44 of 66 calls miss: predicted_field re-derives s from
+# t, and an ulp off in s gives the prediction its own scale
 _chirp_slot: dict = {}
 
 
-def _chirp(grid_u: Grid, b: float, scale: float) -> np.ndarray:
+def _lens_factor(grid_u: Grid, b: float, scale: float) -> np.ndarray:
     key = (grid_u, b, scale)
     if key not in _chirp_slot:
-        _chirp_slot.clear()  # the old chirp goes before a miss builds the new one
+        _chirp_slot.clear()  # the old factor goes before a miss builds the new one
         chirp = np.multiply(1j * b, grid_u.radius_sq(), dtype=complex)  # in one array
         chirp /= 4.0 * scale
         np.exp(chirp, out=chirp)
+        chirp *= scale ** (-grid_u.dim / 2.0)
         chirp.flags.writeable = False
         _chirp_slot[key] = chirp
     return _chirp_slot[key]
 
 
-def to_u_frame(v: Field, b: float) -> Field:
-    """Physical-frame field at t = s/(1-bs) on the grid stretched by 1 + bt."""
+def to_u_frame(v: Field, b: float, out: np.ndarray | None = None) -> Field:
+    """Physical-frame field at t = s/(1-bs) on the grid stretched by 1 + bt, in ``out`` if given."""
     if v.frame != "v":
         raise ValueError("expected a v-frame field")
-    s = v.t
-    if b == 0.0:
-        return Field(v.grid, v.values.copy(), "u", s)
-    t = physical_time(s, b)
+    if b == 0.0:  # the identity lens: a copy
+        return Field(v.grid, np.positive(v.values, out=out), "u", v.t)
+    t = physical_time(v.t, b)
     scale = 1.0 + b * t
     grid_u = v.grid.scaled(scale)
-    vals = scale ** (-grid_u.dim / 2.0) * _chirp(grid_u, b, scale)
-    return Field(grid_u, np.multiply(vals, v.values, out=vals), "u", t)
+    return Field(grid_u, np.multiply(_lens_factor(grid_u, b, scale), v.values, out=out), "u", t)
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,7 @@ class SnapshotMonitor:
         self._K = data_bound(v0, n, DEFAULT_MAX_ORDER)
         # the tail of the pointwise decay bound
         self._tail = 2.0 * self._K**params.alpha * v0.grid.bracket() ** (-n * params.alpha)
+        self._moda = np.empty(v0.grid.shape)  # every row's |v|^alpha, so rows map no new pages
         self._mod0a = None
         self._times: list[float] = []
         self._rows: list[tuple[float, float, bool]] = []
@@ -224,13 +225,12 @@ class SnapshotMonitor:
             self._error = self._error or e
 
     def _row(self, snap: Field) -> tuple[float, float, bool]:
-        # |v| comes first: it raises where it vanishes, so |v| > 0 below.
-        # |v|^alpha is taken before the floor is computed in |v|'s own array
+        # |v| comes first: it raises where it vanishes, so |v| > 0 below.  The
+        # floor is read from |v|, and then |v|^alpha is taken in its array
         p = self._params
-        mod = nonvanishing_modulus(snap)
-        moda = mod**p.alpha
-        low = float(np.min(np.multiply(self._weight, mod, out=mod)))
-        del mod
+        moda = nonvanishing_modulus(snap, out=self._moda)
+        low = float(np.min(self._weight * moda))
+        moda **= p.alpha
         f_sup, decays = self._balance(snap.t, moda)
         return (1.0 - p.b * snap.t) ** (p.gauge_exponent / p.alpha) / low, f_sup, decays
 

@@ -121,14 +121,14 @@ def _axis_symbol(k: np.ndarray, b: int, ax: int, dim: int) -> np.ndarray:
 def _axis_derivatives(values: np.ndarray, ax: int, top: int, grid: Grid):
     """Yield D^b ``values`` along axis ``ax`` for b = 0, ..., top; b = 0 is ``values``.
 
-    One forward 1-D transform, then one inverse per b > 0, each into a new
-    array.  No order or boundary checks, unlike :func:`spectral_derivative`.
+    One forward 1-D transform, then one inverse per b > 0, all in one buffer:
+    each is valid until the next is drawn.  Unchecked, unlike :func:`spectral_derivative`.
     """
     yield values
     if top:
-        spec, k = np.fft.fft(values, axis=ax), grid.wavenumbers()[ax]
-        for b in range(1, top + 1):
-            d = spec * _axis_symbol(k, b, ax, grid.dim)
+        spec, k, d = np.fft.fft(values, axis=ax), grid.wavenumbers()[ax], None
+        for b in range(1, top + 1):  # the first product is the buffer
+            d = np.multiply(spec, _axis_symbol(k, b, ax, grid.dim), out=d)
             yield np.fft.ifft(d, axis=ax, out=d)
 
 

@@ -110,7 +110,7 @@ class Grid:
 
     @_per_grid
     def bracket_pow(self, p: float) -> np.ndarray:
-        """The weight <x>^p; cached, as the records and monitors read <x>^n each step and row."""
+        """The weight <x>^p; cached, as weighted_inf, data_bound and the monitor read <x>^n."""
         return self.bracket() ** p
 
     @_per_grid
@@ -120,17 +120,6 @@ class Grid:
 
     def wavenumber_sq(self) -> np.ndarray:
         return sum(np.ix_(*(k**2 for k in self.wavenumbers())))
-
-    @_per_grid
-    def wavenumber_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct values of |k|^2, and per point the index of its own.
-
-        A radial multiplier evaluated on the levels and gathered through the
-        index equals the one evaluated on ``wavenumber_sq`` bit for bit, at a
-        fraction of the cost: a 256^2 grid has 7,446 levels.
-        """
-        levels, index = np.unique(self.wavenumber_sq(), return_inverse=True)
-        return levels, index.reshape(self.shape)
 
     def scaled(self, factor: float) -> "Grid":
         """Grid with every coordinate multiplied by ``factor`` (same points)."""

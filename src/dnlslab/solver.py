@@ -26,11 +26,11 @@ per step, plus one forward transform of the initial state.  ``run`` builds
 a ``Field`` only for a snapshot.
 
 The loop reuses its grid arrays.  The carried spectrum is one buffer that
-each step transforms in place, and a new state's values go into the
-previous state's array unless that state went out as a snapshot; the
-initial state's values are never written.  So the arrays that ``steps``
+each step transforms and multiplies in place, and a new state's values go
+into the previous state's array unless that state went out as a snapshot;
+the initial state's values are never written.  So the arrays that ``steps``
 yields are valid until the next item is drawn, and snapshots are never
-written to.  The loop holds one half-step multiplier at a time.
+written to.  The loop holds one half-step multiplier, one factor per axis.
 """
 
 from __future__ import annotations
@@ -101,19 +101,28 @@ class Trajectory:
     snapshot_steps: np.ndarray
 
 
-def _free_multiplier(grid: Grid, tau: float) -> np.ndarray:
-    levels, index = grid.wavenumber_levels()
-    phase = np.exp(-1j * tau * levels)[index]
-    phase.flags.writeable = False
-    return phase
+def _free_multiplier(grid: Grid, tau: float) -> tuple[np.ndarray, ...]:
+    # exp(-i tau |k|^2) as read-only factors exp(-i tau k_a^2) along each axis, in 1-D the
+    # direct exponential bit for bit; k_a^2 is even, so exp reads the first M/2 + 1 only
+    halves = (np.exp(-1j * tau * k[: k.size // 2 + 1] ** 2) for k in grid.wavenumbers())
+    factors = np.ix_(*(np.concatenate([h, h[-2:0:-1]]) for h in halves))
+    for factor in factors:
+        factor.flags.writeable = False
+    return factors
+
+
+def _apply(factors: tuple[np.ndarray, ...], spec: np.ndarray) -> np.ndarray:
+    for factor in factors:  # in place, one axis at a time, each factor the first operand
+        np.multiply(factor, spec, out=spec)
+    return spec
 
 
 def linear_substep(f: Field, tau: float) -> Field:
     """Free-group multiplier exp(-i tau |k|^2); an exact L2 isometry."""
     if tau == 0.0:
         return f
-    spec = np.fft.fftn(f.values)
-    return f.with_values(np.fft.ifftn(_free_multiplier(f.grid, tau) * spec))
+    spec = _apply(_free_multiplier(f.grid, tau), np.fft.fftn(f.values))
+    return f.with_values(np.fft.ifftn(spec, out=spec))
 
 
 def nonlinear_substep_u(w: np.ndarray, tau: float, lam: complex, alpha: float,
@@ -177,23 +186,23 @@ def nonlinear_substep_v(w: np.ndarray, t: float, tau: float, params: PhysParams,
 
 
 def strang_step(spec: np.ndarray, t: float, dt: float, cfg: SolverConfig, params: PhysParams,
-                half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                half: tuple[np.ndarray, ...], out: np.ndarray | None = None) -> np.ndarray:
     """One splitting step [t, t + dt]: half linear, full nonlinear, half linear.
 
     ``spec`` is the spectrum of the state at t, and ``half`` is
-    ``linear_substep``'s multiplier for 0.5 dt, applied to spectra.  The step
+    ``linear_substep``'s per-axis factors for 0.5 dt, applied to spectra.  The step
     transforms ``spec`` in place into the spectrum of the state at t + dt
     and returns that state's values, in ``out`` when given, else in a new
     array: 3 transforms.
     """
     # every transform writes into the spectrum's own array (numpy's out=): an
     # N-D transform otherwise allocates one array per axis
-    w = np.fft.ifftn(np.multiply(half, spec, out=spec), out=spec)
+    w = np.fft.ifftn(_apply(half, spec), out=spec)
     if params.lam != 0 and cfg.frame == "u":  # in place: w is the spectrum's array
         nonlinear_substep_u(w, dt, params.lam, params.alpha, w)
     elif params.lam != 0:
         nonlinear_substep_v(w, t, dt, params, w)
-    np.multiply(half, np.fft.fftn(w, out=w), out=w)
+    _apply(half, np.fft.fftn(w, out=w))
     return np.fft.ifftn(spec, out=np.empty_like(spec) if out is None else out)
 
 

@@ -6,7 +6,8 @@ route compares against; ``phase_drift`` is the drift ``predicted_field_v``
 applies, from the same psi^alpha, bit for bit; ``correction_integral`` is the
 second route to the correction, checked against the balance inversion.
 ``fresh_strang_step`` is the splitting step with a new array for every
-transform and substep, the reference for the stepper's reuse of its arrays.
+transform and substep, the reference for the stepper's reuse of its arrays;
+``free_flow`` is its half-step multiplier.
 """
 
 import numpy as np
@@ -100,21 +101,28 @@ def update_by_formula(w, tau, lam, alpha):
     return w * scale * np.exp(1j * (-(lam.real / (alpha * damp)) * np.log1p(kappa)))
 
 
+def free_flow(spec: np.ndarray, grid, tau: float) -> np.ndarray:
+    """exp(-i tau |k|^2) spec, one new array per axis factor exp(-i tau k_a^2).
+
+    The stepper's half-step multiplier is this per-axis product, each factor
+    the first operand, so the two agree bit for bit.
+    """
+    for factor in np.ix_(*(np.exp(-1j * tau * k**2) for k in grid.wavenumbers())):
+        spec = np.multiply(factor, spec)
+    return spec
+
+
 def fresh_strang_step(spec: np.ndarray, grid, t: float, dt: float, cfg: SolverConfig,
                       params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
     """One splitting step that only reads ``spec`` and makes a new array per operation.
 
     ``spec`` is the spectrum of the state at t on ``grid``; returns the
     values and the spectrum of the state at t + dt.  The half-step
-    multiplier is the direct exponential of -i dt/2 |k|^2.
+    multiplier is ``free_flow``'s per-axis product for dt/2.
     """
-    tau = 0.5 * dt
-    half = np.exp(-1j * tau * grid.wavenumber_sq())
-    w = np.fft.ifftn(half * spec)
+    w = np.fft.ifftn(free_flow(spec, grid, 0.5 * dt))
     if params.lam != 0:
         tau_eff = dt if cfg.frame == "u" else coefficient_integral(t, dt, params)
         w = update_by_formula(w, tau_eff, params.lam, params.alpha)
-    # np.multiply keeps the multiplier first: numpy would reuse a temporary
-    # second operand from 256 KiB up and compute the product the other way round
-    spec = np.multiply(half, np.fft.fftn(w))
+    spec = free_flow(np.fft.fftn(w), grid, 0.5 * dt)
     return np.fft.ifftn(spec), spec

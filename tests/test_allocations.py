@@ -1,9 +1,10 @@
 """Peak allocations of a verify's stages, in grid arrays, from tracemalloc.
 
-A grid array is one complex field's values.  The run and the error series
-write into arrays they already own, so their peaks stay within a fixed number
-of grid arrays above where they start; an array per operation raised the
-run's peak by 3 and the error series' by 0.5 to 1.
+A grid array is one complex field's values.  The run, the error series and
+the data constant's derivative ladder write into arrays they already own, so
+their peaks stay within a fixed number of grid arrays above where they start;
+an array per operation raised the run's peak by 3, the error series' by 0.5
+to 1 and the ladder's by 1.
 """
 
 import tracemalloc
@@ -12,13 +13,14 @@ import pytest
 
 from dnlslab.asymptotics import error_series, finalize_profile
 from dnlslab.diagnostics import SnapshotMonitor
-from dnlslab.field import Grid, SnapshotStore, build_initial_data
+from dnlslab.field import Grid, SnapshotStore, build_initial_data, data_bound
 from dnlslab.params import PhysParams
 from dnlslab.solver import SolverConfig, run
 
 # lambda: (run, error series) bound; an array per operation peaked at
-# 8.6 / 9.6 and 5.0 / 5.5 grid arrays
-BOUNDS = {-1j: (6.1, 4.5), 2 - 1j: (7.1, 5.3)}
+# 8.6 / 9.6 and 5.0 / 5.5 grid arrays, and the run at 5.6 / 6.6 with a
+# gathered half-step multiplier and a new |v|^alpha per monitor row
+BOUNDS = {-1j: (4.1, 4.5), 2 - 1j: (5.6, 5.3)}
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -65,3 +67,14 @@ def test_error_series_holds_few_grid_arrays(peaks):
     lam, _, errors_peak = peaks
     print(f"error series peak {errors_peak:.2f} grid arrays")
     assert errors_peak < BOUNDS[lam][1]
+
+
+def test_data_bound_holds_few_grid_arrays():
+    # each axis' ladder holds its spectrum and one buffer that every order is
+    # written into; a new array per order peaked at 6.03 grid arrays
+    g = Grid.box(30.0, 128, 2, boundary_tol=1e-3)
+    v0 = build_initial_data(g, 1.0, 5)
+    data_bound(v0, 5)  # caches the weight and numpy's transform plans, as setup does
+    _, peak = _traced_peak(data_bound, v0, 5)
+    print(f"data_bound peak {peak / v0.values.nbytes:.2f} grid arrays")
+    assert peak < 5.5 * v0.values.nbytes

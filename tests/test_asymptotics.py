@@ -1,5 +1,7 @@
 """Gauge function, correction extraction, frozen profile, prediction errors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,17 @@ def test_error_series_leaves_the_chirp_cache_empty(ref_run, ref_profile):
     assert len(conformal._chirp_slot) == 1
     t, _, _ = error_series(ref_run, ref_profile)
     assert t.size > 0
+    assert not conformal._chirp_slot
+
+
+def test_a_failing_error_series_leaves_the_chirp_cache_empty(ref_run, ref_profile):
+    # a profile on a grid off the run's co-moving stretch: the first row moves
+    # the snapshot and the prediction through the lens, then raises
+    ref = ref_profile.reference
+    off = dataclasses.replace(ref_profile, reference=Field(ref.grid.scaled(1.5), ref.values,
+                                                           "v", ref.t))
+    with pytest.raises(ExtractionError, match="co-moving stretch"):
+        error_series(ref_run, off)
     assert not conformal._chirp_slot
 
 

@@ -189,7 +189,8 @@ def cmd_verify_theorem(cfg_path, out_override) -> int:
     return EXIT_OK
 
 
-SWEEP_AXES = ("alpha", "lam", "b", "n")
+# each sweep axis, with the config section it sets
+SWEEP_AXES = {"alpha": "phys", "lam": "phys", "b": "phys", "n": "data"}
 # sweep.csv result columns, each with its dotted key path into the verdict
 SWEEP_RESULTS = (
     ("verdict", "verdict"),
@@ -206,27 +207,18 @@ SWEEP_RESULTS = (
 )
 
 
-def _render_sweep(base: dict, combo: dict) -> dict:
-    doc = json.loads(json.dumps(base))  # deep copy
-    for key in ("alpha", "lam", "b"):
-        if key in combo:
-            doc["phys"][key] = combo[key]
-    if "n" in combo:
-        doc.setdefault("data", {})["n"] = combo["n"]
-    return doc
-
-
 def _sweep_worker(task):
-    index, doc, out_dir = task
-    row = {
-        "run": f"run_{index:03d}",
-        "alpha": doc["phys"]["alpha"],
-        "lam_re": doc["phys"]["lam"][0],
-        "lam_im": doc["phys"]["lam"][1],
-        "b": doc["phys"]["b"],
-        "n": doc.get("data", {}).get("n"),
-    }
+    """Verify one sweep point; its row, each axis value as JSON, or an error row."""
+    index, base, combo, out_dir = task
+    row = {"run": f"run_{index:03d}", **{axis: json.dumps(v) for axis, v in combo.items()}}
     try:
+        doc = json.loads(json.dumps(base))  # deep copy
+        for axis, value in combo.items():
+            section = SWEEP_AXES[axis]
+            if doc.get(section) is None:  # a null section reads as absent
+                doc[section] = {}
+            if isinstance(doc[section], dict):  # build_run refuses any other
+                doc[section][axis] = value
         text = json.dumps(doc, indent=2)
         result = run_pipeline(doc, text, f"<sweep:{index}>", Path(out_dir) / row["run"])
         # a key an errored check lacks reads None, an empty cell
@@ -234,34 +226,36 @@ def _sweep_worker(task):
                     for col, path in SWEEP_RESULTS}, status="ok")
     except Exception as e:  # per-run failures must not kill the sweep
         row.update({col: "" for col, _ in SWEEP_RESULTS}, status=f"error: {type(e).__name__}: {e}")
-    return index, row
+    return row
 
 
 def cmd_sweep(cfg_path, out_override, jobs: int) -> int:
     doc, text = load_config(cfg_path)
-    if "base" not in doc or "grid" not in doc:
-        raise ConfigError(cfg_path, 1, 'sweep config needs "base" and "grid" sections')
+    for section in ("base", "grid"):
+        if not (isinstance(doc.get(section), dict) and doc[section]):
+            raise ConfigError(cfg_path, find_line(text, section),
+                              f'sweep config needs a non-empty "{section}" object')
     base, grid = doc["base"], doc["grid"]
-    axes = [(k, grid[k]) for k in SWEEP_AXES if k in grid]
-    if not axes or any(len(vals) == 0 for _, vals in axes):
-        raise ConfigError(cfg_path, find_line(text, "grid"), "sweep grid is empty")
-    combos = [dict(zip([k for k, _ in axes], values))
-              for values in itertools.product(*[vals for _, vals in axes])]
+    for axis, values in grid.items():
+        if axis not in SWEEP_AXES or not (isinstance(values, list) and values):
+            raise ConfigError(cfg_path, find_line(text, axis, find_line(text, "grid")),
+                              f'grid "{axis}" must be a non-empty list on an axis of '
+                              f'{list(SWEEP_AXES)}')
+    # the table's order, whatever the grid's, numbers the points
+    axes = [axis for axis in SWEEP_AXES if axis in grid]
+    combos = [dict(zip(axes, values)) for values in itertools.product(*(grid[a] for a in axes))]
 
     out = out_root(out_override, doc) / "sweep"
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(i, _render_sweep(base, combo), str(out)) for i, combo in enumerate(combos)]
+    tasks = [(i, base, combo, str(out)) for i, combo in enumerate(combos)]
     if jobs <= 1:
-        results = [_sweep_worker(t) for t in tasks]
+        rows = [_sweep_worker(t) for t in tasks]
     else:
         # imported here, so a process that never pools never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
-    results.sort(key=lambda pair: pair[0])
-
-    rows = [row for _, row in results]
+            rows = list(pool.map(_sweep_worker, tasks))  # in the tasks' order
     agg = out / "sweep.csv"
     write_csv(agg, list(rows[0]), [row.values() for row in rows])
     failures = sum(1 for r in rows if r["status"] != "ok")
@@ -272,6 +266,16 @@ def cmd_sweep(cfg_path, out_override, jobs: int) -> int:
 PSI_SLICE_GAUGES = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
+def _read_artifact(path: Path, read):
+    """``read(path)``; a missing or malformed run artifact is an OSError that names it."""
+    if not path.exists():
+        raise FileNotFoundError(f"missing run artifact: {path}")
+    try:
+        return read(path)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as e:
+        raise OSError(f"malformed run artifact {path}: {e!r}") from e
+
+
 def cmd_plot_data(run_dir, out_override=None) -> int:
     """Emit long-format CSV tables from a verify run's artifacts.
 
@@ -280,33 +284,26 @@ def cmd_plot_data(run_dir, out_override=None) -> int:
     plots/psi_slices.csv:  gauge, x, psi  (slices of the modulus envelope)
     """
     root = Path(run_dir)
-    verdict_path = root / "verdict.json"
-    bridge_path = root / "bridge.csv"
-    err_path = root / "error_metric.csv"
-    prof_dir = root / "profile"
-    for needed in (verdict_path, bridge_path, err_path, prof_dir):
-        if not needed.exists():
-            raise FileNotFoundError(f"missing run artifact: {needed}")
-    profile = load_profile(prof_dir)
+    profile = _read_artifact(root / "profile", load_profile)
     params = profile.params
-    n_weight = json.loads(verdict_path.read_text())["exponents"]["n"]
-    e = l2_envelope_exponent(params, n_weight)
+    e = _read_artifact(root / "verdict.json", lambda p: l2_envelope_exponent(
+        params, json.loads(p.read_text())["exponents"]["n"]))
+    bridge = _read_artifact(root / "bridge.csv", lambda p: [
+        (float(r["t"]), float(r["l2"]), float(r["linf"]))
+        for r in csv.DictReader(p.read_text().splitlines())])
+    errors = _read_artifact(root / "error_metric.csv", lambda p: [
+        (float(r["t"]), series, float(r[series]))
+        for r in csv.DictReader(p.read_text().splitlines())
+        for series in ("err_l2_compensated", "err_sup_compensated")])
 
     out = Path(out_override) if out_override else root / "plots"
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(bridge_path) as fh:
-        bridge = [(float(r["t"]), float(r["l2"]), float(r["linf"])) for r in csv.DictReader(fh)]
     write_csv(out / "compensated.csv", ["t", "series", "value"], [
         row for t, l2v, linfv in bridge if t > 0
         for row in ((t, "sup_compensated", t * linfv**params.alpha),
                     (t, "l2_compensated", (1.0 + params.b * t) ** e * l2v))])
-
-    with open(err_path) as fh:
-        err_rows = list(csv.DictReader(fh))
-    write_csv(out / "errors.csv", ["t", "series", "value"], [
-        (float(r["t"]), series, float(r[series])) for r in err_rows
-        for series in ("err_l2_compensated", "err_sup_compensated")])
+    write_csv(out / "errors.csv", ["t", "series", "value"], errors)
 
     grid = profile.reference.grid
     axis = grid.axes()[0]

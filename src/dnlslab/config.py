@@ -30,9 +30,10 @@ class ConfigError(Exception):
         super().__init__(f"{self.path}:{self.line}: {msg}")
 
 
-def find_line(text: str, key: str) -> int:
-    """Best-effort line anchor: first line mentioning the quoted key."""
-    return next((i for i, line in enumerate(text.splitlines(), 1) if f'"{key}"' in line), 1)
+def find_line(text: str, key: str, start: int = 1) -> int:
+    """Best-effort line anchor: first line from ``start`` on mentioning the quoted key."""
+    lines = text.splitlines()[start - 1:]
+    return next((i for i, line in enumerate(lines, start) if f'"{key}"' in line), start)
 
 
 @dataclass
@@ -177,11 +178,8 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
 
     grid = None
     if "grid" in doc:
-        dim = read("grid", "dim", int, N)
-        if dim != N:
-            err("grid", f"grid dimension {dim} does not match N = {N}")
         try:
-            grid = Grid.box(read("grid", "L", float), read("grid", "M", int), dim,
+            grid = Grid.box(read("grid", "L", float), read("grid", "M", int), N,
                             boundary_tol=read("grid", "boundary_tol", float, DEFAULT_BOUNDARY_TOL))
         except ValueError as e:
             err("grid", str(e))

@@ -8,6 +8,7 @@ import json
 import operator
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -265,6 +266,14 @@ def test_an_exponents_section_exits_2_naming_data_n(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_the_grid_has_n_axes_whatever_its_dim_says():
+    # grid.dim is not a schema key: the grid is built with phys.N axes
+    doc = json.loads(json.dumps(CONTRACT_CONFIG))
+    doc["grid"]["dim"] = 2
+    rc = build_run(doc, "c.json", json.dumps(doc, indent=2))
+    assert rc.initial.grid.points == (64,)
+
+
 @pytest.mark.parametrize("key", ["strict", "fallback_sigma"])
 def test_exponent_flags_must_be_json_booleans(tmp_path, capsys, key):
     # a flag that is no JSON boolean is refused with the whole section
@@ -378,6 +387,42 @@ def test_every_config_exits_with_a_documented_code(tmp_path_factory, command, ca
         assert re.search(re.escape(str(cfg)) + r":\d+: ", err.getvalue())
     if case in MALFORMED:
         assert code == 2
+
+
+# a sweep config's base and grid, each case's edits on a valid one-point sweep: each exits 2
+# at a key, or 0 with one row per point, an error row where the point cannot run
+SWEEP_CONTRACT = {
+    "axis not a list": ({"grid": {"b": 20.0}}, 2, 'grid "b" must be a non-empty list'),
+    "base without phys": ({"base": {k: v for k, v in CONTRACT_CONFIG.items() if k != "phys"}},
+                          0, 'phys section needs "N"'),
+    "lam not a pair": ({"grid": {"lam": [5]}}, 0, "lam must be a [re, im] pair, not 5"),
+    "base not an object": ({"base": 3}, 2, 'sweep config needs a non-empty "base" object'),
+    "null data, n axis": ({"base": {**CONTRACT_CONFIG, "data": None}, "grid": {"n": [5]}},
+                          0, 'constructed data needs a leading coefficient "c"'),
+    "grid not an object": ({"grid": [1]}, 2, 'sweep config needs a non-empty "grid" object'),
+    "b not a number": ({"grid": {"b": ["x"]}}, 0, 'b must be a finite number, not "x"'),
+    "unknown axis": ({"grid": {"b": [20.0], "B": [10.0]}}, 2,
+                     'grid "B" must be a non-empty list on an axis of'),
+    "empty axis": ({"grid": {"b": [20.0], "n": []}}, 2, 'grid "n" must be a non-empty list'),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CONTRACT))
+def test_every_sweep_config_exits_with_a_documented_code(tmp_path, capsys, case):
+    edits, expected, message = SWEEP_CONTRACT[case]
+    cfg = write_config(tmp_path / "s.json",
+                       {"base": CONTRACT_CONFIG, "grid": {"b": [20.0]}, **edits})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if expected == 2:
+        assert re.search(re.escape(str(cfg)) + r":\d+: ", err) and message in err
+    else:
+        with open(out / "sweep" / "sweep.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"].startswith("error: ConfigError: <sweep:0>:")
+        assert message in row["status"]
 
 
 # --- simulate ---
@@ -994,6 +1039,27 @@ def test_plot_data_missing_artifacts(tmp_path, capsys):
     assert "missing run artifact" in capsys.readouterr().err
 
 
+def _without_exponents(path):
+    path.write_text(json.dumps({k: v for k, v in json.loads(path.read_text()).items()
+                                if k != "exponents"}))
+
+
+@pytest.mark.parametrize("spoiled,spoil,named", [
+    ("verdict.json", lambda path: path.write_text("{"), "verdict.json"),
+    ("verdict.json", _without_exponents, "verdict.json"),
+    ("profile/amplitude.bin", lambda path: path.write_bytes(path.read_bytes()[:100]), "profile"),
+], ids=["truncated verdict", "verdict without exponents", "short amplitude payload"])
+def test_plot_data_on_a_malformed_artifact_exits_4(pass_run, tmp_path, capsys, spoiled, spoil,
+                                                    named):
+    run_dir = tmp_path / "run"
+    shutil.copytree(pass_run, run_dir, ignore=shutil.ignore_patterns("plots"))
+    spoil(run_dir / spoiled)
+    assert main(["plot-data", str(run_dir)]) == 4
+    err = capsys.readouterr().err
+    assert f"i/o failure: malformed run artifact {run_dir / named}: " in err
+    assert "Traceback" not in err
+
+
 # --- sweep ---
 
 
@@ -1055,6 +1121,24 @@ def test_sweep_row_with_an_errored_check(tmp_path):
     assert row["verdict"] == "not in theorem regime"
     assert row["l2_target"] == row["l2_fitted"] == row["band_ratio"] == ""
     assert row["sup_deviation"] != ""
+
+
+def test_sweep_row_lists_what_its_point_sets(tmp_path):
+    # the axes run in SWEEP_AXES' order, whatever the grid's key order
+    doc = {"base": CONTRACT_CONFIG, "grid": {"b": [10.0, 20.0], "lam": [[0.0, -1.0], [1.0, -1.0]]}}
+    cfg = write_config(tmp_path / "s.json", doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "sweep" / "sweep.csv") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["run", "lam", "b", *(c for c, _ in cli.SWEEP_RESULTS), "status"]
+    assert [(r["run"], r["lam"], r["b"]) for r in rows] == [
+        ("run_000", "[0.0, -1.0]", "10.0"), ("run_001", "[0.0, -1.0]", "20.0"),
+        ("run_002", "[1.0, -1.0]", "10.0"), ("run_003", "[1.0, -1.0]", "20.0")]
+    assert all(r["status"] == "ok" for r in rows)
+    echo = json.loads((out / "sweep" / "run_002" / "run_config.json").read_text())
+    assert echo["phys"]["lam"] == [1.0, -1.0] and echo["phys"]["b"] == 10.0
 
 
 def test_empty_sweep_grid_rejected(tmp_path, capsys):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .conformal import _chirp_slot, physical_time, rescaled_time, to_u_frame
 from .field import Field, l2_norm, load_field, save_field
-from .params import PhysParams
+from .params import PhysParams, validate_phys
 from .solver import Trajectory
 
 log = logging.getLogger(__name__)
@@ -294,6 +294,7 @@ def save_profile(profile: ProfileData, dirpath) -> Path:
 
 
 def load_profile(dirpath) -> ProfileData:
+    """A saved profile; a ValueError if its params fail ``validate_phys`` or its grid."""
     root = Path(dirpath)
     head = json.loads((root / "profile.json").read_text())
     if head.get("schema_version") != PROFILE_SCHEMA:
@@ -302,4 +303,7 @@ def load_profile(dirpath) -> ProfileData:
     correction = np.real(load_field(root / "correction").values)
     amplitude = load_field(root / "amplitude").values
     reference = load_field(root / "reference")
+    if validate_phys(params) or params.N != reference.grid.dim:
+        raise ValueError(f"params {head['params']} fail validate_phys or the "
+                         f"{reference.grid.dim}-D grid")
     return ProfileData(correction, amplitude, reference, params, dict(head["meta"]))

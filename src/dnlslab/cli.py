@@ -26,7 +26,7 @@ from .asymptotics import (
     modulus_envelope,
     save_profile,
 )
-from .config import ConfigError, RunConfig, build_run, find_line, load_config, out_root
+from .config import ConfigError, RunConfig, build_run, find_line, key_line, load_config, out_root
 from .diagnostics import (
     SnapshotMonitor,
     emit_report,
@@ -65,7 +65,6 @@ def decide(checks: dict, monitors: dict) -> tuple[str, list[dict]]:
         if "error" in check:
             reasons.append({"check": name, "error": check["error"]})
             check["ok"] = False
-            check["error"] = check.pop("error")  # "ok" precedes "error" in report.json
             continue
         broken = [{"check": name, "quantity": q, "value": check[q], "bound": bound}
                   for c, q, bound in GATES
@@ -177,8 +176,7 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override) -> dict:
         else {"extraction_error": checks["profile_error"]["error"]},
     }
     (out / "verdict.json").write_text(json.dumps(doc_out, indent=2, sort_keys=True) + "\n")
-    emit_report(out, traj, monitor=monitor, checks=checks,
-                profile_meta=doc_out["profile_meta"])
+    emit_report(out, traj, monitor=monitor)
     return doc_out
 
 
@@ -233,12 +231,12 @@ def cmd_sweep(cfg_path, out_override, jobs: int) -> int:
     doc, text = load_config(cfg_path)
     for section in ("base", "grid"):
         if not (isinstance(doc.get(section), dict) and doc[section]):
-            raise ConfigError(cfg_path, find_line(text, section),
+            raise ConfigError(cfg_path, key_line(text, section),
                               f'sweep config needs a non-empty "{section}" object')
     base, grid = doc["base"], doc["grid"]
     for axis, values in grid.items():
         if axis not in SWEEP_AXES or not (isinstance(values, list) and values):
-            raise ConfigError(cfg_path, find_line(text, axis, find_line(text, "grid")),
+            raise ConfigError(cfg_path, key_line(text, "grid", axis),
                               f'grid "{axis}" must be a non-empty list on an axis of '
                               f'{list(SWEEP_AXES)}')
     # the table's order, whatever the grid's, numbers the points

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,10 +31,22 @@ class ConfigError(Exception):
         super().__init__(f"{self.path}:{self.line}: {msg}")
 
 
-def find_line(text: str, key: str, start: int = 1) -> int:
-    """Best-effort line anchor: first line from ``start`` on mentioning the quoted key."""
-    lines = text.splitlines()[start - 1:]
-    return next((i for i, line in enumerate(lines, start) if f'"{key}"' in line), start)
+def find_line(text: str, key: str) -> int:
+    """Best-effort line anchor: the first line mentioning the quoted key, else 1."""
+    return next((i for i, line in enumerate(text.splitlines(), 1) if f'"{key}"' in line), 1)
+
+
+def key_line(text: str, *path: str) -> int:
+    """Line of the key at ``path`` through nested objects of a JSON text, else 1."""
+    keys = [None]  # the last key read at each depth, from outside the root on
+    for m in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}\[\]]', text):
+        if m[2]:
+            keys[-1] = json.loads(m[1])
+            if keys[1:] == list(path):
+                return text.count("\n", 0, m.start()) + 1
+        elif m[0] in "{[]}":
+            keys = keys + [None] if m[0] in "{[" else keys[:-1]
+    return 1
 
 
 @dataclass
@@ -66,38 +79,30 @@ def load_config(path) -> tuple[dict, str]:
 
 
 # What a config value of each kind must be, for the error that says so
-_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
           complex: "a [re, im] pair", list: "a list of numbers"}
 
 
 def _of_kind(value, kind) -> bool:
-    # JSON of the kind: no bool is a number, and every number is finite
+    # JSON of the kind: no key is boolean, no bool is a number, and every number is finite
     if kind in (complex, list):
         return (isinstance(value, list) and (kind is list or len(value) == 2)
                 and all(_of_kind(x, float) for x in value))
     if isinstance(value, bool):
-        return kind is bool
+        return False
     if kind is float:
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 
-def _bump_builder(bumps, seed: int):
-    # bumps: (amp, center, width, scale), amp a complex or "random"
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for amp, center, width, scale in bumps:
-        if amp == "random":
-            draw = rng.standard_normal(2) * scale
-            amp = complex(draw[0], draw[1])
-        drawn.append((amp, center, width))
-
+def _bump_builder(bumps):
+    # bumps: (amp, center, width), amp a complex
     def bump(*meshes):
         total = np.zeros(meshes[0].shape, dtype=complex)
-        for amp_c, center, width in drawn:
+        for amp, center, width in bumps:
             r2 = sum((mesh - (center[ax] if ax < len(center) else 0.0)) ** 2
                      for ax, mesh in enumerate(meshes))
-            total = total + amp_c * np.exp(-r2 / width**2)
+            total = total + amp * np.exp(-r2 / width**2)
         return total
 
     return bump
@@ -110,10 +115,9 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
       phys:      {N, alpha, lam: [re, im], b}
       grid:      {L, M, boundary_tol?}            (optional with snapshot data)
       solver:    {frame, dt0?, c_adapt?, horizon_floor?, t_end?, snapshot_count?}
-      data:      {c?, n?, bump?: [{amp|"random", center, width, scale?}, ...],
+      data:      {c?, n?, bump?: [{amp?, center?, width?}, ...],
                   snapshot?: series base path, index?: field of the series (0)}
       out:       directory (optional; --out flag and DNLSLAB_OUT override)
-      seed:      integer for randomized bumps (default 0)
 
     A null value reads as absent, and one not of its kind is a ConfigError at
     its key.  ``data.n``, the weight order, must be a positive integer; the
@@ -204,12 +208,11 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
         specs = doc["data"].get("bump") or []
         if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
             err("bump", "bump must be a list of objects")
-        bumps = [("random" if spec.get("amp") == "random" else read(spec, "amp", complex, 0.1 + 0j),
-                  read(spec, "center", list, [0.0]), read(spec, "width", float, 1.0),
-                  read(spec, "scale", float, 0.1)) for spec in specs]
-        if any(width <= 0 for _, _, width, _ in bumps):
+        bumps = [(read(spec, "amp", complex, 0.1 + 0j), read(spec, "center", list, [0.0]),
+                  read(spec, "width", float, 1.0)) for spec in specs]
+        if any(width <= 0 for _, _, width in bumps):
             err("width", "a bump's width must be positive")
-        bump = _bump_builder(bumps, read(doc, "seed", int, 0)) if bumps else None
+        bump = _bump_builder(bumps) if bumps else None
         try:
             initial = build_initial_data(grid, c, data_n, bump)
         except BoundaryDecayError as e:

@@ -3,7 +3,8 @@
 Everything here is read-only over trajectories.  The monitors classify a
 run (compliant / non-compliant with the large-coefficient regime); they
 never raise on a broken bound.  Fits and limit checks return plain report
-structures that ``emit_report`` serializes to JSON plus a per-snapshot CSV.
+structures for the verdict; ``emit_report`` writes the run's report.json
+and per-snapshot CSV.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .params import PhysParams
 from .solver import MASS_SLACK, Trajectory
 
 MIN_FIT_SAMPLES = 8
-REPORT_SCHEMA = 5
+REPORT_SCHEMA = 6
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,6 @@ class RateFit:
     window: tuple[float, float]
     residual: float
     samples: int
-
-    def __post_init__(self):
-        if not self.window[0] < self.window[1]:
-            raise ValueError("fit window is empty")
-        if self.samples < MIN_FIT_SAMPLES:
-            raise ValueError(
-                f"power-law fit needs at least {MIN_FIT_SAMPLES} samples, got {self.samples}"
-            )
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -338,13 +331,8 @@ def write_csv(path: Path, header, rows) -> None:
         w.writerows(rows)
 
 
-def emit_report(
-    out_dir,
-    traj: Trajectory,
-    monitor: MonitorReport | None = None,
-    checks: dict[str, dict] | None = None,
-    profile_meta: dict | None = None,
-) -> tuple[Path, Path]:
+def emit_report(out_dir, traj: Trajectory,
+                monitor: MonitorReport | None = None) -> tuple[Path, Path]:
     """Write report.json (reports) and report.csv (per-snapshot series).
 
     CSV columns: t, gauge (rescaled frame; empty otherwise), l2, linf, then
@@ -370,8 +358,6 @@ def emit_report(
         "params": traj.params.to_dict(),
         "snapshots": len(traj.snapshot_times),
         "monitor": monitor.as_dict() if monitor is not None else None,
-        "checks": checks or {},
-        "profile": profile_meta,
     }
     json_path = out / "report.json"
     with open(json_path, "w") as fh:

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from dnlslab import cli, diagnostics, field, solver
 from dnlslab.asymptotics import ExtractionError
 from dnlslab.cli import main
-from dnlslab.config import build_run
+from dnlslab.config import ConfigError, build_run, key_line
 from dnlslab.diagnostics import SnapshotMonitor, monitor_phi
 from dnlslab.field import Field, Grid, load_field, save_field
 from dnlslab.solver import UnstableSolutionError
@@ -347,6 +347,7 @@ MALFORMED = [
     ((("data", "c"), [1, 2]),),
     ((("solver", "t_end"), "abc"),),
     ((("data", "bump", 0, "amp"), "zz"),),
+    ((("data", "bump", 0, "amp"), "random"),),  # a bump's amp is a pair, never a draw
     ((("exponents",), {"n": 5}),),  # the weight order is data.n
     ((("solver", "t_end"), 0),),
     ((("solver", "t_end"), -1),),
@@ -356,6 +357,16 @@ MALFORMED = [
     ((("solver", "horizon_floor"), 1e-12), (("solver", "snapshot_count"), 145)),
 ]
 COMMANDS = ("simulate", "verify-theorem")
+
+
+@pytest.mark.parametrize("path", CONTRACT_PATHS)
+def test_no_config_value_is_a_json_boolean(path):
+    # no key is boolean, and no boolean is a number
+    doc = json.loads(json.dumps(CONTRACT_CONFIG))
+    *parents, key = path
+    functools.reduce(operator.getitem, parents, doc)[key] = True
+    with pytest.raises(ConfigError, match=f"{key} must be .*, not true"):
+        build_run(doc, "c.json", json.dumps(doc, indent=2))
 
 
 def _with_malformed(test):
@@ -404,7 +415,17 @@ SWEEP_CONTRACT = {
     "unknown axis": ({"grid": {"b": [20.0], "B": [10.0]}}, 2,
                      'grid "B" must be a non-empty list on an axis of'),
     "empty axis": ({"grid": {"b": [20.0], "n": []}}, 2, 'grid "n" must be a non-empty list'),
+    # the base's data.n follows its "grid" key; the error is the sweep grid's "n"
+    "empty axis after the base's data": (
+        {"base": {k: CONTRACT_CONFIG[k] for k in ("phys", "grid", "solver", "data")},
+         "grid": {"n": []}}, 2, 'grid "n" must be a non-empty list'),
 }
+
+
+def test_key_line_finds_a_key_by_its_nesting():
+    text = '{\n "out": "x\\"{[",\n "base": {"grid": {"n": 1}},\n "grid":\n {"n": [2]}\n}'
+    assert key_line(text, "grid") == 4 and key_line(text, "grid", "n") == 5
+    assert key_line(text, "base", "grid", "n") == 3 and key_line(text, "n") == 1
 
 
 @pytest.mark.parametrize("case", list(SWEEP_CONTRACT))
@@ -417,7 +438,13 @@ def test_every_sweep_config_exits_with_a_documented_code(tmp_path, capsys, case)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if expected == 2:
-        assert re.search(re.escape(str(cfg)) + r":\d+: ", err) and message in err
+        line = re.search(re.escape(str(cfg)) + r":(\d+): ", err)
+        assert line and message in err
+        # the anchor is the sweep's own key: "base" or "grid" at the top, an axis in its grid
+        key = re.search(r'"(\w+)"', message)[1]
+        depth = 1 if key in ("base", "grid") else 2
+        anchored = cfg.read_text().splitlines()[int(line[1]) - 1]
+        assert anchored.startswith("  " * depth + f'"{key}": ')
     else:
         with open(out / "sweep" / "sweep.csv") as fh:
             (row,) = csv.DictReader(fh)
@@ -553,6 +580,9 @@ def test_verify_artifacts_on_disk(pass_run):
     # the profile's reference state is the run's initial snapshot, field 0 of the series
     payload = (pass_run / "snapshots" / "series.bin").read_bytes()
     assert payload[:len(payload) // 49] == (pass_run / "profile" / "reference.bin").read_bytes()
+    # the checks and the profile meta are the verdict's, in verdict.json only
+    report = json.loads((pass_run / "report.json").read_text())
+    assert report["schema_version"] == 6 and not {"checks", "profile"} & set(report)
 
 
 def test_tiny_b_classified_not_failed(tmp_path):
@@ -1044,11 +1074,25 @@ def _without_exponents(path):
                                 if k != "exponents"}))
 
 
+def _profile_params(**edits):
+    def spoil(path):
+        head = json.loads(path.read_text())
+        head["params"].update(edits)
+        path.write_text(json.dumps(head))
+    return spoil
+
+
 @pytest.mark.parametrize("spoiled,spoil,named", [
     ("verdict.json", lambda path: path.write_text("{"), "verdict.json"),
     ("verdict.json", _without_exponents, "verdict.json"),
     ("profile/amplitude.bin", lambda path: path.write_bytes(path.read_bytes()[:100]), "profile"),
-], ids=["truncated verdict", "verdict without exponents", "short amplitude payload"])
+    ("profile/profile.json", _profile_params(b=0), "profile"),
+    ("profile/profile.json", _profile_params(alpha=0), "profile"),
+    ("profile/profile.json", _profile_params(N=3), "profile"),
+    ("profile/profile.json", _profile_params(N=2, alpha=0.8), "profile"),
+], ids=["truncated verdict", "verdict without exponents", "short amplitude payload",
+        "profile with b = 0", "profile with alpha = 0", "profile with N = 3 on a 1-D grid",
+        "admissible N = 2 params on a 1-D grid"])
 def test_plot_data_on_a_malformed_artifact_exits_4(pass_run, tmp_path, capsys, spoiled, spoil,
                                                     named):
     run_dir = tmp_path / "run"

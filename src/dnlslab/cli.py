@@ -26,7 +26,7 @@ from .asymptotics import (
     modulus_envelope,
     save_profile,
 )
-from .config import ConfigError, RunConfig, build_run, find_line, key_line, load_config, out_root
+from .config import ConfigError, RunConfig, build_run, key_line, load_config, out_root
 from .diagnostics import (
     SnapshotMonitor,
     emit_report,
@@ -136,12 +136,12 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override) -> dict:
     exits 3 before any of them exists.
     """
     rc = build_run(doc, cfg_path, text, out_override)
-    if rc.solver.frame != "v" or rc.params.lam.imag >= 0:
-        raise ConfigError(cfg_path, find_line(text, "frame"),
-                          "theorem verification needs a rescaled-frame dissipative run")
-    if rc.n is None:
-        raise ConfigError(cfg_path, find_line(text, "data"),
-                          'theorem verification needs a weight order: data "n"')
+    # the first key that keeps the run from being monitored
+    for ok, at in ((rc.solver.frame == "v", ("solver", "frame")),
+                   (rc.params.lam.imag < 0, ("phys", "lam")), (rc.n is not None, ("data",))):
+        if not ok:
+            raise ConfigError(cfg_path, key_line(text, *at), "theorem verification needs a "
+                              'v-frame, dissipative (Im(lam) < 0) run with a weight order, data "n"')
     traj, monitor = _simulate(rc, doc)
     profile, series, errors, checks = verify_checks(traj, rc.n)
     out = rc.out
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
 
     run_args = argparse.ArgumentParser(add_help=False)
     run_args.add_argument("--config", required=True)
-    run_args.add_argument("--out", default=None)
+    run_args.add_argument("--out")
 
     sub.add_parser("simulate", parents=[run_args],
                    help="run one simulation and dump artifacts")
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
 
     p_plt = sub.add_parser("plot-data", help="plot-ready tables from run artifacts")
     p_plt.add_argument("run_dir")
-    p_plt.add_argument("--out", default=None)
+    p_plt.add_argument("--out")
 
     args = parser.parse_args(argv)
     try:

@@ -118,9 +118,6 @@ class Grid:
         return tuple(2 * np.pi * np.fft.fftfreq(M, d=2 * L / M)
                      for L, M in zip(self.extents, self.points))
 
-    def wavenumber_sq(self) -> np.ndarray:
-        return sum(np.ix_(*(k**2 for k in self.wavenumbers())))
-
     def scaled(self, factor: float) -> "Grid":
         """Grid with every coordinate multiplied by ``factor`` (same points)."""
         if factor <= 0:

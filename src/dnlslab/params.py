@@ -133,17 +133,6 @@ class ExponentSet:
     sigma: float
 
 
-def derived_inequalities(params: PhysParams, exps: ExponentSet) -> dict[str, bool]:
-    """Consequences of the sigma window that downstream estimates rely on."""
-    N, a = params.N, params.alpha
-    s = exps.sigma
-    return {
-        "weight_beats_dimension": exps.n * a * s / (2 - N * a) > N,
-        "gauge_exponent_in_unit_interval": 0 < 1 - 2 * s / (2 - N * a) < 1,
-        "integrable_correction_rate": 1 - (2 - N * a) / 2 - 5 * s > 0,
-    }
-
-
 def synthesize_exponents(params: PhysParams) -> ExponentSet:
     """The minimal admissible exponent set for ``params``.
 

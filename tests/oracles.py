@@ -7,14 +7,16 @@ applies, from the same psi^alpha, bit for bit; ``correction_integral`` is the
 second route to the correction, checked against the balance inversion.
 ``fresh_strang_step`` is the splitting step with a new array for every
 transform and substep, the reference for the stepper's reuse of its arrays;
-``free_flow`` is its half-step multiplier.
+``free_flow`` is its half-step multiplier.  ``wavenumber_sq`` is |k|^2 on a
+grid, and ``derived_inequalities`` the consequences of the sigma window that
+acceptance criterion 11 checks on the strict exponent set.
 """
 
 import numpy as np
 
 from dnlslab.asymptotics import ProfileData, _drift, _psi_pow_alpha, correction_field
 from dnlslab.field import Field
-from dnlslab.params import PhysParams
+from dnlslab.params import ExponentSet, PhysParams
 from dnlslab.solver import SolverConfig, coefficient_integral, steps
 
 
@@ -38,11 +40,27 @@ def phase_drift(t: float, profile: ProfileData) -> np.ndarray:
     return _drift(_psi_pow_alpha(t, profile.correction, profile.reference_power, p), p)
 
 
+def wavenumber_sq(grid) -> np.ndarray:
+    """|k|^2 on the grid, the sum of its per-axis k_a^2."""
+    return sum(np.ix_(*(k**2 for k in grid.wavenumbers())))
+
+
+def derived_inequalities(params: PhysParams, exps: ExponentSet) -> dict[str, bool]:
+    """Consequences of the sigma window that downstream estimates rely on."""
+    N, a = params.N, params.alpha
+    s = exps.sigma
+    return {
+        "weight_beats_dimension": exps.n * a * s / (2 - N * a) > N,
+        "gauge_exponent_in_unit_interval": 0 < 1 - 2 * s / (2 - N * a) < 1,
+        "integrable_correction_rate": 1 - (2 - N * a) / 2 - 5 * s > 0,
+    }
+
+
 def _coupling_integrand(values: np.ndarray, spec: np.ndarray, grid, alpha: float) -> np.ndarray:
     # Im(conj(v) Lap v) / |v|^{alpha+2}, the Laplacian taken from the carried
     # spectrum; a b below the regime drives |v| near zero, where this is
     # ill-conditioned; underflowed points contribute nothing
-    lap = np.fft.ifftn(-grid.wavenumber_sq() * spec)
+    lap = np.fft.ifftn(-wavenumber_sq(grid) * spec)
     mod = np.abs(values)
     dens = np.imag(np.conj(values) * lap)
     out = np.zeros_like(mod)

@@ -37,15 +37,10 @@ from dnlslab.diagnostics import (
     monitor_phi,
 )
 from dnlslab.field import Field, Grid, build_initial_data, data_bound, l2_norm, sup_norm
-from dnlslab.params import (
-    PhysParams,
-    derived_inequalities,
-    sigma_window,
-    synthesize_exponents,
-)
+from dnlslab.params import PhysParams, sigma_window, synthesize_exponents
 from dnlslab.solver import SolverConfig, nonlinear_substep_u, run
 from lens import to_v_frame
-from oracles import correction_integral
+from oracles import correction_integral, derived_inequalities
 
 REF_PARAMS = PhysParams(1, 1.0, -1j, 4.0)
 REF_CFG = SolverConfig(

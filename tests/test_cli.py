@@ -41,11 +41,27 @@ def write_config(path, doc):
     return path
 
 
-def anchor(cfg, key):
-    """The path:line prefix a ConfigError about ``key`` carries."""
-    needle = '"' + key + '"'
-    line = next(i for i, s in enumerate(cfg.read_text().splitlines(), 1) if needle in s)
-    return f"{cfg}:{line}:"
+def anchor(cfg, *path):
+    """The path:line prefix a ConfigError about the key at ``path`` carries."""
+    return f"{cfg}:{key_line(cfg.read_text(), *path)}:"
+
+
+def written_key_lines(doc, *paths):
+    """The lines of the keys at ``paths``, and of each key enclosing one, in ``doc`` as written.
+
+    A key's value is swapped for a marker and the marker's line read: with
+    write_config's indent the key and its value share that line.
+    """
+    lines = set()
+    for path in paths:
+        for depth in range(1, len(path) + 1):
+            *parents, key = path[:depth]
+            if isinstance(key, str):
+                marked = json.loads(json.dumps(doc))
+                functools.reduce(operator.getitem, parents, marked)[key] = "<anchor>"
+                text = json.dumps(marked, indent=2)
+                lines.add(next(i for i, s in enumerate(text.splitlines(), 1) if '"<anchor>"' in s))
+    return lines
 
 
 def series_times(out):
@@ -185,7 +201,7 @@ def test_unreadable_snapshot_data_exit_2(tmp_path, capsys, spoil, message):
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert anchor(cfg, "snapshot") in err and message in err
+    assert anchor(cfg, "data", "snapshot") in err and message in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -201,11 +217,12 @@ def test_snapshot_index_out_of_range_exit_2(tmp_path, capsys, index):
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert anchor(cfg, "index") in err
+    assert anchor(cfg, "data", "index") in err
     assert f"snapshot index {index} is outside the series' 1 fields" in err
     assert "Traceback" not in err and not out.exists()
 
 
+# anchored: the section, or the key in it, that the error names
 @pytest.mark.parametrize("section,key,value,anchored", [
     ("grid", "boundary_tol", 1e-8, "grid"),  # the default: <30>^-5 is 4.1e-8 of the peak
     ("data", "c", 0.0, "c"),
@@ -220,7 +237,7 @@ def test_unusable_initial_data_exit_2(tmp_path, capsys, section, key, value, anc
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert anchor(cfg, anchored) in err
+    assert anchor(cfg, *((section,) if anchored == section else (section, anchored))) in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -297,7 +314,7 @@ def test_snapshot_data_needs_a_positive_weight(tmp_path, capsys, pass_run, n):
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert anchor(cfg, "n") in err and "n must be a positive integer" in err
+    assert anchor(cfg, "data", "n") in err and "n must be a positive integer" in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -336,6 +353,9 @@ CONTAINER_PATHS = [*[(section,) for section in ("phys", "grid", "solver", "data"
 WRONG_TYPED = ["x", None, [1, 2], {"a": 1}]
 BOUNDARY = [0, -1, -0.5]
 PAST_HORIZON = [0.05, 0.1]  # t_end at 1/b and beyond it
+# the contract config's bump and a second one beside it
+BOTH_BUMPS = (("data", "bump"), [*CONTRACT_CONFIG["data"]["bump"],
+                                 {"amp": [0.02, 0.0], "center": [-1.0], "width": 1.5}])
 # malformed configs pinned as explicit examples: each must exit 2 at a key
 MALFORMED = [
     ((("phys", "N"), "x"),),
@@ -355,6 +375,13 @@ MALFORMED = [
     ((("solver", "frame"), "u"), (("solver", "t_end"), -1)),
     # 145 snapshots down to gauge 1e-12: the last lie closer than the stepper can land
     ((("solver", "horizon_floor"), 1e-12), (("solver", "snapshot_count"), 145)),
+    # a bad key of a second bump exits 2 at that bump's key, not the first bump's
+    *((BOTH_BUMPS, (("data", "bump", 1, key), value))
+      for key, value in (("width", -1.0), ("amp", "zz"), ("center", 0))),
+]
+# configs a simulate runs but a theorem verification refuses: a run it cannot monitor
+UNVERIFIABLE = [
+    ((("phys", "lam"), [0.0, 0.0]),),
 ]
 COMMANDS = ("simulate", "verify-theorem")
 
@@ -371,7 +398,7 @@ def test_no_config_value_is_a_json_boolean(path):
 
 def _with_malformed(test):
     for command in COMMANDS:
-        for case in MALFORMED:
+        for case in MALFORMED + UNVERIFIABLE:
             test = example(command=command, case=case)(test)
     return test
 
@@ -387,7 +414,7 @@ def _with_malformed(test):
 def test_every_config_exits_with_a_documented_code(tmp_path_factory, command, case):
     doc = json.loads(json.dumps(CONTRACT_CONFIG))
     for (*parents, key), value in case:
-        functools.reduce(operator.getitem, parents, doc)[key] = value
+        functools.reduce(operator.getitem, parents, doc)[key] = json.loads(json.dumps(value))
     root = tmp_path_factory.mktemp("contract")
     cfg = write_config(root / "c.json", doc)
     err = io.StringIO()
@@ -395,8 +422,10 @@ def test_every_config_exits_with_a_documented_code(tmp_path_factory, command, ca
         code = main([command, "--config", str(cfg), "--out", str(root / "out")])
     assert code in (0, 2, 3, 4)
     if code == 2:
-        assert re.search(re.escape(str(cfg)) + r":\d+: ", err.getvalue())
-    if case in MALFORMED:
+        # the line of an edited key, or of a key that encloses one
+        line = re.search(re.escape(str(cfg)) + r":(\d+): ", err.getvalue())
+        assert line and int(line[1]) in written_key_lines(doc, *(path for path, _ in case))
+    if case in MALFORMED or (command == "verify-theorem" and case in UNVERIFIABLE):
         assert code == 2
 
 
@@ -426,6 +455,14 @@ def test_key_line_finds_a_key_by_its_nesting():
     text = '{\n "out": "x\\"{[",\n "base": {"grid": {"n": 1}},\n "grid":\n {"n": [2]}\n}'
     assert key_line(text, "grid") == 4 and key_line(text, "grid", "n") == 5
     assert key_line(text, "base", "grid", "n") == 3 and key_line(text, "n") == 1
+    # a list index counts the entries before it; the commas of a number list
+    # before the list, of one inside an entry, and inside a string do not count
+    text = ('{"data": {"lam": [0, -1], "bump": ["a,b",\n {"width": 1, "center": [1, 2]},\n'
+            ' {"width": 2,\n  "amp": [0.1, 0]}]}}')
+    assert key_line(text, "data", "bump", 1, "width") == 2
+    assert key_line(text, "data", "bump", 2, "width") == 3
+    assert key_line(text, "data", "bump", 2, "amp") == 4
+    assert key_line(text, "data", "lam") == 1 and key_line(text, "data", "bump", 3, "width") == 1
 
 
 @pytest.mark.parametrize("case", list(SWEEP_CONTRACT))

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from dnlslab.params import (
     PhysParams,
-    derived_inequalities,
     hypotheses,
     sigma_window,
     synthesize_exponents,
     validate_phys,
 )
+from oracles import derived_inequalities
 
 
 @pytest.mark.parametrize("q", [0.5, 0.2, 0.05])

@@ -9,37 +9,12 @@ envelope, and convergence to an explicit asymptotic profile.
 
 __version__ = "0.1.0"
 
-from .params import PhysParams, ExponentSet, validate_phys, synthesize_exponents
-from .field import Grid, Field, build_initial_data, l2_norm, sup_norm
-from .solver import SolverConfig, Trajectory, run
-from .conformal import to_u_frame, norm_bridge
-from .asymptotics import (
-    correction_algebraic,
-    finalize_profile,
-    predicted_field,
-)
-from .diagnostics import check_l2_envelope, check_sup_limit, monitor_phi
+from .params import PhysParams
+from .field import Grid, build_initial_data
+from .solver import SolverConfig, run
+from .conformal import norm_bridge
+from .asymptotics import correction_algebraic
+from .diagnostics import check_sup_limit, monitor_phi
 
-__all__ = [
-    "PhysParams",
-    "ExponentSet",
-    "validate_phys",
-    "synthesize_exponents",
-    "Grid",
-    "Field",
-    "build_initial_data",
-    "l2_norm",
-    "sup_norm",
-    "SolverConfig",
-    "Trajectory",
-    "run",
-    "to_u_frame",
-    "norm_bridge",
-    "correction_algebraic",
-    "finalize_profile",
-    "predicted_field",
-    "check_l2_envelope",
-    "check_sup_limit",
-    "monitor_phi",
-    "__version__",
-]
+__all__ = ["PhysParams", "Grid", "build_initial_data", "SolverConfig", "run", "norm_bridge",
+           "check_sup_limit", "correction_algebraic", "monitor_phi", "__version__"]

@@ -72,6 +72,9 @@ def crossover_time(params: PhysParams) -> float:
 def _check_v_traj(traj: Trajectory) -> PhysParams:
     if traj.frame != "v":
         raise ValueError("profile extraction expects a v-frame trajectory")
+    if traj.snapshot_times[0] != 0.0:  # the modulus balance counts from g = 1
+        raise ValueError(f"profile extraction needs a run from t = 0, not "
+                         f"t = {traj.snapshot_times[0]:g}")
     p = traj.params
     if p.b <= 0 or p.lam.imag >= 0:
         raise ValueError("extraction needs b > 0 and Im(lambda) < 0")

@@ -13,6 +13,7 @@ import csv
 import functools
 import itertools
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -101,15 +102,15 @@ def _echo_config(out: Path, doc: dict) -> None:
 def _simulate(rc: RunConfig, doc: dict):
     """Run the configured simulation, dump it into ``rc.out``; the trajectory and monitor report.
 
-    Each snapshot is written as the solver appends it.  A rescaled-frame
-    dissipative run with a weight order is monitored: each snapshot goes to a
-    ``SnapshotMonitor`` too, which computes its row there.  Any other run's
-    report is None.  The dump (config echo, norms, snapshots) is staged and
-    reaches ``rc.out`` once the run is over, so a solver or I/O error leaves
-    no ``rc.out``.  Then the report is taken: a vanishing modulus raises
-    ExtractionError.
+    Each snapshot is written as the solver appends it.  A run that
+    ``build_run`` found monitored (``rc.unmonitored`` is None) feeds each
+    snapshot to a ``SnapshotMonitor`` too, which computes its row there.
+    Any other run's report is None.  The dump (config echo, norms,
+    snapshots) is staged and reaches ``rc.out`` once the run is over, so a
+    solver or I/O error leaves no ``rc.out``.  Then the report is taken: a
+    vanishing modulus raises ExtractionError.
     """
-    monitored = rc.solver.frame == "v" and rc.params.lam.imag < 0 and rc.n is not None
+    monitored = rc.unmonitored is None
     with SnapshotStore.staged(rc.out) as store:
         monitor = SnapshotMonitor(rc.initial, rc.n, rc.params) if monitored else None
         traj = run(rc.initial, rc.solver, rc.params, on_snapshot=monitor, snapshots=store)
@@ -133,15 +134,14 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override) -> dict:
 
     The run is published first.  Its profile, bridge series, checks and error
     series are computed once the monitor's report is in: a vanishing modulus
-    exits 3 before any of them exists.
+    exits 3 before any of them exists.  A run without a profile removes the
+    one an earlier run left in ``rc.out``.
     """
     rc = build_run(doc, cfg_path, text, out_override)
-    # the first key that keeps the run from being monitored
-    for ok, at in ((rc.solver.frame == "v", ("solver", "frame")),
-                   (rc.params.lam.imag < 0, ("phys", "lam")), (rc.n is not None, ("data",))):
-        if not ok:
-            raise ConfigError(cfg_path, key_line(text, *at), "theorem verification needs a "
-                              'v-frame, dissipative (Im(lam) < 0) run with a weight order, data "n"')
+    if rc.unmonitored is not None:
+        raise ConfigError(cfg_path, key_line(text, *rc.unmonitored), "theorem verification needs "
+                          'a v-frame, dissipative (Im(lam) < 0) run from t = 0 with a weight '
+                          'order, data "n"')
     traj, monitor = _simulate(rc, doc)
     profile, series, errors, checks = verify_checks(traj, rc.n)
     out = rc.out
@@ -149,6 +149,9 @@ def run_pipeline(doc: dict, text: str, cfg_path, out_override) -> dict:
         save_profile(profile, out / "profile")
         write_csv(out / "error_metric.csv", ["t", "err_l2_compensated", "err_sup_compensated"],
                   zip(*(e.tolist() for e in errors)))
+    else:
+        shutil.rmtree(out / "profile", ignore_errors=True)
+        (out / "error_metric.csv").unlink(missing_ok=True)
     write_csv(out / "bridge.csv", ["s", "t", "l2", "linf"],
               zip(series.s.tolist(), series.t.tolist(), series.l2.tolist(), series.linf.tolist()))
     monitors = {

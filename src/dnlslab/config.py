@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .field import (DEFAULT_BOUNDARY_TOL, BoundaryDecayError, Field, Grid, build_initial_data,
-                    load_field)
+                    data_floor, load_field)
 from .params import PhysParams, validate_phys
 from .solver import SolverConfig, snapshot_schedule
 
@@ -54,6 +54,9 @@ class RunConfig:
     initial: Field
     solver: SolverConfig
     out: Path
+    # the first key that keeps the monitors off the run: a frame other than "v",
+    # Im lam >= 0, data without "n", or snapshot data at t != 0; None if none does
+    unmonitored: tuple | None
 
 
 def out_root(out_override, doc: dict) -> Path:
@@ -109,7 +112,8 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
     data too, and an "exponents" section is refused in its favour.  A
     dissipative config (Im lam < 0) must pass ``validate_phys``.
     ``snapshot_schedule`` alone judges the solver section; its errors anchor
-    at "solver".
+    at "solver".  ``data_floor`` judges constructed data, and snapshot data
+    (at ``data.snapshot``) of a monitored run: one whose ``unmonitored`` is None.
     """
 
     def err(msg, *at):
@@ -199,7 +203,10 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
                   read(list, "data", "bump", i, "center", default=[0.0]),
                   read(float, "data", "bump", i, "width", default=1.0))
                  for i in range(len(specs))]
-        for i, (_, _, width) in enumerate(bumps):
+        for i, (_, center, width) in enumerate(bumps):
+            if len(center) > N:
+                err(f"a bump's center has {len(center)} entries, more than N = {N}",
+                    "data", "bump", i, "center")
             if width <= 0:
                 err("a bump's width must be positive", "data", "bump", i, "width")
 
@@ -227,5 +234,14 @@ def build_run(doc: dict, path, text: str, out_override=None) -> RunConfig:
                 "data", "snapshot")
         initial = Field(initial.grid, initial.values, solver.frame, initial.t)
 
+    # the monitors' balance counts from the data at t = 0, in the v-frame of a dissipative run
+    needs = ((solver.frame == "v", ("solver", "frame")), (lam.imag < 0, ("phys", "lam")),
+             (data_n is not None, ("data",)), (initial.t == 0.0, ("data", "snapshot")))
+    unmonitored = next((at for ok, at in needs if not ok), None)
+    if snapshot is not None and unmonitored is None:  # judged as constructed data is
+        try:
+            data_floor(initial, data_n)
+        except ValueError as e:
+            err(str(e), "data", "snapshot")
     return RunConfig(params=params, n=data_n, initial=initial, solver=solver,
-                     out=out_root(out_override, doc))
+                     out=out_root(out_override, doc), unmonitored=unmonitored)

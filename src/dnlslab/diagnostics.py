@@ -187,30 +187,30 @@ class MonitorReport:
 class SnapshotMonitor:
     """The weighted running-sup monitors of a rescaled-frame run, fed snapshot by snapshot.
 
-    ``n`` is the data's weight order (the config's ``data.n``): the modulus
-    floor is weighted by <x>^n.  The data constant K is computed once, from
-    the initial data at that weight, when the monitor is built.  Call the
-    monitor with each snapshot in schedule order, the initial state first
-    (``run``'s ``on_snapshot`` does), then take ``report()``.  Each row is computed before the feed returns; a row's
-    ``ExtractionError`` waits for ``report()``, and later snapshots are
-    still fed.
+    ``v0`` is the data at t = 0, where the balance starts (a ValueError
+    otherwise), and ``n`` its weight order (the config's ``data.n``): the
+    modulus floor is weighted by <x>^n.  K and |v0|^alpha are computed from
+    ``v0`` when the monitor is built.  Call the monitor with each snapshot in
+    schedule order (``run``'s ``on_snapshot`` does), then take ``report()``.
+    Each row is computed before the feed returns; a row's ``ExtractionError``
+    waits for ``report()``, and later snapshots are still fed.
     """
 
     def __init__(self, v0: Field, n: int, params: PhysParams):
+        if v0.t != 0.0:
+            raise ValueError(f"the monitors start from t = 0, not t = {v0.t:g}")
         self._params = params
         self._weight = v0.grid.bracket_pow(n)
         self._K = data_bound(v0, n, DEFAULT_MAX_ORDER)
         # the tail of the pointwise decay bound
         self._tail = 2.0 * self._K**params.alpha * v0.grid.bracket() ** (-n * params.alpha)
         self._moda = np.empty(v0.grid.shape)  # every row's |v|^alpha, so rows map no new pages
-        self._mod0a = None
+        self._mod0a = np.abs(v0.values) ** params.alpha
         self._times: list[float] = []
         self._rows: list[tuple[float, float, bool]] = []
         self._error: ExtractionError | None = None  # the first row's error
 
     def __call__(self, snap: Field) -> None:
-        if self._mod0a is None:
-            self._mod0a = np.abs(snap.values) ** self._params.alpha
         self._times.append(snap.t)
         try:
             self._rows.append(self._row(snap))
@@ -263,7 +263,7 @@ def monitor_phi(traj: Trajectory, v0: Field, n: int) -> MonitorReport:
     Per snapshot: the compensated reciprocal of the floor of <x>^n |v|, ``n``
     the data's weight order, whose running sup is ``phi3``, and the sup of
     the ``correction_algebraic`` field; and the pointwise two-sided decay
-    check against the data constant K of ``v0``.  Flags classify; nothing raises on a broken bound since a
+    check against the data constant K of ``v0``, the data at t = 0.  Flags classify; nothing raises on a broken bound since a
     coefficient below the regime threshold breaks them legitimately.  A
     vanishing modulus raises ``ExtractionError`` for the first such snapshot.
 

@@ -148,18 +148,24 @@ def weighted_inf(f: Field, p: float) -> tuple[float, tuple[float, ...]]:
     return float(vals[idx]), loc
 
 
+def data_floor(v0: Field, n: int) -> float:
+    """inf <x>^n |v0|; a ValueError where the data vanish, a BoundaryDecayError at the boundary."""
+    low, loc = weighted_inf(v0, n)
+    if low <= 0:
+        raise ValueError(f"initial data vanishes near x = {loc}")
+    check_boundary_decay(v0)
+    return low
+
+
 def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
     """Weighted-norm-plus-margin constant of the initial data.
 
     Sum of sup_{|beta|<=max_order} ||<x>^n D^beta v0||_inf and the reciprocal
-    of inf <x>^n |v0|; enters the pointwise decay bound monitored along runs.
-    The high-order L2 ladder of the full norm starts above the truncation
-    order, so it does not contribute here.
+    of :func:`data_floor`, whose checks it passes on; enters the pointwise
+    decay bound monitored along runs.  The high-order L2 ladder of the full
+    norm starts above the truncation order, so it does not contribute here.
     """
-    if n < 0:
-        raise ValueError("weight power must be nonnegative")
-    if max_order > 0:
-        check_boundary_decay(v0)
+    low = data_floor(v0, n)
     # D^beta one axis at a time, x then y on each x-partial: 5 single-axis
     # passes in 1-D and 19 in 2-D at order 4
     grid, weight, worst = v0.grid, v0.grid.bracket_pow(n), 0.0
@@ -167,9 +173,6 @@ def data_bound(v0: Field, n: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
         for d in [dx] if grid.dim == 1 else _axis_derivatives(dx, 1, max_order - bx, grid):
             mod = np.abs(d)
             worst = max(worst, float(np.max(np.multiply(mod, weight, out=mod))))
-    low, _ = weighted_inf(v0, n)
-    if low <= 0:
-        raise ValueError("initial data vanishes on the grid")
     return worst + 1.0 / low
 
 
@@ -177,9 +180,8 @@ def build_initial_data(grid: Grid, c: complex, n: int, bump=None) -> Field:
     """Admissible initial data c <x>^{-n} + bump, as the v-frame field at t = 0.
 
     ``bump`` is an optional callable taking the coordinate meshes and
-    returning a complex perturbation; it must keep <x>^n |v0| bounded away
-    from zero (checked on the grid).  Data that has not decayed at the box
-    boundary is refused too.  Its norm constant is :func:`data_bound`.
+    returning a complex perturbation.  The data must pass :func:`data_floor`;
+    its norm constant is :func:`data_bound`.
     """
     if c == 0:
         raise ValueError("leading coefficient c must be nonzero")
@@ -187,10 +189,7 @@ def build_initial_data(grid: Grid, c: complex, n: int, bump=None) -> Field:
     if bump is not None:
         base = base + np.asarray(bump(*grid.meshes()), dtype=complex)
     v0 = Field(grid, np.asarray(base, dtype=complex), "v", 0.0)
-    low, loc = weighted_inf(v0, n)
-    if low <= 0:
-        raise ValueError(f"initial data vanishes near x = {loc}")
-    check_boundary_decay(v0)
+    data_floor(v0, n)
     return v0
 
 

@@ -185,6 +185,17 @@ def test_profile_without_dispersion_keeps_data():
     assert np.max(np.abs(prof.amplitude - traj.snapshots[0].values)) < 1e-12
 
 
+def test_profile_needs_a_run_from_t_zero():
+    # the balance counts its bracket from g = 1: a run restarted at t0 > 0 has no profile
+    g = Grid.line(30.0, 256, boundary_tol=1e-4)
+    v0 = build_initial_data(g, 1.0, 5)
+    cfg = SolverConfig(frame="v", dt0=2e-3, c_adapt=0.2, horizon_floor=1e-2, snapshot_count=5)
+    traj = run(v0.with_values(v0.values, t=0.05), cfg, REF)
+    for extract in (finalize_profile, correction_algebraic):
+        with pytest.raises(ValueError, match="run from t = 0, not t = 0.05"):
+            extract(traj)
+
+
 def test_profile_reports_sup(ref_profile):
     assert ref_profile.meta["correction_sup"] == pytest.approx(ref_profile.correction_sup)
     assert ref_profile.meta["final_gauge"] == pytest.approx(1e-4, rel=1e-6)

@@ -206,6 +206,36 @@ def test_unreadable_snapshot_data_exit_2(tmp_path, capsys, spoil, message):
     assert not out.exists()
 
 
+def _undecayed(g):
+    # exp(-x^2/50) on L = 10 is 0.153 of its peak at the boundary
+    return np.exp(-g.axes()[0] ** 2 / 50.0) + 0j
+
+
+def _with_a_zero(g):
+    values = g.bracket() ** -5.0 + 0j
+    values[40] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-theorem"])
+@pytest.mark.parametrize("data,grid,message", [
+    (_undecayed, Grid.line(10.0, 64), "boundary magnitude"),
+    (_with_a_zero, Grid.line(30.0, 64, boundary_tol=1e-4), "initial data vanishes near x"),
+])
+def test_snapshot_data_of_a_monitored_run_is_judged_as_constructed_data(
+        tmp_path, capsys, command, data, grid, message):
+    save_field(Field(grid, data(grid), "v", 0.0), tmp_path / "v0")
+    doc = json.loads(json.dumps(PASS_CONFIG))
+    del doc["grid"]
+    doc["data"] = {"n": 5, "snapshot": str(tmp_path / "v0")}
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, "data", "snapshot") in err and message in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("index", [1, -1])
 def test_snapshot_index_out_of_range_exit_2(tmp_path, capsys, index):
     g = Grid.line(30.0, 64)
@@ -368,6 +398,7 @@ MALFORMED = [
     ((("solver", "t_end"), "abc"),),
     ((("data", "bump", 0, "amp"), "zz"),),
     ((("data", "bump", 0, "amp"), "random"),),  # a bump's amp is a pair, never a draw
+    ((("data", "bump", 0, "center"), [1.0, 2.0, 3.0]),),  # more axes than N = 1
     ((("exponents",), {"n": 5}),),  # the weight order is data.n
     ((("solver", "t_end"), 0),),
     ((("solver", "t_end"), -1),),
@@ -549,6 +580,25 @@ def test_restart_from_a_series_index(tmp_path):
     assert np.max(np.abs(end.values - expected.values)) < 1e-12
 
 
+def test_a_run_restarted_after_t_zero_is_not_monitored(tmp_path, capsys):
+    # the monitors' balance counts from the data at t = 0: a restart from a
+    # later snapshot simulates unmonitored, and verify-theorem refuses it
+    first, cfg = tmp_path / "first", write_config(tmp_path / "a.json", short_decade_config(17))
+    assert main(["simulate", "--config", str(cfg), "--out", str(first)]) == 0
+    doc = short_decade_config(17)
+    del doc["grid"]
+    doc["data"] = {"n": 5, "snapshot": str(first / "snapshots" / "series"), "index": 6}
+    cfg = write_config(tmp_path / "b.json", doc)
+    assert main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert anchor(cfg, "data", "snapshot") in err and "run from t = 0" in err
+    assert "Traceback" not in err and not (tmp_path / "v").exists()
+    again = tmp_path / "again"
+    assert main(["simulate", "--config", str(cfg), "--out", str(again)]) == 0
+    assert json.loads((again / "report.json").read_text())["monitor"] is None
+    assert series_times(again)[0] == series_times(first)[6] > 0
+
+
 @pytest.mark.parametrize("N,alpha,M", [(1, 2.0, 64), (2, 1.0, 32)])
 def test_simulate_at_n_alpha_two_in_oracle_mode(tmp_path, N, alpha, M):
     # N alpha = 2 makes the gauge exponent 0: the coefficient integrates to a logarithm
@@ -622,15 +672,18 @@ def test_verify_artifacts_on_disk(pass_run):
     assert report["schema_version"] == 6 and not {"checks", "profile"} & set(report)
 
 
+# far below the regime: the profile cannot be extracted
+TINY_B_CONFIG = {
+    "phys": {"N": 1, "alpha": 1.0, "lam": [0.0, -1.0], "b": 0.01},
+    "grid": {"L": 15.0, "M": 128, "boundary_tol": 1e-3},
+    "solver": {"frame": "v", "dt0": 0.02, "c_adapt": 0.05,
+               "horizon_floor": 0.05, "snapshot_count": 25},
+    "data": {"c": 1.0, "n": 5},
+}
+
+
 def test_tiny_b_classified_not_failed(tmp_path):
-    doc = {
-        "phys": {"N": 1, "alpha": 1.0, "lam": [0.0, -1.0], "b": 0.01},
-        "grid": {"L": 15.0, "M": 128, "boundary_tol": 1e-3},
-        "solver": {"frame": "v", "dt0": 0.02, "c_adapt": 0.05,
-                   "horizon_floor": 0.05, "snapshot_count": 25},
-        "data": {"c": 1.0, "n": 5},
-    }
-    cfg = write_config(tmp_path / "tiny.json", doc)
+    cfg = write_config(tmp_path / "tiny.json", TINY_B_CONFIG)
     out = tmp_path / "out"
     assert main(["verify-theorem", "--config", str(cfg), "--out", str(out)]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
@@ -988,6 +1041,22 @@ def test_rerun_into_an_existing_out(tmp_path, monkeypatch, capsys):
     assert "numerical failure: injected blow-up" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.json", "out", "second.json"]
+
+
+def test_a_rerun_without_a_profile_leaves_none_of_an_earlier_run(tmp_path, capsys):
+    # a b = 20 run's profile/ and error_metric.csv must not sit beside a
+    # b = 0.01 run's verdict, where plot-data would mix the two runs
+    out = tmp_path / "out"
+    first = write_config(tmp_path / "first.json", short_decade_config(17))
+    assert main(["verify-theorem", "--config", str(first), "--out", str(out)]) == 0
+    assert (out / "profile").is_dir() and (out / "error_metric.csv").is_file()
+    second = write_config(tmp_path / "second.json", TINY_B_CONFIG)
+    assert main(["verify-theorem", "--config", str(second), "--out", str(out)]) == 0
+    assert "extraction_error" in json.loads((out / "verdict.json").read_text())["profile_meta"]
+    assert not (out / "profile").exists() and not (out / "error_metric.csv").exists()
+    capsys.readouterr()
+    assert main(["plot-data", str(out)]) == 4
+    assert f"missing run artifact: {out / 'profile'}" in capsys.readouterr().err
 
 
 def test_failed_snapshot_write_at_the_feed_exits_4(tmp_path, monkeypatch, capsys):

@@ -318,6 +318,21 @@ def test_monitor_row_after_the_first_holds_under_three_grid_arrays():
     assert peak < 2.1 * v0.values.nbytes
 
 
+def test_monitor_takes_the_initial_modulus_from_v0_at_t_zero():
+    # the balance's |v0|^alpha is v0's, whatever is fed first, and v0 must be at t = 0
+    g = Grid.line(30.0, 256, boundary_tol=1e-3)
+    v0 = build_initial_data(g, 1.0, 5)
+    p = PhysParams(1, 1.0, -1j, 20.0)
+    later = Field(g, 0.7 * v0.values, "v", 0.01)
+    both, later_only = SnapshotMonitor(v0, 5, p), SnapshotMonitor(v0, 5, p)
+    both(v0)
+    both(later)
+    later_only(later)
+    assert later_only.report().f_sup[0] == both.report().f_sup[1] > 0
+    with pytest.raises(ValueError, match="from t = 0, not t = 0.01"):
+        SnapshotMonitor(later, 5, p)
+
+
 def test_second_report_computes_no_row(monkeypatch):
     # each row is computed once, as its snapshot is fed
     g = Grid.line(30.0, 256, boundary_tol=1e-3)
